@@ -24,7 +24,7 @@ TILE_SIZE = 256
 def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     data, indices, indptr, b = assemble(config, ctx.precision)
     n = config.n_rows
-    x = np.zeros(n, dtype=ctx.dtype)
+    x = ctx.output(n)
     pap_out = np.zeros(1, dtype=ctx.dtype)
     rr_out = np.zeros(1, dtype=ctx.dtype)
     r = b.copy()
@@ -77,4 +77,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         rr = rr_new
 
     x_view.synchronize()
-    return make_result("miniFE", ctx, model_name, rt.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, rt.simulated_seconds, float(ctx.checksum(x)))

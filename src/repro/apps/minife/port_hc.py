@@ -20,7 +20,7 @@ model_name = "Heterogeneous Compute"
 def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     data, indices, indptr, b = assemble(config, ctx.precision)
     n = config.n_rows
-    x = np.zeros(n, dtype=ctx.dtype)
+    x = ctx.output(n)
     r = b.copy()
     p = b.copy()
     ap = np.zeros(n, dtype=ctx.dtype)
@@ -55,4 +55,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         rr = rr_new
 
     hc.copy_to_host(x)
-    return make_result("miniFE", ctx, model_name, hc.finish(), float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, hc.finish(), float(ctx.checksum(x)))

@@ -25,7 +25,7 @@ THREAD_LIMIT = 256
 def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     data, indices, indptr, b = assemble(config, ctx.precision)
     n = config.n_rows
-    x = np.zeros(n, dtype=ctx.dtype)
+    x = ctx.output(n)
     pap_out = np.zeros(1, dtype=ctx.dtype)
     rr_out = np.zeros(1, dtype=ctx.dtype)
     r = b.copy()
@@ -70,4 +70,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
             beta = rr_new / rr if rr else 0.0
             launch_waxpby(p, r, p, 1.0, beta)
             rr = rr_new
-    return make_result("miniFE", ctx, model_name, omp.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, omp.simulated_seconds, float(ctx.checksum(x)))

@@ -24,7 +24,7 @@ WORKGROUP_SIZE = 256
 def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     data, indices, indptr, b = assemble(config, ctx.precision)
     n = config.n_rows
-    x = np.zeros(n, dtype=ctx.dtype)
+    x = ctx.output(n)
     ap = np.zeros(n, dtype=ctx.dtype)
     pap_out = np.zeros(1, dtype=ctx.dtype)
     rr_out = np.zeros(1, dtype=ctx.dtype)
@@ -85,4 +85,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     # CopyClDataToHost(): the solution vector.
     queue.enqueue_read_buffer(x_cl, x)
     seconds = queue.finish()
-    return make_result("miniFE", ctx, model_name, seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, seconds, float(ctx.checksum(x)))

@@ -16,7 +16,7 @@ model_name = "Serial"
 def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
     data, indices, indptr, b = assemble(config, ctx.precision)
     n = config.n_rows
-    x = np.zeros(n, dtype=ctx.dtype)
+    x = ctx.output(n)
     r = b.copy()
     p = b.copy()
     ap = np.zeros(n, dtype=ctx.dtype)
@@ -39,4 +39,4 @@ def run(ctx: ExecutionContext, config: MiniFEConfig) -> RunResult:
         beta = rr_new / rr if rr else 0.0
         cpu.run_loop(waxpby, specs["minife.waxpby"], arrays=[p, r, p], scalars=[1.0, beta])
         rr = rr_new
-    return make_result("miniFE", ctx, model_name, cpu.simulated_seconds, float(np.abs(x).sum()))
+    return make_result("miniFE", ctx, model_name, cpu.simulated_seconds, float(ctx.checksum(x)))

@@ -6,8 +6,6 @@ extent; the runtime decides when data moves.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models import cppamp as amp
 from ...models.base import ExecutionContext
 from ..base import RunResult, make_result
@@ -21,7 +19,7 @@ TILE_SIZE = 256
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     rt = amp.AmpRuntime(ctx)
     in_view = amp.array_view(rt, data)
@@ -38,4 +36,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         writes=[out_view],
     )
     out_view.synchronize()
-    return make_result("read-benchmark", ctx, model_name, rt.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, rt.simulated_seconds, ctx.checksum(out))

@@ -5,8 +5,6 @@ Single source, raw pointers, explicit asynchronous staging.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models.base import ExecutionContext
 from ...models.hc import HCRuntime
 from ..base import RunResult, make_result
@@ -18,7 +16,7 @@ model_name = "Heterogeneous Compute"
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     hc = HCRuntime(ctx)
     hc.copy_to_device(data)
@@ -30,4 +28,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         scalars=[config.block_size],
     )
     hc.copy_to_host(out)
-    return make_result("read-benchmark", ctx, model_name, hc.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, hc.simulated_seconds, ctx.checksum(out))

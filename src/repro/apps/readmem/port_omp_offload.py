@@ -6,8 +6,6 @@ parallel for simd num_teams(size/BLOCKSIZE) thread_limit(BLOCKSIZE)``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models.base import ExecutionContext
 from ...models.omp_offload import OpenMPOffload
 from ..base import RunResult, make_result
@@ -19,7 +17,7 @@ model_name = "OpenMP Offload"
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     omp = OpenMPOffload(ctx)
     # #pragma omp target teams distribute parallel for simd \
@@ -33,4 +31,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         num_teams=config.size // config.block_size,
         thread_limit=config.block_size,
     )
-    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, ctx.checksum(out))

@@ -6,8 +6,6 @@ gang(size/BLOCKSIZE) vector(BLOCKSIZE) independent``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models.base import ExecutionContext
 from ...models.openacc import OpenACC
 from ..base import RunResult, make_result
@@ -19,7 +17,7 @@ model_name = "OpenACC"
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     acc = OpenACC(ctx)
     # #pragma acc kernels loop gang(size/BLOCKSIZE) vector(BLOCKSIZE) independent
@@ -32,4 +30,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         gang=config.size // config.block_size,
         vector=config.block_size,
     )
-    return make_result("read-benchmark", ctx, model_name, acc.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, acc.simulated_seconds, ctx.checksum(out))

@@ -9,8 +9,6 @@ back.  This boilerplate is the 181 changed lines of Table IV.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models import opencl as cl
 from ...models.base import ExecutionContext
 from ..base import RunResult, make_result
@@ -37,7 +35,7 @@ def init_cl(ctx: ExecutionContext) -> tuple[cl.Context, cl.CommandQueue, cl.Prog
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     # InitCl(): device, context, command queue, program build.
     context, queue, program = init_cl(ctx)
@@ -64,4 +62,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     # CopyClDataToHost().
     queue.enqueue_read_buffer(out_cl, out)
     seconds = queue.finish()
-    return make_result("read-benchmark", ctx, model_name, seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, seconds, ctx.checksum(out))

@@ -6,8 +6,6 @@ change of Table IV.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models.base import ExecutionContext
 from ...models.openmp import OpenMP
 from ..base import RunResult, make_result
@@ -19,7 +17,7 @@ model_name = "OpenMP"
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     omp = OpenMP(ctx, num_threads=4)
     # #pragma omp parallel for
@@ -29,4 +27,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         arrays=[data, out],
         scalars=[config.block_size],
     )
-    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, omp.simulated_seconds, ctx.checksum(out))

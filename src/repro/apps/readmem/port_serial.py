@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...models.base import ExecutionContext
 from ...models.serial import SerialCPU
 from ..base import RunResult, make_result
@@ -15,7 +13,7 @@ model_name = "Serial"
 
 def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
     data = make_input(config, ctx.precision)
-    out = np.zeros(config.n_blocks, dtype=ctx.dtype)
+    out = ctx.output(config.n_blocks)
 
     cpu = SerialCPU(ctx)
     cpu.run_loop(
@@ -24,4 +22,4 @@ def run(ctx: ExecutionContext, config: ReadMemConfig) -> RunResult:
         arrays=[data, out],
         scalars=[config.block_size],
     )
-    return make_result("read-benchmark", ctx, model_name, cpu.simulated_seconds, out.sum())
+    return make_result("read-benchmark", ctx, model_name, cpu.simulated_seconds, ctx.checksum(out))

@@ -24,7 +24,7 @@ N_CHUNKS = 4
 
 def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
     data = make_data(config, ctx.precision)
-    macro = np.zeros((config.n_lookups, N_XS), dtype=ctx.dtype)
+    macro = ctx.output((config.n_lookups, N_XS))
 
     rt = amp.AmpRuntime(ctx)
     table_views = [
@@ -54,4 +54,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
             writes=[out_view],
         )
         out_view.synchronize()
-    return make_result("XSBench", ctx, model_name, rt.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, rt.simulated_seconds, ctx.checksum(macro))

@@ -22,7 +22,7 @@ N_CHUNKS = 4
 
 def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
     data = make_data(config, ctx.precision)
-    macro = np.zeros((config.n_lookups, N_XS), dtype=ctx.dtype)
+    macro = ctx.output((config.n_lookups, N_XS))
 
     hc = HCRuntime(ctx)
     table = [data.union_energy, data.union_index, data.material_nuclides,
@@ -50,4 +50,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
         hc.launch(xs_lookup, spec,
                   arrays=[e_chunk, m_chunk, *table, out_chunk])
         hc.copy_to_host(out_chunk)
-    return make_result("XSBench", ctx, model_name, hc.finish(), np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, hc.finish(), ctx.checksum(macro))

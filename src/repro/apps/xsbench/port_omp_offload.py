@@ -25,7 +25,7 @@ N_CHUNKS = 4
 
 def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
     data = make_data(config, ctx.precision)
-    macro = np.zeros((config.n_lookups, N_XS), dtype=ctx.dtype)
+    macro = ctx.output((config.n_lookups, N_XS))
 
     omp = OpenMPOffload(ctx)
     table = [
@@ -49,4 +49,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
                 num_teams=-(-len(e_chunk) // THREAD_LIMIT),
                 thread_limit=THREAD_LIMIT,
             )
-    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, omp.simulated_seconds, ctx.checksum(macro))

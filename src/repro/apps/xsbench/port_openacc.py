@@ -24,7 +24,7 @@ N_CHUNKS = 4
 
 def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
     data = make_data(config, ctx.precision)
-    macro = np.zeros((config.n_lookups, N_XS), dtype=ctx.dtype)
+    macro = ctx.output((config.n_lookups, N_XS))
 
     acc = OpenACC(ctx)
     table = [
@@ -48,4 +48,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
                 gang=-(-len(e_chunk) // VECTOR_LENGTH),
                 vector=VECTOR_LENGTH,
             )
-    return make_result("XSBench", ctx, model_name, acc.simulated_seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, acc.simulated_seconds, ctx.checksum(macro))

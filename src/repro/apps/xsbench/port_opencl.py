@@ -24,7 +24,7 @@ N_CHUNKS = 4
 
 def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
     data = make_data(config, ctx.precision)
-    macro = np.zeros((config.n_lookups, N_XS), dtype=ctx.dtype)
+    macro = ctx.output((config.n_lookups, N_XS))
 
     # InitCl(): platform, device, context, queue, program.
     platform = cl.get_platforms(ctx)[0]
@@ -76,4 +76,4 @@ def run(ctx: ExecutionContext, config: XSBenchConfig) -> RunResult:
         queue.enqueue_read_buffer(out_cl, out_chunk)
 
     seconds = queue.finish()
-    return make_result("XSBench", ctx, model_name, seconds, np.abs(macro).sum())
+    return make_result("XSBench", ctx, model_name, seconds, ctx.checksum(macro))

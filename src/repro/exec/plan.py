@@ -104,7 +104,10 @@ class RunSpec:
         """Short human-readable identity for stats and logs."""
         clocks = ""
         if self.core_mhz is not None or self.memory_mhz is not None:
-            clocks = f"@{self.core_mhz:g}/{self.memory_mhz:g}MHz"
+            core, memory = (
+                "-" if mhz is None else f"{mhz:g}" for mhz in (self.core_mhz, self.memory_mhz)
+            )
+            clocks = f"@{core}/{memory}MHz"
         return f"{self.app}/{self.model}/{self.platform}{clocks}/{self.precision.value}"
 
     def telemetry_meta(self) -> dict[str, str]:

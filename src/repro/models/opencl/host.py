@@ -125,7 +125,8 @@ class Buffer:
             )
         else:
             self._device_array = (
-                np.zeros(hostbuf.shape, hostbuf.dtype) if hostbuf is not None else None
+                context.execution.output(hostbuf.shape, hostbuf.dtype)
+                if hostbuf is not None else None
             )
         self._shape = None if self._device_array is None else self._device_array.shape
         self._dtype = None if self._device_array is None else self._device_array.dtype

@@ -40,6 +40,7 @@ from ..core.configs import bench_configs, sweep_configs
 from ..core.metrics import speedup
 from ..core.study import BASELINE_MODEL, GPU_MODELS
 from ..exec.plan import APU, DGPU, PLATFORMS, RunSpec, study_runs
+from ..hardware.device import platform_for
 from ..hardware.specs import Precision
 from ..models.registry import normalize_model_name
 
@@ -194,12 +195,28 @@ def _parse_scale(value: object) -> str:
     )
 
 
-def _parse_clock(doc: Mapping, field: str) -> float | None:
+@lru_cache(maxsize=None)
+def _clock_ranges(platform: str) -> dict[str, tuple[float, float]]:
+    """Legal ``(min, max)`` MHz of each GPU clock override, per platform."""
+    gpu = platform_for(platform).gpu
+    return {
+        "core_mhz": (gpu.core_clock.min_mhz, gpu.core_clock.max_mhz),
+        "memory_mhz": (gpu.memory_clock.min_mhz, gpu.memory_clock.max_mhz),
+    }
+
+
+def _parse_clock(doc: Mapping, field: str, platform: str) -> float | None:
     value = doc.get(field)
     if value is None:
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
         raise ProtocolError(f"field {field!r} must be a positive frequency in MHz")
+    low, high = _clock_ranges(platform)[field]
+    if not low <= value <= high:
+        raise ProtocolError(
+            f"field {field!r}: {value:g} MHz is outside the {platform} GPU's "
+            f"[{low:g}, {high:g}] MHz range"
+        )
     return float(value)
 
 
@@ -260,14 +277,16 @@ class PredictRequest:
         if not isinstance(doc, Mapping):
             raise ProtocolError("request body must be a JSON object")
         app = _parse_app(_require(doc, "app"))
+        model = _parse_model(app, _require(doc, "model"))
+        platform = _parse_platform(_require(doc, "platform"))
         return cls(
             app=app,
-            model=_parse_model(app, _require(doc, "model")),
-            platform=_parse_platform(_require(doc, "platform")),
+            model=model,
+            platform=platform,
             precision=_parse_precision(_require(doc, "precision")),
             scale=_parse_scale(doc.get("scale", "bench")),
-            core_mhz=_parse_clock(doc, "core_mhz"),
-            memory_mhz=_parse_clock(doc, "memory_mhz"),
+            core_mhz=_parse_clock(doc, "core_mhz", platform),
+            memory_mhz=_parse_clock(doc, "memory_mhz", platform),
         )
 
     def to_json(self) -> dict:

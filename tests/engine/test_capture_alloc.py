@@ -1,0 +1,117 @@
+"""The projection-mode contract of port output buffers.
+
+Projection runs skip every kernel body, so an output buffer is never
+written: ``ExecutionContext.output`` hands out a read-only zero-stride
+placeholder there, and the run's checksum is a defined value rather
+than a sum over problem-sized zeros.  The output-buffer apps (XSBench,
+miniFE, read-benchmark) project to 0.0; LULESH and CoMD derive theirs
+from initial state, pinned bit-exactly in
+``tests/goldens/projection_checksums.json`` from the engine as it was
+before placeholders existed.
+"""
+
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.apps import APPS_BY_NAME
+from repro.apps.xsbench import paper_config as xsbench_paper_config
+from repro.engine.study_vec import capture_program
+from repro.exec.plan import PLATFORMS, RunSpec
+from repro.hardware.device import platform_for
+from repro.hardware.specs import Precision
+from repro.models.base import ExecutionContext
+from tests.test_projection import SMALL
+
+GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "goldens" / "projection_checksums.json").read_text()
+)
+
+#: Defined projection checksum per app and precision, as float hex.
+DEFINED = {
+    app: GOLDEN.get(app, {precision.value: (0.0).hex() for precision in Precision})
+    for app in SMALL
+}
+
+#: Peak traced allocation of one paper-scale XSBench capture.  One
+#: problem-sized array is far above it: the 15M-lookup output is
+#: 300/600 MB in single/double, and even the int32 material stream the
+#: ports split into chunks is 60 MB.
+CAPTURE_PEAK_BYTES = 8 << 20
+
+
+def _context(platform: str, precision: Precision, execute: bool) -> ExecutionContext:
+    return ExecutionContext(platform_for(platform), precision, execute_kernels=execute)
+
+
+@pytest.mark.parametrize(
+    "app_name, model",
+    [(app, model) for app in sorted(SMALL) for model in sorted(APPS_BY_NAME[app].ports)],
+)
+def test_projection_checksum_is_defined(app_name, model):
+    """Scalar projection runs and schedule captures both report the
+    defined checksum, bit-exactly, on every platform and precision."""
+    app, config = APPS_BY_NAME[app_name], SMALL[app_name]
+    for platform in PLATFORMS:
+        for precision in Precision:
+            expected = DEFINED[app_name][precision.value]
+            run = app.ports[model](_context(platform, precision, False), config)
+            assert float(run.checksum).hex() == expected, (platform, precision)
+            spec = RunSpec(app_name, model, platform, precision, config)
+            assert float(capture_program(spec).checksum).hex() == expected
+
+
+@pytest.mark.parametrize("model", sorted(APPS_BY_NAME["XSBench"].ports))
+def test_paper_scale_xsbench_capture_allocates_no_problem_sized_buffer(model):
+    spec = RunSpec("XSBench", model, "dgpu", Precision.DOUBLE, xsbench_paper_config())
+    capture_program(spec)  # warm: imports and the cached projection stub
+    tracemalloc.start()
+    try:
+        capture_program(spec)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < CAPTURE_PEAK_BYTES, f"{model}: {peak / 2**20:.1f} MiB traced"
+
+
+@pytest.mark.parametrize("shape", [7, (6, 5)])
+@pytest.mark.parametrize("precision", list(Precision))
+def test_projection_output_is_a_read_only_placeholder(shape, precision):
+    ctx = _context("dgpu", precision, execute=False)
+    out = ctx.output(shape)
+    zeros = np.zeros(shape, dtype=ctx.dtype)
+    assert out.shape == zeros.shape and out.dtype == zeros.dtype
+    assert out.nbytes == zeros.nbytes
+    assert not any(out.strides)
+    with pytest.raises(ValueError, match="read-only"):
+        out[0] = 1.0
+    for chunk in np.array_split(out, 3):
+        assert chunk.nbytes == chunk.size * ctx.dtype.itemsize
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[...] = 1.0
+    assert ctx.checksum(out) == 0.0
+    assert type(ctx.checksum(out)) is type(np.abs(zeros).sum())
+
+
+def test_functional_output_is_writable_zeros():
+    ctx = _context("apu", Precision.SINGLE, execute=True)
+    out = ctx.output((4, 3), np.int32)
+    assert out.dtype == np.int32 and out.flags.writeable and not out.any()
+    out[1, 2] = 5
+    assert ctx.checksum(out) == 5
+
+
+def test_checksum_equals_abs_sum_off_placeholders():
+    """Functional arrays, including negative values and a broadcast of
+    a nonzero value, take the exact ``np.abs(a).sum()`` path."""
+    rng = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        values = (rng.random((500, 5)) - 0.5).astype(dtype)
+        assert ExecutionContext.checksum(values) == np.abs(values).sum()
+        assert type(ExecutionContext.checksum(values)) is np.dtype(dtype).type
+    ones = np.broadcast_to(np.array(-1.5), (4, 4))
+    assert ExecutionContext.checksum(ones) == 24.0
+    assert ExecutionContext.checksum(np.zeros(0)) == 0.0

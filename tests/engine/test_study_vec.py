@@ -360,3 +360,112 @@ def test_comd_rebin_early_out_is_bit_identical():
 def test_execute_with_engine_rejects_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine"):
         execute_with_engine("warp", [])
+
+
+# --- ChargeLog identity front cache ----------------------------------
+
+
+def _charge_fixture():
+    """A capture-mode context plus one GPU and one CPU toolchain."""
+    from repro.apps.readmem import ReadMemConfig
+    from repro.apps.readmem.kernels import read_kernel_spec
+    from repro.engine.launch import OPENCL_DGPU
+    from repro.models.base import ChargeLog, CPUToolchain, ExecutionContext, Toolchain
+    from repro.models.opencl.compiler import OPENCL_PROFILE
+
+    log = ChargeLog()
+    ctx = ExecutionContext(
+        platform=make_platform(apu=False), precision=Precision.SINGLE,
+        execute_kernels=False, charge_log=log,
+    )
+    gpu = Toolchain(OPENCL_PROFILE, OPENCL_DGPU)
+    cpu = CPUToolchain("OpenMP", threads=4)
+    spec = read_kernel_spec(ReadMemConfig(size=1 << 16), Precision.SINGLE)
+    return log, ctx, gpu, cpu, spec
+
+
+def test_charge_log_dedupes_equal_distinct_specs():
+    """Equal spec values are one atom even as distinct objects: the
+    identity cache only fronts the value-keyed table."""
+    import dataclasses
+
+    log, ctx, gpu, cpu, spec = _charge_fixture()
+    twin = dataclasses.replace(spec)
+    assert twin == spec and twin is not spec
+    for s in (spec, twin, spec, twin):
+        gpu.charge_gpu_kernel(ctx, s, n_buffers=2)
+        cpu.charge_loop(ctx, s)
+    assert len(log.atoms) == 2  # one GPU lowering, one CPU loop
+    assert len(log.events) == 8
+    assert {e[0] for e in log.events[0::2]} == {0}
+    assert {e[0] for e in log.events[1::2]} == {1}
+
+
+def test_charge_log_never_aliases_recycled_ids():
+    """Each loop drops a spec equal to one already logged, then builds a
+    new value, so CPython may hand the new spec the dropped one's id.
+    Every charge must still land on the atom of its own value."""
+    import dataclasses
+
+    log, ctx, gpu, cpu, spec = _charge_fixture()
+    charged = []
+    for name in [spec.name] + [n for i in range(100) for n in (spec.name, f"k{i}")]:
+        fresh = dataclasses.replace(spec, name=name)
+        gpu.charge_gpu_kernel(ctx, fresh, n_buffers=2)
+        cpu.charge_loop(ctx, fresh)
+        charged += [name, name]
+        del fresh
+    assert len(log.atoms) == 2 * 101
+    atom_names = [
+        atom[1].spec.name if atom[0] == "gpu" else atom[1].name
+        for atom in (log.atoms[event[0]] for event in log.events)
+    ]
+    assert atom_names == charged
+
+
+class _CountingLog:
+    """Counts every charge a port makes and the distinct values behind
+    them, independently of the log's own dedup."""
+
+    def __init__(self):
+        from repro.models.base import ChargeLog
+
+        self.log = ChargeLog()
+        self.launches = 0
+        self.keys = set()
+        self.transfers = 0
+
+    def gpu_kernel(self, toolchain, ctx, spec, n_buffers, mapped_bytes):
+        self.launches += 1
+        retargeted = toolchain.profile.retarget_penalty > 0 and ctx.platform.is_apu
+        self.keys.add(("gpu", toolchain.profile.lower(spec, retargeted).cache_key()))
+        return self.log.gpu_kernel(toolchain, ctx, spec, n_buffers, mapped_bytes)
+
+    def cpu_loop(self, toolchain, spec):
+        self.launches += 1
+        self.keys.add(("cpu", spec, toolchain.threads))
+        return self.log.cpu_loop(toolchain, spec)
+
+    def transfer(self, nbytes, direction, counted):
+        self.transfers += 1
+        return self.log.transfer(nbytes, direction, counted)
+
+
+@pytest.mark.parametrize("app_name", ["LULESH", "miniFE", "CoMD"])
+@pytest.mark.parametrize("model", ["OpenMP", "OpenCL", "C++ AMP", "OpenACC"])
+def test_capture_counts_match_launches_and_distinct_values(app_name, model):
+    from repro.models.base import ExecutionContext
+
+    counting = _CountingLog()
+    ctx = ExecutionContext(
+        platform=make_platform(apu=False), precision=Precision.SINGLE,
+        execute_kernels=False, charge_log=counting,
+    )
+    with memo.projection_stubs():
+        APPS_BY_NAME[app_name].ports[model](ctx, sweep_configs()[app_name])
+    log = counting.log
+    kernel_events = [e for e in log.events if e[0] >= 0]
+    assert counting.launches > len(log.atoms) > 0
+    assert len(kernel_events) == counting.launches
+    assert len(log.events) == counting.launches + counting.transfers
+    assert len(log.atoms) == len(counting.keys)

@@ -43,6 +43,26 @@ def test_predict_rejects_bad_fields(mutation, message):
         PredictRequest.from_json(doc)
 
 
+@pytest.mark.parametrize("platform, clocks, field", [
+    ("dgpu", {"core_mhz": 1400.0}, "core_mhz"),
+    ("dgpu", {"core_mhz": 1400.0, "memory_mhz": 1000.0}, "core_mhz"),
+    ("dgpu", {"core_mhz": 500.0, "memory_mhz": 300.0}, "memory_mhz"),
+    ("apu", {"core_mhz": 199.9}, "core_mhz"),
+    ("v100", {"memory_mhz": 900.0}, "memory_mhz"),
+])
+def test_predict_rejects_out_of_range_clocks(platform, clocks, field):
+    doc = {**PREDICT_DOC, "platform": platform, **clocks}
+    with pytest.raises(ProtocolError, match=f"'{field}'.*outside the {platform} GPU"):
+        PredictRequest.from_json(doc)
+
+
+def test_predict_accepts_clock_range_endpoints():
+    request = PredictRequest.from_json(
+        {**PREDICT_DOC, "platform": "dgpu", "core_mhz": 200, "memory_mhz": 1500}
+    )
+    assert (request.core_mhz, request.memory_mhz) == (200.0, 1500.0)
+
+
 def test_predict_rejects_non_object_body():
     with pytest.raises(ProtocolError, match="JSON object"):
         PredictRequest.from_json([1, 2, 3])

@@ -173,6 +173,34 @@ def test_malformed_json_is_a_400(server):
         conn.close()
 
 
+@pytest.mark.parametrize("clocks", [
+    {"core_mhz": 1300.0},
+    {"core_mhz": 1300.0, "memory_mhz": 1000.0},
+])
+def test_out_of_range_clock_is_a_400_on_a_live_connection(server, clocks):
+    """An out-of-range clock is refused at parse time; the keep-alive
+    connection that carried it then answers a valid predict."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    cell = {"app": "CoMD", "model": "OpenCL", "platform": "dgpu", "precision": "single"}
+    split = urlsplit(server.url)
+    conn = http.client.HTTPConnection(split.hostname, split.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/predict", body=json.dumps({**cell, **clocks}))
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+        assert response.status == 400
+        assert "outside the dgpu GPU" in doc["error"]["message"]
+        conn.request("POST", "/v1/predict", body=json.dumps({**cell, "core_mhz": 700.0}))
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+        assert response.status == 200, doc
+        assert doc["speedup"] > 0
+    finally:
+        conn.close()
+
+
 # -- admission control, deadlines, drain --------------------------------
 
 
