@@ -22,6 +22,7 @@ import numpy as np
 
 from ...engine.memo import memoized_setup, projection_stub
 from ...hardware.specs import Precision
+from ...models.base import placeholder
 
 #: Reduced LJ units: epsilon = sigma = mass = 1.
 LJ_CUTOFF = 2.5
@@ -96,6 +97,9 @@ class CoMDState:
     neighbor_cells: np.ndarray
     #: Atom positions at the last re-binning (displacement check).
     rebin_positions: np.ndarray
+    #: Set only on projection stubs, whose read-only arrays never
+    #: change: the initial-state checksum, computed once at build.
+    frozen_checksum: float | None = None
 
     def kinetic_energy(self) -> float:
         return 0.5 * float((self.velocities**2).sum())
@@ -107,7 +111,17 @@ class CoMDState:
         return self.kinetic_energy() + self.potential_energy()
 
     def checksum(self) -> float:
+        if self.frozen_checksum is not None:
+            return self.frozen_checksum
         return self.total_energy()
+
+
+def _initial_velocities(config: CoMDConfig, dtype: np.dtype, seed: int) -> np.ndarray:
+    """Maxwellian velocities at the configured temperature."""
+    rng = np.random.default_rng(seed)
+    velocities = rng.normal(0.0, np.sqrt(config.temperature), size=(config.n_atoms, 3))
+    velocities -= velocities.mean(axis=0)  # zero net momentum
+    return velocities.astype(dtype)
 
 
 @memoized_setup
@@ -123,16 +137,11 @@ def make_state(config: CoMDConfig, precision: Precision, seed: int = 11) -> CoMD
     positions = (cells[:, None, :] + FCC_BASIS[None, :, :]).reshape(-1, 3) * LATTICE_A0
     positions = positions.astype(dtype)
 
-    rng = np.random.default_rng(seed)
-    velocities = rng.normal(0.0, np.sqrt(config.temperature), size=positions.shape)
-    velocities -= velocities.mean(axis=0)  # zero net momentum
-    velocities = velocities.astype(dtype)
-
     n = config.n_atoms
     state = CoMDState(
         config=config,
         positions=positions,
-        velocities=velocities,
+        velocities=_initial_velocities(config, dtype, seed),
         forces=np.zeros((n, 3), dtype=dtype),
         pe_per_atom=np.zeros(n, dtype=dtype),
         cell_atoms=np.empty(0, dtype=np.int64),
@@ -147,30 +156,83 @@ def make_state(config: CoMDConfig, precision: Precision, seed: int = 11) -> CoMD
 
 @projection_stub(make_state)
 def _projection_state(config: CoMDConfig, precision: Precision, seed: int = 11) -> CoMDState:
-    """Schedule-capture build: a fresh real state, skipping the setup
-    cache (the build is cheaper than the LRU's deep copies, and capture
-    must not pollute — or be polluted by — cached state)."""
-    return make_state.__wrapped__(config, precision, seed)
+    """Frozen, shape-only stand-in for schedule capture.
+
+    Buffer sizes are all the ports' schedules read, so the atom arrays
+    and both link-cell tables are read-only placeholders.  Two values
+    are exact: the cell occupancy (its maximum sizes ``cell_atoms``),
+    counted from the lattice without building it, and the checksum,
+    whose kinetic term needs the real velocity draw.  Positions never
+    move, so ``bin_atoms`` keeps this table as is.
+    """
+    dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
+    n = config.n_atoms
+    counts = _lattice_cell_counts(config, dtype)
+    velocities = _initial_velocities(config, dtype, seed)
+    velocities.flags.writeable = False
+    counts.flags.writeable = False
+    positions = placeholder((n, 3), dtype)
+    state = CoMDState(
+        config=config,
+        positions=positions,
+        velocities=velocities,
+        forces=placeholder((n, 3), dtype),
+        pe_per_atom=placeholder(n, dtype),
+        cell_atoms=placeholder((len(counts), int(counts.max())), np.int64),
+        cell_count=counts,
+        neighbor_cells=placeholder((len(counts), 27), np.int64),
+        rebin_positions=positions,
+    )
+    state.frozen_checksum = state.total_energy()
+    return state
+
+
+def _cell_index(positions: np.ndarray, config: CoMDConfig) -> np.ndarray:
+    """Per-axis link-cell index of every coordinate (last axis x, y, z)."""
+    dims = np.array(config.cells_per_dim)
+    box = config.box
+    wrapped = np.mod(positions, box.astype(positions.dtype))
+    return np.minimum((wrapped / (box / dims).astype(wrapped.dtype)).astype(np.int64), dims - 1)
+
+
+def _lattice_cell_counts(config: CoMDConfig, dtype: np.dtype) -> np.ndarray:
+    """Atoms per link cell of the unmoved lattice, without the lattice.
+
+    A site's cell index along an axis depends only on its unit-cell
+    index and basis offset along that axis, so the 3-D occupancy is a
+    sum over the four basis vectors of outer products of per-axis
+    counts: the same counts :func:`bin_atoms` finds in ``make_state``.
+    """
+    dims = config.cells_per_dim
+    units = np.arange(max(config.nx, config.ny, config.nz))
+    # Row i, basis b, axis d holds the axis-d coordinate of unit cell i.
+    sites = ((units[:, None, None] + FCC_BASIS) * LATTICE_A0).astype(dtype)
+    index = _cell_index(sites, config)
+    counts = np.zeros(dims, dtype=np.int64)
+    for b in range(len(FCC_BASIS)):
+        per_axis = [
+            np.bincount(index[:n, b, d], minlength=nc)
+            for d, (n, nc) in enumerate(zip((config.nx, config.ny, config.nz), dims))
+        ]
+        counts += np.einsum("i,j,k->ijk", *per_axis)
+    return counts.reshape(-1)
 
 
 def bin_atoms(state: CoMDState) -> None:
     """(Re)build the padded link-cell table from current positions."""
+    if state.rebin_positions is state.positions and not state.positions.flags.writeable:
+        # A frozen projection stub: its positions cannot have moved.
+        return
     if state.cell_atoms.size and np.array_equal(state.positions, state.rebin_positions):
         # No atom has moved since the last binning: the table is a pure
         # function of positions, so recomputing would reproduce it
         # bit-for-bit.  Ports rebin unconditionally between epochs; in
-        # projection mode positions never change, making this the
-        # common case there.
+        # scalar projection runs positions never change, making this
+        # the common case there.
         return
     config = state.config
     ncx, ncy, ncz = config.cells_per_dim
-    box = config.box
-    cell_edge = box / np.array([ncx, ncy, ncz])
-    wrapped = np.mod(state.positions, box.astype(state.positions.dtype))
-    idx3 = np.minimum(
-        (wrapped / cell_edge.astype(wrapped.dtype)).astype(np.int64),
-        np.array([ncx - 1, ncy - 1, ncz - 1]),
-    )
+    idx3 = _cell_index(state.positions, config)
     cell_ids = (idx3[:, 0] * ncy + idx3[:, 1]) * ncz + idx3[:, 2]
     n_cells = ncx * ncy * ncz
     order = np.argsort(cell_ids, kind="stable")

@@ -49,10 +49,16 @@ def make_state(config: LuleshConfig, precision: Precision) -> LuleshState:
 
 @projection_stub(make_state)
 def _projection_state(config: LuleshConfig, precision: Precision) -> LuleshState:
-    """Schedule-capture build: a fresh real state, skipping the setup
-    cache (initialisation is cheaper than the LRU's deep copies, and
-    capture must not pollute — or be polluted by — cached state)."""
-    return make_state.__wrapped__(config, precision)
+    """Frozen stand-in for schedule capture: a fresh real state (its
+    initialisation is cheaper than the setup cache's deep copies) with
+    every array read-only and the initial-state checksum computed once.
+    Ports still advance the host scalars ``dt`` and ``time``; no
+    schedule or checksum reads them."""
+    state = make_state.__wrapped__(config, precision)
+    for array in state.arrays().values():
+        array.flags.writeable = False
+    state.frozen_checksum = state.checksum()
+    return state
 
 
 def run_iteration(state: LuleshState) -> None:

@@ -163,16 +163,19 @@ def _projection_system(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shape-faithful stand-in for schedule capture: CSR arrays with
     the real lengths/dtypes (buffer sizes are all that the ports'
-    schedules read) without assembling the matrix."""
+    schedules read) without assembling the matrix; all read-only."""
     dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
     nnz = system_nnz(config)
     n = config.n_rows
-    return (
+    system = (
         np.zeros(nnz, dtype=dtype),
         np.zeros(nnz, dtype=np.int32),
         np.zeros(n + 1, dtype=np.int64),
         np.zeros(n, dtype=dtype),
     )
+    for array in system:
+        array.flags.writeable = False
+    return system
 
 
 def reference_solve(config: MiniFEConfig, precision: Precision) -> tuple[np.ndarray, list[float]]:

@@ -61,7 +61,9 @@ def _projection_input(config: ReadMemConfig, precision: Precision, seed: int = 7
     """Shape-faithful stand-in for schedule capture: the ports derive
     buffer sizes and kernel specs from the array's shape/dtype only."""
     dtype = np.float32 if precision is Precision.SINGLE else np.float64
-    return np.zeros(config.size, dtype=dtype)
+    data = np.zeros(config.size, dtype=dtype)
+    data.flags.writeable = False
+    return data
 
 
 def read_serial_cpu(data: np.ndarray, out: np.ndarray, block_size: int = BLOCK_SIZE) -> None:

@@ -171,13 +171,14 @@ def _projection_data(config: XSBenchConfig, precision: Precision, seed: int = 23
     sizes from ``.nbytes``, chunk trip counts from ``array_split`` over
     the lookup stream, kernel specs from the config — so zeroed arrays
     with the real shapes/dtypes capture the identical schedule without
-    generating (or deep-copying) the 240 MB data set.
+    generating (or deep-copying) the 240 MB data set.  Every array is
+    read-only.
     """
     dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
     nn, ng = config.n_nuclides, config.n_gridpoints
     n_mats = len(MATERIAL_NUCLIDE_COUNTS)
     max_n = max(MATERIAL_NUCLIDE_COUNTS)
-    return XSBenchData(
+    data = XSBenchData(
         config=config,
         nuclide_energy=np.zeros((nn, ng), dtype=dtype),
         nuclide_xs=np.zeros((nn, ng, N_XS), dtype=dtype),
@@ -189,6 +190,10 @@ def _projection_data(config: XSBenchConfig, precision: Precision, seed: int = 23
         lookup_energy=np.zeros(config.n_lookups, dtype=dtype),
         lookup_material=np.zeros(config.n_lookups, dtype=np.int32),
     )
+    for array in vars(data).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return data
 
 
 def compute_macro_xs_direct(data: XSBenchData) -> np.ndarray:

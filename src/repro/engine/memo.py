@@ -376,13 +376,14 @@ _STUB_STATE = threading.local()
 #: (app, model, platform, precision) cell, but the stub build depends
 #: only on (config, precision): without sharing, capturing a whole
 #: study rebuilds the same stub state ~20 times per app.  Shared **by
-#: reference** (no deep copies): stubs are only served in projection
-#: capture, where kernel bodies never run, so a port either leaves the
-#: state bitwise intact (CoMD's rebins recompute identical tables) or
-#: mutates only host scalars no schedule or checksum reads (LULESH's
-#: ``dt``/``time``).  Bounded LRU; cleared by :func:`clear_caches` and
-#: bypassed whenever :data:`SETUP_CACHE` is disabled (``use_cache=False``
-#: must recompute everything).
+#: reference** (no deep copies), which is safe because stub arrays are
+#: read-only: a port's host write to one raises instead of leaking into
+#: the next capture.  Stubs that carry a checksum compute it once, at
+#: build; the only state a port can still change is a host scalar no
+#: schedule or checksum reads (LULESH's ``dt``/``time``).  Bounded LRU;
+#: cleared by :func:`clear_caches` and bypassed whenever
+#: :data:`SETUP_CACHE` is disabled (``use_cache=False`` must recompute
+#: everything).
 _STUB_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
 _STUB_CACHE_MAX = 8
 
@@ -395,7 +396,9 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
     must reproduce every array shape and dtype the port's schedule
     depends on — kernel specs, buffer sizes and loop trip counts are
     all shape-derived in projection mode, where kernel bodies never
-    execute — but may leave the data itself zeroed.
+    execute — but may leave the data itself zeroed.  Its arrays must be
+    read-only, because :data:`_STUB_CACHE` shares one build between
+    captures.
     """
 
     def register(stub: Callable[..., T]) -> Callable[..., T]:

@@ -169,6 +169,14 @@ class CompilerProfile:
         )
 
 
+def placeholder(shape: int | tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A read-only zero-stride view of one zero: the shape, dtype and
+    ``nbytes`` of ``np.zeros(shape, dtype)`` in O(1) memory, for arrays
+    only projection mode sees (kernel bodies never run, so nothing
+    reads or writes the elements; a stray host write raises)."""
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
 @dataclass
 class ExecutionContext:
     """One application run: a platform, a precision, and its counters.
@@ -214,7 +222,7 @@ class ExecutionContext:
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         if self.execute_kernels:
             return np.zeros(shape, dtype=dtype)
-        return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+        return placeholder(shape, dtype)
 
     @staticmethod
     def checksum(array: np.ndarray) -> np.floating:
@@ -244,6 +252,9 @@ class ChargeLog:
       the port discards the charge's return value (a copy whose cost is
       recorded in the counters but never reaches the port's simulated
       clock).
+
+    A log belongs to one capture context: its platform (which decides
+    hand-tuned retargeting) is fixed for the log's lifetime.
     """
 
     def __init__(self) -> None:
@@ -252,13 +263,14 @@ class ChargeLog:
         self.events: list[tuple[int, float, int, bool]] = []
         self._atom_index: dict[tuple, int] = {}
         self._xfer_index: dict[tuple[int, str], int] = {}
-        # Identity front caches over the value-keyed atom table: ports
-        # re-launch the same spec objects thousands of times, and
-        # hashing a frozen spec by value costs more than the append.
-        # Each value holds the keyed objects, so their ids cannot be
-        # recycled while the log is alive.
-        self._gpu_front: dict[tuple[int, int, bool], tuple] = {}
-        self._cpu_front: dict[tuple[int, int], tuple] = {}
+        # Event caches over the value-keyed atom table: ports re-launch
+        # the same (toolchain, spec) objects with the same arguments
+        # thousands of times, so each charge is one lookup and one
+        # append of a finished event.  GPU and CPU values hold the keyed
+        # objects, so their ids cannot be recycled while the log lives.
+        self._gpu_events: dict[tuple[int, int, int, int], tuple] = {}
+        self._cpu_events: dict[tuple[int, int], tuple] = {}
+        self._xfer_events: dict[tuple[int, str, bool], tuple[int, float, int, bool]] = {}
 
     def _intern(self, key: tuple, atom: tuple) -> int:
         index = self._atom_index.get(key)
@@ -275,34 +287,39 @@ class ChargeLog:
         n_buffers: int,
         mapped_bytes: int,
     ) -> float:
-        profile = toolchain.profile
-        retargeted = profile.retarget_penalty > 0 and ctx.platform.is_apu
-        front_key = (id(profile), id(spec), retargeted)
-        hit = self._gpu_front.get(front_key)
+        key = (id(toolchain), id(spec), n_buffers, mapped_bytes)
+        hit = self._gpu_events.get(key)
         if hit is None:
+            profile = toolchain.profile
+            retargeted = profile.retarget_penalty > 0 and ctx.platform.is_apu
             lowered = profile.lower(spec, retargeted=retargeted)
             index = self._intern(("gpu", lowered.cache_key()), ("gpu", lowered))
-            hit = self._gpu_front[front_key] = (index, profile, spec)
-        overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
-        self.events.append((hit[0], overhead, -1, True))
+            overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
+            hit = self._gpu_events[key] = ((index, overhead, -1, True), toolchain, spec)
+        self.events.append(hit[0])
         return 0.0
 
     def cpu_loop(self, toolchain: "CPUToolchain", spec: KernelSpec) -> float:
-        front_key = (id(spec), toolchain.threads)
-        hit = self._cpu_front.get(front_key)
+        key = (id(toolchain), id(spec))
+        hit = self._cpu_events.get(key)
         if hit is None:
             atom = ("cpu", spec, toolchain.threads)
-            hit = self._cpu_front[front_key] = (self._intern(atom, atom), spec)
-        self.events.append((hit[0], toolchain.region_overhead_s, -1, True))
+            event = (self._intern(atom, atom), toolchain.region_overhead_s, -1, True)
+            hit = self._cpu_events[key] = (event, toolchain, spec)
+        self.events.append(hit[0])
         return 0.0
 
     def transfer(self, nbytes: int, direction: str, counted: bool) -> float:
-        key = (int(nbytes), direction)
-        index = self._xfer_index.get(key)
-        if index is None:
-            index = self._xfer_index[key] = len(self.transfers)
-            self.transfers.append(key)
-        self.events.append((-1, 0.0, index, counted))
+        key = (nbytes, direction, counted)
+        event = self._xfer_events.get(key)
+        if event is None:
+            xfer = (int(nbytes), direction)
+            index = self._xfer_index.get(xfer)
+            if index is None:
+                index = self._xfer_index[xfer] = len(self.transfers)
+                self.transfers.append(xfer)
+            event = self._xfer_events[key] = (-1, 0.0, index, counted)
+        self.events.append(event)
         return 0.0
 
 

@@ -7,9 +7,13 @@ than a sum over problem-sized zeros.  The output-buffer apps (XSBench,
 miniFE, read-benchmark) project to 0.0; LULESH and CoMD derive theirs
 from initial state, pinned bit-exactly in
 ``tests/goldens/projection_checksums.json`` from the engine as it was
-before placeholders existed.
+before placeholders existed.  Schedule capture also swaps each app's
+problem builder for a frozen projection stub, checked here against the
+real builder.
 """
 
+import dataclasses
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -18,7 +22,12 @@ import numpy as np
 import pytest
 
 from repro.apps import APPS_BY_NAME
+from repro.apps.comd import default_config as comd_default_config
+from repro.apps.comd import paper_config as comd_paper_config
+from repro.apps.comd.reference import _projection_state as comd_stub
+from repro.apps.comd.reference import make_state as comd_make_state
 from repro.apps.xsbench import paper_config as xsbench_paper_config
+from repro.engine import memo
 from repro.engine.study_vec import capture_program
 from repro.exec.plan import PLATFORMS, RunSpec
 from repro.hardware.device import platform_for
@@ -115,3 +124,63 @@ def test_checksum_equals_abs_sum_off_placeholders():
     ones = np.broadcast_to(np.array(-1.5), (4, 4))
     assert ExecutionContext.checksum(ones) == 24.0
     assert ExecutionContext.checksum(np.zeros(0)) == 0.0
+
+
+def _arrays(value) -> dict[str, np.ndarray]:
+    """Every array of a builder's output, by field name or position."""
+    if isinstance(value, np.ndarray):
+        return {"": value}
+    if isinstance(value, tuple):
+        return {str(i): item for i, item in enumerate(value)}
+    return {
+        f.name: getattr(value, f.name)
+        for f in dataclasses.fields(value)
+        if isinstance(getattr(value, f.name), np.ndarray)
+    }
+
+
+def _small_config(module: str):
+    """The SMALL config of the app package that defines ``module``."""
+    package = module.rsplit(".", 1)[0]
+    (config,) = [c for c in SMALL.values() if type(c).__module__.rsplit(".", 1)[0] == package]
+    return config
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+@pytest.mark.parametrize(
+    "key", sorted(memo.PROJECTION_STUBS), ids=lambda key: key[0].split(".")[-2]
+)
+def test_projection_stub_is_faithful_and_frozen(key, precision):
+    """A stub has the real build's array fields, shapes, dtypes and
+    sizes and its exact checksum; every stub array is read-only, which
+    is what lets the stub cache share one build between captures."""
+    module, qualname = key
+    builder = getattr(importlib.import_module(module), qualname).__wrapped__
+    config = _small_config(module)
+    real = builder(config, precision)
+    stub = memo.PROJECTION_STUBS[key](config, precision)
+    real_arrays, stub_arrays = _arrays(real), _arrays(stub)
+    assert stub_arrays.keys() == real_arrays.keys()
+    for name, array in stub_arrays.items():
+        expected = real_arrays[name]
+        assert (array.shape, array.dtype, array.nbytes) == (
+            expected.shape, expected.dtype, expected.nbytes
+        ), name
+        assert array.size and not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    if hasattr(real, "checksum"):
+        assert float(stub.checksum()).hex() == float(real.checksum()).hex()
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+@pytest.mark.parametrize("config", [comd_default_config(), comd_paper_config()])
+def test_comd_stub_cell_counts_match_the_real_binning(config, precision):
+    """The separable count equals the real link-cell bincount; its
+    maximum sizes ``cell_atoms`` and so the staged table's bytes."""
+    real = comd_make_state.__wrapped__(config, precision)
+    stub = comd_stub(config, precision)
+    assert np.array_equal(stub.cell_count, real.cell_count)
+    assert stub.cell_count.dtype == real.cell_count.dtype
+    assert stub.cell_atoms.shape == real.cell_atoms.shape
+    assert float(stub.checksum()).hex() == float(real.checksum()).hex()

@@ -423,9 +423,61 @@ def test_charge_log_never_aliases_recycled_ids():
     assert atom_names == charged
 
 
+def test_charge_log_events_keep_launch_arguments_apart():
+    """The event cache keys on the launch arguments: the same spec with
+    another buffer count or mapped size is another overhead."""
+    from repro.engine.launch import OPENCL_APU
+    from repro.models.base import Toolchain
+    from repro.models.opencl.compiler import OPENCL_PROFILE
+
+    log, ctx, _gpu, _cpu, spec = _charge_fixture()
+    apu = Toolchain(OPENCL_PROFILE, OPENCL_APU)
+    launches = [(2, 0), (3, 0), (2, 4096), (3, 4096)]
+    for n_buffers, mapped_bytes in launches * 2:
+        apu.charge_gpu_kernel(ctx, spec, n_buffers, mapped_bytes)
+    overheads = [event[1] for event in log.events]
+    expected = [OPENCL_APU.launch_cost(n, m) for n, m in launches]
+    assert len(set(expected)) == len(launches)
+    assert overheads == expected * 2
+    assert len(log.atoms) == 1
+
+
+def test_charge_log_never_shares_events_across_toolchains():
+    """OpenCL on the APU and the dGPU share a compiler profile but not
+    their runtime overheads; each toolchain keeps its own events."""
+    from repro.engine.launch import OPENCL_APU, OPENCL_DGPU
+    from repro.models.base import Toolchain
+    from repro.models.opencl.compiler import OPENCL_PROFILE
+
+    log, ctx, _gpu, _cpu, spec = _charge_fixture()
+    apu = Toolchain(OPENCL_PROFILE, OPENCL_APU)
+    dgpu = Toolchain(OPENCL_PROFILE, OPENCL_DGPU)
+    for _ in range(3):
+        apu.charge_gpu_kernel(ctx, spec, n_buffers=2)
+        dgpu.charge_gpu_kernel(ctx, spec, n_buffers=2)
+    assert [event[1] for event in log.events] == [
+        OPENCL_APU.launch_cost(2), OPENCL_DGPU.launch_cost(2)
+    ] * 3
+    assert log.events[0] != log.events[1]
+    assert len(log.atoms) == 1  # one lowering; the overheads differ
+
+
+def test_charge_log_transfers_keep_counted_apart():
+    log, *_ = _charge_fixture()
+    for counted in (True, False, True, False):
+        log.transfer(4096, "h2d", counted)
+    log.transfer(4096, "d2h", True)
+    assert log.transfers == [(4096, "h2d"), (4096, "d2h")]
+    assert log.events == [
+        (-1, 0.0, 0, True), (-1, 0.0, 0, False), (-1, 0.0, 0, True),
+        (-1, 0.0, 0, False), (-1, 0.0, 1, True),
+    ]
+
+
 class _CountingLog:
     """Counts every charge a port makes and the distinct values behind
-    them, independently of the log's own dedup."""
+    them, and records the event stream by value with no caching at all,
+    independently of the log's own dedup."""
 
     def __init__(self):
         from repro.models.base import ChargeLog
@@ -434,38 +486,66 @@ class _CountingLog:
         self.launches = 0
         self.keys = set()
         self.transfers = 0
+        self.reference = []
 
     def gpu_kernel(self, toolchain, ctx, spec, n_buffers, mapped_bytes):
         self.launches += 1
         retargeted = toolchain.profile.retarget_penalty > 0 and ctx.platform.is_apu
-        self.keys.add(("gpu", toolchain.profile.lower(spec, retargeted).cache_key()))
+        key = ("gpu", toolchain.profile.lower(spec, retargeted).cache_key())
+        self.keys.add(key)
+        overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
+        self.reference.append((key, overhead, None, True))
         return self.log.gpu_kernel(toolchain, ctx, spec, n_buffers, mapped_bytes)
 
     def cpu_loop(self, toolchain, spec):
         self.launches += 1
-        self.keys.add(("cpu", spec, toolchain.threads))
+        key = ("cpu", spec, toolchain.threads)
+        self.keys.add(key)
+        self.reference.append((key, toolchain.region_overhead_s, None, True))
         return self.log.cpu_loop(toolchain, spec)
 
     def transfer(self, nbytes, direction, counted):
         self.transfers += 1
+        self.reference.append((None, 0.0, (int(nbytes), direction), counted))
         return self.log.transfer(nbytes, direction, counted)
+
+    def captured(self):
+        """The log's event stream, with indices resolved to values."""
+        def atom_key(atom):
+            return ("gpu", atom[1].cache_key()) if atom[0] == "gpu" else atom
+
+        log = self.log
+        return [
+            (
+                atom_key(log.atoms[a]) if a >= 0 else None,
+                overhead,
+                log.transfers[x] if x >= 0 else None,
+                counted,
+            )
+            for a, overhead, x, counted in log.events
+        ]
 
 
 @pytest.mark.parametrize("app_name", ["LULESH", "miniFE", "CoMD"])
 @pytest.mark.parametrize("model", ["OpenMP", "OpenCL", "C++ AMP", "OpenACC"])
 def test_capture_counts_match_launches_and_distinct_values(app_name, model):
+    """The cached capture records exactly the uncached event stream,
+    on both platforms: one event per charge, one atom per distinct
+    value."""
     from repro.models.base import ExecutionContext
 
-    counting = _CountingLog()
-    ctx = ExecutionContext(
-        platform=make_platform(apu=False), precision=Precision.SINGLE,
-        execute_kernels=False, charge_log=counting,
-    )
-    with memo.projection_stubs():
-        APPS_BY_NAME[app_name].ports[model](ctx, sweep_configs()[app_name])
-    log = counting.log
-    kernel_events = [e for e in log.events if e[0] >= 0]
-    assert counting.launches > len(log.atoms) > 0
-    assert len(kernel_events) == counting.launches
-    assert len(log.events) == counting.launches + counting.transfers
-    assert len(log.atoms) == len(counting.keys)
+    for apu in (False, True):
+        counting = _CountingLog()
+        ctx = ExecutionContext(
+            platform=make_platform(apu=apu), precision=Precision.SINGLE,
+            execute_kernels=False, charge_log=counting,
+        )
+        with memo.projection_stubs():
+            APPS_BY_NAME[app_name].ports[model](ctx, sweep_configs()[app_name])
+        log = counting.log
+        kernel_events = [e for e in log.events if e[0] >= 0]
+        assert counting.launches > len(log.atoms) > 0
+        assert len(kernel_events) == counting.launches
+        assert len(log.events) == counting.launches + counting.transfers
+        assert len(log.atoms) == len(counting.keys)
+        assert counting.captured() == counting.reference, apu
