@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...engine.memo import memoized_setup, projection_stub
+from ...engine.memo import memoized_setup, projection_stub, projection_stubs
 from ...hardware.specs import Precision
 from ...models.base import placeholder
 
@@ -164,11 +164,20 @@ def _projection_state(config: CoMDConfig, precision: Precision, seed: int = 11) 
     counted from the lattice without building it, and the checksum,
     whose kinetic term needs the real velocity draw.  Positions never
     move, so ``bin_atoms`` keeps this table as is.
+
+    Both precisions cast one float64 draw, so the single-precision stub
+    casts the double-precision stub's velocities (served from the stub
+    cache when enabled) instead of drawing them again.
     """
     dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
     n = config.n_atoms
     counts = _lattice_cell_counts(config, dtype)
-    velocities = _initial_velocities(config, dtype, seed)
+    if precision is Precision.SINGLE:
+        with projection_stubs():
+            double = make_state(config, Precision.DOUBLE, seed)
+        velocities = double.velocities.astype(dtype)
+    else:
+        velocities = _initial_velocities(config, dtype, seed)
     velocities.flags.writeable = False
     counts.flags.writeable = False
     positions = placeholder((n, 3), dtype)

@@ -24,7 +24,7 @@ tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,51 +108,65 @@ def paper_config() -> LuleshConfig:
     return LuleshConfig(size=100, iterations=100)
 
 
+#: Initial pressure of the Sedov origin element.
+INITIAL_PRESSURE = (GAMMA - 1.0) * RHO_REF * E_ZERO
+
+
+def _mesh(kind: str):
+    """A state array field of the given shape class (see :func:`array_shapes`)."""
+    return field(metadata={"shape": kind})
+
+
 @dataclass
 class LuleshState:
-    """All mesh-resident arrays, named as in LULESH."""
+    """All mesh-resident arrays, named as in LULESH.
+
+    :meth:`initial` builds the Sedov problem.  Array fields are declared
+    in the order ports stage them, with a shape class that
+    :func:`array_shapes` resolves for a config.
+    """
 
     config: LuleshConfig
     dtype: np.dtype
     # Nodal quantities, shape (s+1, s+1, s+1).
-    x: np.ndarray = field(init=False)
-    y: np.ndarray = field(init=False)
-    z: np.ndarray = field(init=False)
-    xd: np.ndarray = field(init=False)
-    yd: np.ndarray = field(init=False)
-    zd: np.ndarray = field(init=False)
-    xdd: np.ndarray = field(init=False)
-    ydd: np.ndarray = field(init=False)
-    zdd: np.ndarray = field(init=False)
-    fx: np.ndarray = field(init=False)
-    fy: np.ndarray = field(init=False)
-    fz: np.ndarray = field(init=False)
-    nodal_mass: np.ndarray = field(init=False)
+    x: np.ndarray = _mesh("node")
+    y: np.ndarray = _mesh("node")
+    z: np.ndarray = _mesh("node")
+    xd: np.ndarray = _mesh("node")
+    yd: np.ndarray = _mesh("node")
+    zd: np.ndarray = _mesh("node")
+    xdd: np.ndarray = _mesh("node")
+    ydd: np.ndarray = _mesh("node")
+    zdd: np.ndarray = _mesh("node")
+    fx: np.ndarray = _mesh("node")
+    fy: np.ndarray = _mesh("node")
+    fz: np.ndarray = _mesh("node")
+    nodal_mass: np.ndarray = _mesh("node")
     # Element quantities, shape (s, s, s).
-    e: np.ndarray = field(init=False)
-    p: np.ndarray = field(init=False)
-    q: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    volo: np.ndarray = field(init=False)
-    delv: np.ndarray = field(init=False)
-    vdov: np.ndarray = field(init=False)
-    arealg: np.ndarray = field(init=False)
-    ss: np.ndarray = field(init=False)
-    elem_mass: np.ndarray = field(init=False)
-    sig: np.ndarray = field(init=False)
+    e: np.ndarray = _mesh("elem")
+    p: np.ndarray = _mesh("elem")
+    q: np.ndarray = _mesh("elem")
+    v: np.ndarray = _mesh("elem")
+    volo: np.ndarray = _mesh("elem")
+    delv: np.ndarray = _mesh("elem")
+    vdov: np.ndarray = _mesh("elem")
+    arealg: np.ndarray = _mesh("elem")
+    ss: np.ndarray = _mesh("elem")
+    elem_mass: np.ndarray = _mesh("elem")
+    sig: np.ndarray = _mesh("elem")
     # Scratch element arrays.
-    face_normals: np.ndarray = field(init=False)  # (6, 3, s, s, s)
-    vel_mean: np.ndarray = field(init=False)  # (3, s, s, s)
-    vel_grad: np.ndarray = field(init=False)  # (3, s, s, s)
-    compression: np.ndarray = field(init=False)
-    e_pred: np.ndarray = field(init=False)
-    p_half: np.ndarray = field(init=False)
-    dt_courant_elem: np.ndarray = field(init=False)
-    dt_hydro_elem: np.ndarray = field(init=False)
+    face_normals: np.ndarray = _mesh("faces")  # (6, 3, s, s, s)
+    vel_mean: np.ndarray = _mesh("vector")  # (3, s, s, s)
+    vel_grad: np.ndarray = _mesh("vector")  # (3, s, s, s)
+    compression: np.ndarray = _mesh("elem")
+    e_pred: np.ndarray = _mesh("elem")
+    p_half: np.ndarray = _mesh("elem")
+    dt_courant_elem: np.ndarray = _mesh("elem")
+    dt_hydro_elem: np.ndarray = _mesh("elem")
     # Scalar reduction results (workgroup tree + atomic on the GPU).
-    dt_courant_min: np.ndarray = field(init=False)
-    dt_hydro_min: np.ndarray = field(init=False)
-    q_max: np.ndarray = field(init=False)
+    dt_courant_min: np.ndarray = _mesh("scalar")
+    dt_hydro_min: np.ndarray = _mesh("scalar")
+    q_max: np.ndarray = _mesh("scalar")
     # Time-integration scalars (host state).
     time: float = 0.0
     dt: float = 0.0
@@ -160,63 +174,40 @@ class LuleshState:
     #: change: the initial-state checksum, computed once at build.
     frozen_checksum: float | None = None
 
-    def __post_init__(self) -> None:
-        s = self.config.size
-        n = s + 1
-        dtype = self.dtype
-        h = self.config.spacing
+    @classmethod
+    def initial(cls, config: LuleshConfig, dtype: np.dtype) -> "LuleshState":
+        """The Sedov problem at time zero."""
+        s = config.size
+        h = config.spacing
+        arrays = {
+            name: np.zeros(shape, dtype=dtype)
+            for name, shape in array_shapes(config).items()
+        }
+        arrays.update(initial_reductions(dtype))
 
-        coords = np.arange(n, dtype=dtype) * dtype.type(h)
-        self.x, self.y, self.z = np.meshgrid(coords, coords, coords, indexing="ij")
-        self.x = np.ascontiguousarray(self.x)
-        self.y = np.ascontiguousarray(self.y)
-        self.z = np.ascontiguousarray(self.z)
-        for name in ("xd", "yd", "zd", "xdd", "ydd", "zdd", "fx", "fy", "fz"):
-            setattr(self, name, np.zeros((n, n, n), dtype=dtype))
-
-        for name in ("e", "p", "q", "delv", "vdov", "ss", "sig", "compression", "e_pred", "p_half"):
-            setattr(self, name, np.zeros((s, s, s), dtype=dtype))
-        self.v = np.ones((s, s, s), dtype=dtype)
-        self.volo = np.full((s, s, s), h**3, dtype=dtype)
-        self.arealg = np.full((s, s, s), h, dtype=dtype)
-        self.elem_mass = (RHO_REF * self.volo).astype(dtype)
-        self.face_normals = np.zeros((6, 3, s, s, s), dtype=dtype)
-        self.vel_mean = np.zeros((3, s, s, s), dtype=dtype)
-        self.vel_grad = np.zeros((3, s, s, s), dtype=dtype)
-        self.dt_courant_elem = np.zeros((s, s, s), dtype=dtype)
-        self.dt_hydro_elem = np.zeros((s, s, s), dtype=dtype)
-        self.dt_courant_min = np.full(1, np.inf, dtype=dtype)
-        self.dt_hydro_min = np.full(1, np.inf, dtype=dtype)
-        self.q_max = np.zeros(1, dtype=dtype)
+        coords = np.arange(s + 1, dtype=dtype) * dtype.type(h)
+        for name, grid in zip("xyz", np.meshgrid(coords, coords, coords, indexing="ij")):
+            arrays[name] = np.ascontiguousarray(grid)
+        arrays["v"][...] = 1.0
+        arrays["volo"][...] = h**3
+        arrays["arealg"][...] = h
+        arrays["elem_mass"] = (RHO_REF * arrays["volo"]).astype(dtype)
 
         # Nodal mass: each element contributes 1/8 of its mass per corner.
-        self.nodal_mass = np.zeros((n, n, n), dtype=dtype)
-        contribution = self.elem_mass / 8.0
+        contribution = arrays["elem_mass"] / 8.0
         for di, dj, dk in CORNERS:
-            self.nodal_mass[di : s + di, dj : s + dj, dk : s + dk] += contribution
+            arrays["nodal_mass"][di : s + di, dj : s + dj, dk : s + dk] += contribution
 
         # Sedov initialisation: deposit the blast energy in the origin
         # element (energy density, matching LULESH's e(0) setup).
-        self.e[0, 0, 0] = E_ZERO
-        initial_pressure = (GAMMA - 1.0) * RHO_REF * E_ZERO
-        self.p[0, 0, 0] = initial_pressure
-        self.ss[0, 0, 0] = np.sqrt(GAMMA * initial_pressure / RHO_REF)
-
-        # Initial time step from the Courant condition of the hot cell.
-        self.dt = float(CFL * h / self.ss[0, 0, 0] * DT_COURANT_SCALE)
+        arrays["e"][0, 0, 0] = E_ZERO
+        arrays["p"][0, 0, 0] = INITIAL_PRESSURE
+        arrays["ss"][0, 0, 0] = origin_sound_speed(dtype)
+        return cls(config=config, dtype=dtype, dt=initial_dt(config, dtype), **arrays)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """All state arrays by name (ports wrap these in buffers/views)."""
-        names = (
-            "x", "y", "z", "xd", "yd", "zd", "xdd", "ydd", "zdd",
-            "fx", "fy", "fz", "nodal_mass",
-            "e", "p", "q", "v", "volo", "delv", "vdov", "arealg", "ss",
-            "elem_mass", "sig", "face_normals", "vel_mean", "vel_grad",
-            "compression", "e_pred", "p_half",
-            "dt_courant_elem", "dt_hydro_elem",
-            "dt_courant_min", "dt_hydro_min", "q_max",
-        )
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in ARRAY_KINDS}
 
     def total_energy(self) -> float:
         """Internal + kinetic energy (conserved by the Lagrange step)."""
@@ -231,6 +222,51 @@ class LuleshState:
         if self.frozen_checksum is not None:
             return self.frozen_checksum
         return float(self.e[0, 0, 0]) + float(np.abs(self.v).mean()) * 1e3
+
+
+#: The shape class of every array field of :class:`LuleshState`, by
+#: name, in staging order.
+ARRAY_KINDS = {f.name: f.metadata["shape"] for f in fields(LuleshState) if f.metadata}
+
+
+def array_shapes(config: LuleshConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every state array, by name, in staging order."""
+    s = config.size
+    n = s + 1
+    shapes = {
+        "node": (n, n, n),
+        "elem": (s, s, s),
+        "faces": (6, 3, s, s, s),
+        "vector": (3, s, s, s),
+        "scalar": (1,),
+    }
+    return {name: shapes[kind] for name, kind in ARRAY_KINDS.items()}
+
+
+def initial_reductions(dtype: np.dtype) -> dict[str, np.ndarray]:
+    """The three one-element reduction arrays before the first step."""
+    return {
+        "dt_courant_min": np.full(1, np.inf, dtype=dtype),
+        "dt_hydro_min": np.full(1, np.inf, dtype=dtype),
+        "q_max": np.zeros(1, dtype=dtype),
+    }
+
+
+def origin_sound_speed(dtype: np.dtype) -> np.floating:
+    """Sound speed of the hot origin element, rounded to ``dtype``."""
+    return dtype.type(np.sqrt(GAMMA * INITIAL_PRESSURE / RHO_REF))
+
+
+def initial_dt(config: LuleshConfig, dtype: np.dtype) -> float:
+    """The first time step: the Courant condition of the hot cell."""
+    return float(CFL * config.spacing / origin_sound_speed(dtype) * DT_COURANT_SCALE)
+
+
+def initial_checksum(dtype: np.dtype) -> float:
+    """:meth:`LuleshState.checksum` at time zero, without the mesh: the
+    origin energy plus 1e3 times the mean |v|, which is exactly 1
+    (every relative volume starts at 1)."""
+    return float(dtype.type(E_ZERO)) + 1e3
 
 
 # ----------------------------------------------------------------------

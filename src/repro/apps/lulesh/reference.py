@@ -12,6 +12,7 @@ import numpy as np
 
 from ...engine.memo import memoized_setup, projection_stub
 from ...hardware.specs import Precision
+from ...models.base import placeholder
 from .kernels import SCHEDULE
 from .physics import (
     DT_MAX_SCALE,
@@ -19,6 +20,10 @@ from .physics import (
     LuleshConfig,
     LuleshState,
     QStopError,
+    array_shapes,
+    initial_checksum,
+    initial_dt,
+    initial_reductions,
 )
 
 
@@ -44,21 +49,35 @@ def next_dt(
 def make_state(config: LuleshConfig, precision: Precision) -> LuleshState:
     """Initialise the Sedov problem at the requested precision."""
     dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
-    return LuleshState(config=config, dtype=dtype)
+    return LuleshState.initial(config, dtype)
 
 
 @projection_stub(make_state)
 def _projection_state(config: LuleshConfig, precision: Precision) -> LuleshState:
-    """Frozen stand-in for schedule capture: a fresh real state (its
-    initialisation is cheaper than the setup cache's deep copies) with
-    every array read-only and the initial-state checksum computed once.
-    Ports still advance the host scalars ``dt`` and ``time``; no
-    schedule or checksum reads them."""
-    state = make_state.__wrapped__(config, precision)
-    for array in state.arrays().values():
+    """Frozen, shape-only stand-in for schedule capture.
+
+    Buffer sizes are all the ports' schedules read, so every mesh array
+    is a read-only placeholder.  What the host reads is exact: the
+    three one-element reductions (``check_qstop`` and ``next_dt`` read
+    them; read-only and at their initial values), the initial ``dt``,
+    and the initial-state checksum.  Ports still advance the host
+    scalars ``dt`` and ``time``; no schedule or checksum reads them.
+    """
+    dtype = np.dtype(np.float32 if precision is Precision.SINGLE else np.float64)
+    arrays = {
+        name: placeholder(shape, dtype) for name, shape in array_shapes(config).items()
+    }
+    reductions = initial_reductions(dtype)
+    for array in reductions.values():
         array.flags.writeable = False
-    state.frozen_checksum = state.checksum()
-    return state
+    arrays.update(reductions)
+    return LuleshState(
+        config=config,
+        dtype=dtype,
+        dt=initial_dt(config, dtype),
+        frozen_checksum=initial_checksum(dtype),
+        **arrays,
+    )
 
 
 def run_iteration(state: LuleshState) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import inspect
 import threading
 import time
 from collections import OrderedDict
@@ -427,23 +428,26 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
     """Back a deterministic problem builder with :data:`SETUP_CACHE`.
 
     The key is the builder's qualified name plus the ``repr`` of its
-    arguments (the apps' config dataclasses repr every field), so
-    equal-content calls share one build regardless of object identity.
+    bound arguments with defaults applied (the apps' config dataclasses
+    repr every field), so equal-content calls share one build
+    regardless of object identity or of how the arguments were spelled:
+    ``make_state(cfg, p)``, ``make_state(cfg, p, 11)`` and
+    ``make_state(cfg, p, seed=11)`` are one entry.
     """
+    signature = inspect.signature(builder)
+    name = (builder.__module__, builder.__qualname__)
 
     @functools.wraps(builder)
     def wrapper(*args: object, **kwargs: object) -> T:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        args, kwargs = bound.args, bound.kwargs
+        key = (*name, repr(args), repr(sorted(kwargs.items())))
         if getattr(_STUB_STATE, "active", False):
-            stub = PROJECTION_STUBS.get((builder.__module__, builder.__qualname__))
+            stub = PROJECTION_STUBS.get(name)
             if stub is not None:
                 if not SETUP_CACHE.enabled:
                     return stub(*args, **kwargs)
-                key = (
-                    builder.__module__,
-                    builder.__qualname__,
-                    repr(args),
-                    repr(sorted(kwargs.items())),
-                )
                 if key in _STUB_CACHE:
                     _STUB_CACHE.move_to_end(key)
                     return _STUB_CACHE[key]  # type: ignore[return-value]
@@ -452,12 +456,6 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
                 while len(_STUB_CACHE) > _STUB_CACHE_MAX:
                     _STUB_CACHE.popitem(last=False)
                 return value
-        key = (
-            builder.__module__,
-            builder.__qualname__,
-            repr(args),
-            repr(sorted(kwargs.items())),
-        )
         return SETUP_CACHE.lookup(key, lambda: builder(*args, **kwargs))
 
     return wrapper

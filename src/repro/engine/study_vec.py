@@ -141,23 +141,25 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
     with memo.projection_stubs():
         result = app.ports[spec.model](ctx, spec.config)
 
-    events = log.events
-    n_events = len(events)
-    ev_atom = np.fromiter((e[0] for e in events), dtype=np.int64, count=n_events)
-    ev_overhead = np.fromiter((e[1] for e in events), dtype=np.float64, count=n_events)
-    ev_xfer = np.fromiter((e[2] for e in events), dtype=np.int64, count=n_events)
-    ev_counted = np.fromiter((e[3] for e in events), dtype=bool, count=n_events)
+    # Lift by gathering the unique events' columns along the id stream.
+    table = log.event_table
+    ids = np.array(log.event_ids, dtype=np.int64)
+    ev_atom = np.array([e[0] for e in table], dtype=np.int64)[ids]
+    ev_overhead = np.array([e[1] for e in table], dtype=np.float64)[ids]
+    ev_xfer = np.array([e[2] for e in table], dtype=np.int64)[ids]
+    ev_counted = np.array([e[3] for e in table], dtype=bool)[ids]
 
     kernel_mask = ev_atom >= 0
-    transfer_mask = ev_xfer >= 0
+    transfer_events = ev_xfer[ev_xfer >= 0]
+    # Exact Python-int totals: each unique copy's bytes times its count.
+    uses = np.bincount(transfer_events, minlength=len(log.transfers))
     bytes_to_device = 0
     bytes_to_host = 0
-    for index in ev_xfer[transfer_mask]:
-        nbytes, direction = log.transfers[index]
+    for (nbytes, direction), count in zip(log.transfers, uses.tolist()):
         if direction == "h2d":
-            bytes_to_device += nbytes
+            bytes_to_device += nbytes * count
         else:
-            bytes_to_host += nbytes
+            bytes_to_host += nbytes * count
 
     return ChargeProgram(
         app=spec.app,
@@ -171,7 +173,7 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
         ev_counted=ev_counted,
         kernel_atoms=ev_atom[kernel_mask],
         kernel_overheads=ev_overhead[kernel_mask],
-        transfer_events=ev_xfer[transfer_mask],
+        transfer_events=transfer_events,
         bytes_to_device=bytes_to_device,
         bytes_to_host=bytes_to_host,
     )

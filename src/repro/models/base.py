@@ -239,19 +239,22 @@ class ChargeLog:
     Attached to an :class:`ExecutionContext` as ``charge_log``, it turns
     every ``charge_*`` call into an append (each returns 0.0 simulated
     seconds, so the port's accumulators stay at zero): a run becomes a
-    flat event stream over a deduplicated atom table.  The schedule is
-    clock-independent — clocks change prices, never which kernels
-    launch — so one capture serves every clock override of the cell.
+    flat stream of event ids over a deduplicated event table.  The
+    schedule is clock-independent — clocks change prices, never which
+    kernels launch — so one capture serves every clock override of the
+    cell.
 
     * ``atoms`` — unique priceable units: ``("gpu", LoweredKernel)``
       after lowering, or ``("cpu", KernelSpec, threads)``.
     * ``transfers`` — unique ``(nbytes, direction)`` copies.
-    * ``events`` — the schedule, in charge order:
+    * ``event_table`` — unique finished events:
       ``(atom_index, overhead_seconds, transfer_index, counted)`` with
       ``-1`` marking the unused index.  ``counted`` is False only where
       the port discards the charge's return value (a copy whose cost is
       recorded in the counters but never reaches the port's simulated
       clock).
+    * ``event_ids`` — the schedule, in charge order: one
+      ``event_table`` index per charge.
 
     A log belongs to one capture context: its platform (which decides
     hand-tuned retargeting) is fixed for the log's lifetime.
@@ -260,23 +263,38 @@ class ChargeLog:
     def __init__(self) -> None:
         self.atoms: list[tuple] = []
         self.transfers: list[tuple[int, str]] = []
-        self.events: list[tuple[int, float, int, bool]] = []
+        self.event_table: list[tuple[int, float, int, bool]] = []
+        self.event_ids: list[int] = []
         self._atom_index: dict[tuple, int] = {}
         self._xfer_index: dict[tuple[int, str], int] = {}
-        # Event caches over the value-keyed atom table: ports re-launch
-        # the same (toolchain, spec) objects with the same arguments
+        self._event_index: dict[tuple[int, float, int, bool], int] = {}
+        # Event caches over the value-keyed tables: ports re-launch the
+        # same (toolchain, spec) objects with the same arguments
         # thousands of times, so each charge is one lookup and one
-        # append of a finished event.  GPU and CPU values hold the keyed
+        # append of an event id.  GPU and CPU values hold the keyed
         # objects, so their ids cannot be recycled while the log lives.
         self._gpu_events: dict[tuple[int, int, int, int], tuple] = {}
         self._cpu_events: dict[tuple[int, int], tuple] = {}
-        self._xfer_events: dict[tuple[int, str, bool], tuple[int, float, int, bool]] = {}
+        self._xfer_events: dict[tuple[int, str, bool], int] = {}
+
+    @property
+    def events(self) -> list[tuple[int, float, int, bool]]:
+        """The schedule as event tuples, in charge order."""
+        table = self.event_table
+        return [table[i] for i in self.event_ids]
 
     def _intern(self, key: tuple, atom: tuple) -> int:
         index = self._atom_index.get(key)
         if index is None:
             index = self._atom_index[key] = len(self.atoms)
             self.atoms.append(atom)
+        return index
+
+    def _event_id(self, event: tuple[int, float, int, bool]) -> int:
+        index = self._event_index.get(event)
+        if index is None:
+            index = self._event_index[event] = len(self.event_table)
+            self.event_table.append(event)
         return index
 
     def gpu_kernel(
@@ -295,8 +313,9 @@ class ChargeLog:
             lowered = profile.lower(spec, retargeted=retargeted)
             index = self._intern(("gpu", lowered.cache_key()), ("gpu", lowered))
             overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
-            hit = self._gpu_events[key] = ((index, overhead, -1, True), toolchain, spec)
-        self.events.append(hit[0])
+            event = self._event_id((index, overhead, -1, True))
+            hit = self._gpu_events[key] = (event, toolchain, spec)
+        self.event_ids.append(hit[0])
         return 0.0
 
     def cpu_loop(self, toolchain: "CPUToolchain", spec: KernelSpec) -> float:
@@ -304,9 +323,11 @@ class ChargeLog:
         hit = self._cpu_events.get(key)
         if hit is None:
             atom = ("cpu", spec, toolchain.threads)
-            event = (self._intern(atom, atom), toolchain.region_overhead_s, -1, True)
+            event = self._event_id(
+                (self._intern(atom, atom), toolchain.region_overhead_s, -1, True)
+            )
             hit = self._cpu_events[key] = (event, toolchain, spec)
-        self.events.append(hit[0])
+        self.event_ids.append(hit[0])
         return 0.0
 
     def transfer(self, nbytes: int, direction: str, counted: bool) -> float:
@@ -318,8 +339,8 @@ class ChargeLog:
             if index is None:
                 index = self._xfer_index[xfer] = len(self.transfers)
                 self.transfers.append(xfer)
-            event = self._xfer_events[key] = (-1, 0.0, index, counted)
-        self.events.append(event)
+            event = self._xfer_events[key] = self._event_id((-1, 0.0, index, counted))
+        self.event_ids.append(event)
         return 0.0
 
 

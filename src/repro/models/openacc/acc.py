@@ -173,12 +173,14 @@ class OpenACC:
             self.ctx, spec, n_buffers=len(arrays)
         )
 
-        if not self.unified:
+        # Only arrays outside every data region (never on unified
+        # memory) have a transient copy to return.  Writes to
+        # region-resident arrays stay on the device until region exit —
+        # that is the whole point of `acc data`.
+        if transient:
             written = {id(w) for w in writes}
             for host, device in transient:
                 if id(host) in written or not writes:
                     if self.ctx.execute_kernels and device is not host:
                         np.copyto(host, device)
                     self._charge_transfer(host.nbytes, "d2h")
-            # Writes to region-resident arrays stay on the device until
-            # region exit — that is the whole point of `acc data`.

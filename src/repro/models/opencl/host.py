@@ -197,6 +197,9 @@ class CommandQueue:
         self.context = context
         self.device = device
         self.simulated_seconds = 0.0
+        # Fixed for the queue's lifetime: copies are free on unified
+        # memory, and cl_mem arguments pay the mapping toll there.
+        self._unified = context.execution.platform.is_apu
 
     def enqueue_write_buffer(self, buffer: Buffer, hostbuf: np.ndarray) -> None:
         """Explicit host->device copy (free on the APU)."""
@@ -207,7 +210,7 @@ class CommandQueue:
             buffer._device_array = hostbuf.copy()
         elif buffer._device_array is not hostbuf:
             np.copyto(buffer._device_array, hostbuf)
-        if not execution.platform.is_apu:
+        if not self._unified:
             self.simulated_seconds += self.context.toolchain.charge_transfer(
                 execution, hostbuf.nbytes, "h2d"
             )
@@ -217,7 +220,7 @@ class CommandQueue:
         execution = self.context.execution
         if execution.execute_kernels and buffer._device_array is not hostbuf:
             np.copyto(hostbuf, buffer.device_array)
-        if not execution.platform.is_apu:
+        if not self._unified:
             self.simulated_seconds += self.context.toolchain.charge_transfer(
                 execution, hostbuf.nbytes, "d2h"
             )
@@ -236,7 +239,7 @@ class CommandQueue:
         execution = self.context.execution
         buffers = kernel._buffer_args()
         # On the APU, cl_mem arguments pay the Catalyst mapping toll.
-        mapped = sum(b.size for b in buffers) if execution.platform.is_apu else 0
+        mapped = sum(b.size for b in buffers) if self._unified else 0
         if execution.execute_kernels:
             kernel.func(*kernel._resolved_args())
         self.simulated_seconds += self.context.toolchain.charge_gpu_kernel(

@@ -24,12 +24,16 @@ import pytest
 from repro.apps import APPS_BY_NAME
 from repro.apps.comd import default_config as comd_default_config
 from repro.apps.comd import paper_config as comd_paper_config
+from repro.apps.comd import reference as comd_reference
 from repro.apps.comd.reference import _projection_state as comd_stub
 from repro.apps.comd.reference import make_state as comd_make_state
+from repro.apps.lulesh import paper_config as lulesh_paper_config
+from repro.apps.lulesh.reference import _projection_state as lulesh_stub
+from repro.apps.lulesh.reference import make_state as lulesh_make_state
 from repro.apps.xsbench import paper_config as xsbench_paper_config
 from repro.engine import memo
-from repro.engine.study_vec import capture_program
-from repro.exec.plan import PLATFORMS, RunSpec
+from repro.engine.study_vec import capture_program, execute_vector
+from repro.exec.plan import PLATFORMS, RunSpec, study_runs
 from repro.hardware.device import platform_for
 from repro.hardware.specs import Precision
 from repro.models.base import ExecutionContext
@@ -184,3 +188,59 @@ def test_comd_stub_cell_counts_match_the_real_binning(config, precision):
     assert stub.cell_count.dtype == real.cell_count.dtype
     assert stub.cell_atoms.shape == real.cell_atoms.shape
     assert float(stub.checksum()).hex() == float(real.checksum()).hex()
+
+
+@pytest.mark.parametrize("precision", list(Precision))
+@pytest.mark.parametrize("config", [SMALL["LULESH"], lulesh_paper_config()])
+def test_lulesh_stub_host_state_is_exact(config, precision):
+    """The shape-only LULESH stub keeps every value the host reads:
+    the initial ``dt`` (bit-equal), the three one-element reductions
+    (equal, read-only) and the initial-state checksum."""
+    real = lulesh_make_state.__wrapped__(config, precision)
+    stub = lulesh_stub(config, precision)
+    assert float(stub.dt).hex() == float(real.dt).hex()
+    for name in ("q_max", "dt_courant_min", "dt_hydro_min"):
+        array = getattr(stub, name)
+        expected = getattr(real, name)
+        assert array.dtype == expected.dtype and np.array_equal(array, expected), name
+        assert not array.flags.writeable, name
+    assert float(stub.checksum()).hex() == float(real.checksum()).hex()
+    assert float(stub.checksum()).hex() == GOLDEN["LULESH"][precision.value]
+
+
+def test_comd_study_draws_velocities_once(monkeypatch):
+    """A both-precision paper-scale CoMD study draws one velocity
+    sample: the single-precision stub casts the double-precision one."""
+    calls = []
+    draw = comd_reference._initial_velocities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(comd_reference, "_initial_velocities", counting)
+    config = comd_paper_config()
+    runs = study_runs(
+        ["CoMD"], {"CoMD": config}, (True, False), list(Precision),
+        ("OpenCL", "C++ AMP", "OpenACC"), "OpenMP", projection=True,
+    )
+    memo.clear_caches()
+    try:
+        outcomes, _stats = execute_vector(runs)
+    finally:
+        memo.clear_caches()
+    assert all(outcome is not None for outcome in outcomes)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", [SMALL["CoMD"], comd_paper_config()])
+def test_comd_single_stub_velocities_match_the_real_build(config):
+    memo.clear_caches()
+    try:
+        stub = comd_stub(config, Precision.SINGLE)
+    finally:
+        memo.clear_caches()
+    real = comd_make_state.__wrapped__(config, Precision.SINGLE)
+    assert stub.velocities.dtype == real.velocities.dtype
+    assert stub.velocities.tobytes() == real.velocities.tobytes()
+    assert not stub.velocities.flags.writeable

@@ -549,3 +549,72 @@ def test_capture_counts_match_launches_and_distinct_values(app_name, model):
         assert len(log.events) == counting.launches + counting.transfers
         assert len(log.atoms) == len(counting.keys)
         assert counting.captured() == counting.reference, apu
+
+
+# --- capture lift: indexed event stream -> program columns -----------
+
+
+def _captured_log(spec):
+    """The charge log of one capture of ``spec``, by itself."""
+    from repro.hardware.device import platform_for
+    from repro.models.base import ChargeLog, ExecutionContext
+
+    log = ChargeLog()
+    ctx = ExecutionContext(
+        platform=platform_for(spec.platform), precision=spec.precision,
+        execute_kernels=False, charge_log=log,
+    )
+    with memo.projection_stubs():
+        APPS_BY_NAME[spec.app].ports[spec.model](ctx, spec.config)
+    return log
+
+
+def _lift_by_value(log):
+    """Every lifted column rebuilt from ``log.events`` one event at a
+    time, with Python-int byte totals summed event by event."""
+    events = log.events
+    ev_atom = np.array([e[0] for e in events], dtype=np.int64)
+    ev_overhead = np.array([e[1] for e in events], dtype=np.float64)
+    ev_xfer = np.array([e[2] for e in events], dtype=np.int64)
+    ev_counted = np.array([e[3] for e in events], dtype=bool)
+    kernel = ev_atom >= 0
+    transfer_events = ev_xfer[ev_xfer >= 0]
+    copies = [log.transfers[x] for x in transfer_events.tolist()]
+    return {
+        "ev_atom": ev_atom,
+        "ev_overhead": ev_overhead,
+        "ev_xfer": ev_xfer,
+        "ev_counted": ev_counted,
+        "kernel_atoms": ev_atom[kernel],
+        "kernel_overheads": ev_overhead[kernel],
+        "transfer_events": transfer_events,
+        "bytes_to_device": sum(n for n, direction in copies if direction == "h2d"),
+        "bytes_to_host": sum(n for n, direction in copies if direction != "h2d"),
+    }
+
+
+@pytest.mark.parametrize("model", sorted(VECTOR_MODELS))
+@pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
+def test_capture_lift_equals_a_by_value_rebuild(app_name, model):
+    """The id-stream gathers and the bincount byte totals reproduce the
+    event-by-event lift exactly, on both platforms; the APU's captures
+    without a single copy cover the empty bincount."""
+    from tests.test_projection import SMALL
+
+    transfer_free = 0
+    for platform in ("apu", DGPU):
+        spec = RunSpec(app_name, model, platform, Precision.SINGLE, SMALL[app_name])
+        program = capture_program(spec)
+        log = _captured_log(spec)
+        assert program.atoms == tuple(log.atoms)
+        assert program.transfers == tuple(log.transfers)
+        for name, expected in _lift_by_value(log).items():
+            actual = getattr(program, name)
+            if isinstance(expected, np.ndarray):
+                assert actual.dtype == expected.dtype, name
+                assert np.array_equal(actual, expected), (platform, name)
+            else:
+                assert type(actual) is int and actual == expected, (platform, name)
+        transfer_free += not len(program.transfer_events)
+    if model in ("OpenMP", "Serial"):
+        assert transfer_free == 2
