@@ -1,19 +1,30 @@
-"""Microbenchmark: scalar vs vectorized cache replay, per access kind.
+"""Microbenchmark: scalar vs vectorized cache replay.
 
 Times one characterization-sized replay of every
 :class:`~repro.engine.kernel.AccessKind` through both engines and
-prints the ratio table.  Marked ``perf`` so a plain run can deselect it
-(``pytest benchmarks -m 'not perf'``); the assertions only pin
-bit-identity, never wall time, so the suite stays green on slow
-machines.
+prints the ratio table, then times the repeated Table I
+characterization protocol.  Both engines must agree bit for bit, and
+each measurement holds an absolute floor far below what any machine
+measures (about 4-6x on the summed replay, 18-30x on the protocol), so
+only a real regression of the vector engine or the trace memo trips
+it.  Marked ``perf`` so a plain run can deselect it
+(``pytest benchmarks -m 'not perf'``).
 """
 
 import time
 
 import pytest
 
+from repro.apps import ALL_APPS
+from repro.core.characterize import dominant_spec
 from repro.engine.kernel import AccessKind, AccessPattern
-from repro.engine.trace import generate_trace, make_replay_cache, scaled_cache_spec
+from repro.engine.memo import TRACE_CACHE, cache_disabled
+from repro.engine.trace import (
+    generate_trace,
+    make_replay_cache,
+    replay_pattern,
+    scaled_cache_spec,
+)
 from repro.hardware.specs import R9_280X
 
 pytestmark = pytest.mark.perf
@@ -74,4 +85,40 @@ def test_ratio_table():
     total_vector = sum(r[2] for r in rows)
     print(f"{'TOTAL':14s} {total_scalar * 1e3:8.1f} ms {total_vector * 1e3:8.1f} ms "
           f"{total_scalar / total_vector:6.1f}x")
-    assert total_vector < total_scalar
+    assert total_scalar / total_vector > 1.5
+
+
+def test_repeated_characterization_protocol():
+    """Table I's miss-rate measurement, repeated as sweeps and table
+    regenerations repeat it: the scalar engine with no memo re-simulates
+    every rep; the shipped vector engine behind ``TRACE_CACHE``
+    simulates once and serves every later rep from the memo."""
+    reps = 5
+    patterns = [dominant_spec(app, app.paper_config()).access for app in ALL_APPS]
+
+    def measure(engine):
+        started = time.perf_counter()
+        for _ in range(reps):
+            rates = [
+                replay_pattern(p, R9_280X.l2_cache, engine=engine).miss_rate
+                for p in patterns
+            ]
+        return rates, time.perf_counter() - started
+
+    with cache_disabled():
+        scalar_rates, scalar_s = measure("scalar")
+    TRACE_CACHE.clear()
+    before = TRACE_CACHE.snapshot()
+    vector_rates, vector_s = measure("vector")
+    memo = TRACE_CACHE.snapshot().since(before)
+    TRACE_CACHE.clear()
+
+    print(f"\nrepeated characterization ({reps} reps x {len(patterns)} patterns): "
+          f"scalar/no memo {scalar_s * 1e3:.1f} ms, vector+memo "
+          f"{vector_s * 1e3:.1f} ms, {scalar_s / vector_s:.1f}x "
+          f"(trace memo {memo.hits} hits / {memo.misses} misses)")
+    assert vector_rates == scalar_rates
+    # Rep 1 misses once per pattern; every later rep hits.
+    assert memo.misses == len(patterns)
+    assert memo.hits == len(patterns) * (reps - 1)
+    assert scalar_s / vector_s > 5.0

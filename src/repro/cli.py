@@ -15,13 +15,11 @@ Examples::
     repro study --paper-scale --workers 4   # full Table I matrix
     repro sweep --app LULESH --workers 4    # parallel Figure 7 grid
     repro characterize --engine vector --workers 4   # Table I, fast replay
-    repro characterize --bench BENCH_cache.json      # tracked perf baseline
     repro profile figure8 --trace t.json --metrics m.prom   # telemetry
     repro figure9 --trace t.json        # any study-backed command
     repro serve --port 8351             # the prediction service
-    repro loadtest --spawn --bench BENCH_serve.json  # serving baseline
+    repro loadtest --spawn              # loopback serving capacity
     repro loadtest --breakdown          # queue wait vs engine vs serialize
-    repro benchdiff BENCH_serve.json    # SLO sentinel vs committed baseline
 """
 
 from __future__ import annotations
@@ -238,9 +236,7 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
     """Regenerate Table I through the selected replay engine.
 
     Prints the characterization table plus the executor stats (which
-    now include the trace-replay memo counters).  ``--bench FILE``
-    additionally runs the cache-replay benchmark and writes the
-    tracked perf baseline (``BENCH_cache.json``).
+    now include the trace-replay memo counters).
     """
     fault_kwargs = _fault_kwargs(args)
     fault_kwargs.pop("checkpoint", None)  # per-app sweeps share no journal
@@ -257,14 +253,6 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
     print()
     print(result.stats.summary())
     _write_telemetry(result.telemetry, args)
-    if args.bench:
-        from .core.cachebench import render_cache_bench, run_cache_bench, write_cache_bench
-
-        bench = run_cache_bench(repeats=args.bench_repeats, reps=args.bench_reps)
-        print()
-        print(render_cache_bench(bench))
-        write_cache_bench(bench, args.bench)
-        print(f"\nwrote cache-replay benchmark to {args.bench}")
     if _print_failures(result.failures):
         return 1
 
@@ -535,9 +523,14 @@ def _loadtest_bodies(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int | None:
-    """Drive a prediction server and record the serving baseline."""
+    """Drive a prediction server and report its capacity.
+
+    Plain and sharded runs exit 1 unless every request got a 2xx
+    answer: a run that was shed (429) or failed (5xx) measured nothing.
+    The chaos drill holds its own 5xx/429 contract.
+    """
     import asyncio
-    from .serve import ServeConfig, ServerThread, run_load, write_bench
+    from .serve import ServeConfig, ServerThread, run_load
 
     if args.chaos:
         return _loadtest_chaos(args)
@@ -588,30 +581,27 @@ def cmd_loadtest(args: argparse.Namespace) -> int | None:
 
         print()
         print(render_breakdown(segment_breakdown(before, after)))
-    if args.bench:
-        write_bench(result, args.bench)
-        print(f"\nwrote serving benchmark to {args.bench}")
-    if result.errors or not result.requests:
+    if not result.clean:
         return 1
 
 
 def _loadtest_sharded(args: argparse.Namespace) -> int | None:
-    """Stand up a sharded tier and record the full serving baseline.
+    """Stand up a sharded tier and measure it end to end.
 
-    Three measurements in one pass, matching the rows of
-    ``BENCH_serve.json``: warm per-request ``/v1/predict`` capacity
-    (the historical top-level row), warm bulk ``/v1/batch`` aggregate
-    pricing throughput across all shards (``sharded``), and the
-    restart drill — gracefully bounce shard 0, then re-issue the whole
-    warm mix against the replacement and count answers that had to be
-    recomputed (``restart.cold_misses``; the store makes it 0).
+    Three measurements in one pass: warm per-request ``/v1/predict``
+    capacity, warm bulk ``/v1/batch`` aggregate pricing throughput
+    across all shards (the ``cells/s`` figure), and the restart drill —
+    gracefully bounce shard 0, then re-issue the whole warm mix against
+    the replacement and count answers that had to be recomputed (cold
+    misses; the store makes it 0).  Exits 1 on any transport error,
+    any non-2xx answer, or any cold miss.
     """
     import argparse as _argparse
     import asyncio
     import tempfile
 
     from .serve import ServeConfig, run_load
-    from .serve.loadgen import post_json, write_tier_bench
+    from .serve.loadgen import post_json
     from .serve.shard import ShardedTier
 
     store = args.store or tempfile.mkdtemp(prefix="repro-store-")
@@ -686,14 +676,7 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
                 print("\nshard health (/v1/shards):")
                 print(render_shard_health(listing))
 
-    if args.bench:
-        write_tier_bench(legacy, sharded, restart, args.shards, args.bench)
-        print(f"\nwrote serving benchmark to {args.bench}")
-    failed = (
-        legacy.errors or sharded.errors or not legacy.requests
-        or not sharded.requests or restart.get("cold_misses") != 0
-    )
-    if failed:
+    if not (legacy.clean and sharded.clean) or restart.get("cold_misses") != 0:
         return 1
 
 
@@ -709,7 +692,6 @@ def _loadtest_chaos(args: argparse.Namespace) -> int | None:
     from .serve.chaos import (
         DEFAULT_CHAOS_PLAN,
         DEFAULT_CHAOS_SEED,
-        merge_chaos_row,
         run_chaos_drill,
     )
 
@@ -727,26 +709,7 @@ def _loadtest_chaos(args: argparse.Namespace) -> int | None:
     )
     print()
     print(report.summary())
-    if args.bench:
-        merge_chaos_row(args.bench, report.row())
-        print(f"\nmerged chaos row into {args.bench}")
     if not report.ok:
-        return 1
-
-
-def cmd_benchdiff(args: argparse.Namespace) -> int | None:
-    """Hold fresh benchmark JSON against the committed baselines."""
-    from pathlib import Path
-
-    from .core.benchdiff import compare, render
-
-    deltas = compare(
-        [Path(candidate) for candidate in args.candidates],
-        Path(args.baseline_dir),
-        scale=args.tolerance_scale,
-    )
-    print(render(deltas, scale=args.tolerance_scale))
-    if any(not delta.ok for delta in deltas):
         return 1
 
 
@@ -830,8 +793,7 @@ COMMAND_SECTIONS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
     ("performance & telemetry", (
         ("profile", "phase breakdown plus Chrome-trace/metrics artifacts"),
         ("serve", "async HTTP prediction service over the performance model"),
-        ("loadtest", "drive a prediction server; record BENCH_serve.json"),
-        ("benchdiff", "compare fresh bench JSON against committed baselines"),
+        ("loadtest", "drive a prediction server; report req/s and latency"),
     )),
 )
 
@@ -920,14 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     char.add_argument("--engine", choices=("vector", "scalar"), default="vector",
                       help="trace-replay and sweep-pricing engine "
                            "(bit-identical results; vector is the fast default)")
-    char.add_argument("--bench", default=None, metavar="FILE",
-                      help="also run the cache-replay benchmark and write the "
-                           "perf baseline JSON (e.g. BENCH_cache.json)")
-    char.add_argument("--bench-repeats", type=int, default=3, metavar="N",
-                      help="best-of-N timing repeats per engine benchmark")
-    char.add_argument("--bench-reps", type=int, default=5, metavar="N",
-                      help="repetitions in the repeated-characterization "
-                           "benchmark protocol")
     _add_executor_flags(char)
     _add_telemetry_flags(char)
     _add_fault_flags(char, resume=False)
@@ -1030,8 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="drive a prediction server (an existing --url, a "
                     "--spawn'd loopback one, or a --shards N tier) with warm "
                     "queries and report throughput and latency percentiles; "
-                    "with --shards the full tier baseline is recorded "
-                    "(predict capacity, bulk cells/s, restart drill)")
+                    "with --shards the whole tier is measured (predict "
+                    "capacity, bulk cells/s, restart drill); exits 1 on any "
+                    "non-2xx answer")
     loadtest.set_defaults(func=cmd_loadtest)
     target = loadtest.add_mutually_exclusive_group()
     target.add_argument("--url", action="append", default=None, metavar="URL",
@@ -1042,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(the default when --url is absent)")
     target.add_argument("--shards", type=int, default=None, metavar="N",
                         help="spawn an N-shard tier over a shared store and "
-                             "record the full tier baseline (predict + bulk "
+                             "measure it end to end (predict + bulk "
                              "+ restart drill)")
     loadtest.add_argument("--route", choices=("predict", "batch"),
                           default="predict",
@@ -1088,9 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="admission bound of the spawned server")
     loadtest.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
                           help="batch window of the spawned server")
-    loadtest.add_argument("--bench", default=None, metavar="FILE",
-                          help="write the serving-perf baseline JSON "
-                               "(e.g. BENCH_serve.json)")
     loadtest.add_argument("--breakdown", action="store_true",
                           help="scrape /metrics before and after the run and "
                                "report per-segment latency percentiles (queue "
@@ -1116,23 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SEC",
                           help="max seconds to wait for all-shards-healthy "
                                "after the --chaos storm (default 60)")
-    benchdiff = sub.add_parser(
-        "benchdiff",
-        description="compare freshly generated BENCH_*.json files against "
-                    "the committed baselines with per-metric tolerance "
-                    "bands; exits 1 on any regression")
-    benchdiff.set_defaults(func=cmd_benchdiff)
-    benchdiff.add_argument("candidates", nargs="+", metavar="FILE",
-                           help="candidate bench JSON files (matched to "
-                                "baselines by basename: BENCH_cache.json, "
-                                "BENCH_study.json, BENCH_serve.json)")
-    benchdiff.add_argument("--baseline-dir", default=".", metavar="DIR",
-                           help="directory holding the committed baselines "
-                                "(default: the current directory)")
-    benchdiff.add_argument("--tolerance-scale", type=float, default=1.0,
-                           metavar="X",
-                           help="widen every ratio band by X (for slow, noisy "
-                                "CI runners; correctness bands never widen)")
     return parser
 
 

@@ -33,11 +33,10 @@ serving-stack shape the ROADMAP's north star asks for:
   chaos drill (``repro loadtest --chaos``) that holds the tier to its
   self-healing invariants under storm.
 * :mod:`repro.serve.loadgen` — closed-/open-loop load generation
-  recording the ``BENCH_serve.json`` serving-perf baseline, plus the
-  ``--breakdown`` per-segment latency attribution.
+  (throughput and p50/p95/p99 latency), plus the ``--breakdown``
+  per-segment latency attribution.
 
-Entry points: ``repro serve``, ``repro loadtest``, and
-``repro benchdiff`` (the SLO sentinel over the recorded baselines).
+Entry points: ``repro serve`` and ``repro loadtest``.
 """
 
 from .batcher import BackendRunError, Batcher
@@ -55,7 +54,6 @@ from .loadgen import (
     retry_after_delay,
     run_load,
     segment_breakdown,
-    write_bench,
 )
 from .protocol import (
     MAX_BATCH_CELLS,
@@ -134,5 +132,4 @@ __all__ = [
     "shard_for_key",
     "study_response",
     "warm_presets",
-    "write_bench",
 ]

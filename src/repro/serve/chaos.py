@@ -31,18 +31,23 @@ same pure pricing functions the shards run.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..exec.faults import RunError
 from ..exec.retry import RetryPolicy, run_with_retry
 from ..obs import logging as obs_logging
 from . import protocol
 from .faults import ENV_SERVE_FAULTS, ENV_SERVE_SEED
-from .loadgen import LoadResult, fetch_json, fetch_text, post_json, run_load
+from .loadgen import (
+    LoadResult,
+    count_non_2xx,
+    fetch_json,
+    fetch_text,
+    post_json,
+    run_load,
+)
 from .server import ServeConfig
 from .shard import RouterConfig, ShardedTier
 from .supervise import SupervisionPolicy
@@ -182,11 +187,7 @@ class ChaosReport:
     def errors(self) -> int:
         """Transport failures plus non-2xx responses, across the load
         generator and the checker."""
-        non_2xx = sum(
-            count for status, count in self.status_counts.items()
-            if not status.startswith("2")
-        )
-        return self.load.errors + non_2xx
+        return self.load.errors + count_non_2xx(self.status_counts)
 
     @property
     def error_rate(self) -> float:
@@ -244,7 +245,7 @@ class ChaosReport:
         return not self.failures()
 
     def row(self) -> dict:
-        """The ``chaos`` row of ``BENCH_serve.json``."""
+        """The drill's counters as one flat record (logged on completion)."""
         return {
             "plan": self.plan,
             "seed": self.seed,
@@ -285,19 +286,6 @@ class ChaosReport:
             f"{self.final_mismatches} mismatches",
             verdict,
         ])
-
-
-def merge_chaos_row(target: str | Path, row: dict) -> None:
-    """Attach the drill's row to an existing serving bench document."""
-    path = Path(target)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        doc = {}
-    if not isinstance(doc, dict):
-        doc = {}
-    doc["chaos"] = row
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _matches(doc: dict, expected: dict) -> bool:

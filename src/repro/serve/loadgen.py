@@ -1,10 +1,8 @@
 """Closed- and open-loop load generation for the prediction service.
 
-The serving-perf baseline lives in ``BENCH_serve.json``, next to the
-cache-replay baseline in ``BENCH_cache.json``: ``repro loadtest``
-drives a live server with raw keep-alive HTTP/1.1 over asyncio
-streams (no client library, so the generator is never the bottleneck)
-and records throughput plus p50/p95/p99 latency.
+``repro loadtest`` drives a live server with raw keep-alive HTTP/1.1
+over asyncio streams (no client library, so the generator is never
+the bottleneck) and reports throughput plus p50/p95/p99 latency.
 
 Two arrival disciplines, because they answer different questions:
 
@@ -36,7 +34,6 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from urllib.parse import urlsplit
 
 from ..exec.faults import _hash01
@@ -59,6 +56,14 @@ def percentile(sorted_samples: list[float], q: float) -> float:
         return sorted_samples[0]
     rank = max(1, -(-len(sorted_samples) * q // 100))  # ceil without floats
     return sorted_samples[int(rank) - 1]
+
+
+def count_non_2xx(status_counts: dict[str, int]) -> int:
+    """Responses outside 2xx (sheds, 4xx and 5xx) in a status tally."""
+    return sum(
+        count for status, count in status_counts.items()
+        if not status.startswith("2")
+    )
 
 
 @dataclass
@@ -88,6 +93,14 @@ class LoadResult:
     def cells_rps(self) -> float:
         """Priced cells per second — aggregate pricing throughput."""
         return self.predictions / self.duration_s if self.duration_s else 0.0
+
+    @property
+    def clean(self) -> bool:
+        """At least one request, and every one answered with a 2xx."""
+        return (
+            bool(self.requests) and not self.errors
+            and not count_non_2xx(self.status_counts)
+        )
 
     def latency_ms(self) -> dict[str, float]:
         samples = sorted(self.latencies_s)
@@ -382,32 +395,6 @@ async def run_load(
     for recorder in recorders:
         recorder.fold(result)
     return result
-
-
-def write_bench(result: LoadResult, target: str | Path) -> None:
-    """Write the serving-perf baseline document."""
-    Path(target).write_text(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n")
-
-
-def write_tier_bench(
-    legacy: LoadResult,
-    sharded: LoadResult,
-    restart: dict,
-    shards: int,
-    target: str | Path,
-) -> None:
-    """Write the sharded-tier serving baseline.
-
-    Top-level fields keep the historical single-row layout (the
-    ``benchdiff`` contract reads ``throughput_rps``/``latency_ms``
-    there), extended with the tier rows: ``sharded`` (aggregate bulk
-    pricing throughput over the shard set, in cells/s) and ``restart``
-    (the kill-one-shard drill — ``cold_misses`` must stay 0).
-    """
-    doc = legacy.to_json()
-    doc["sharded"] = {"shards": shards, **sharded.to_json()}
-    doc["restart"] = dict(restart)
-    Path(target).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 async def post_json(url: str, path: str, doc: dict) -> tuple[int, dict]:

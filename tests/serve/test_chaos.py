@@ -3,7 +3,7 @@ chaos-serve smoke and via ``repro loadtest --chaos``)."""
 
 import json
 
-from repro.serve.chaos import ChaosReport, _metric_total, chaos_bodies, merge_chaos_row
+from repro.serve.chaos import ChaosReport, _metric_total, chaos_bodies
 from repro.serve.loadgen import LoadResult
 
 
@@ -81,16 +81,3 @@ def test_metric_total_sums_families_and_filters_labels():
         text, "repro_router_breaker_transitions_total", 'to="open"'
     ) == 3.0
     assert _metric_total(text, "repro_router_degraded_total") == 0.0
-
-
-def test_merge_chaos_row_attaches_to_the_bench_doc(tmp_path):
-    target = tmp_path / "BENCH_serve.json"
-    target.write_text(json.dumps({"throughput_rps": 100.0}))
-    merge_chaos_row(target, {"mismatches": 0, "converged": 1})
-    doc = json.loads(target.read_text())
-    assert doc["throughput_rps"] == 100.0
-    assert doc["chaos"] == {"mismatches": 0, "converged": 1}
-    # And onto a missing/garbage file without exploding.
-    gone = tmp_path / "fresh.json"
-    merge_chaos_row(gone, {"converged": 1})
-    assert json.loads(gone.read_text())["chaos"]["converged"] == 1

@@ -101,9 +101,8 @@ class TestServeCommands:
         assert args.window_ms == 2.0
         assert args.max_queue == 64
         args = parser.parse_args(["loadtest", "--spawn", "--mode", "open",
-                                  "--rate", "200", "--bench", "B.json"])
+                                  "--rate", "200"])
         assert args.rate == 200.0
-        assert args.bench == "B.json"
 
     def test_loadtest_url_and_spawn_are_exclusive(self):
         with pytest.raises(SystemExit):
@@ -125,14 +124,22 @@ class TestServeCommands:
         for name in subparsers.choices:
             assert f"\n    {name} " in out or f"    {name:<13}" in out
 
-    def test_loadtest_end_to_end(self, capsys, tmp_path):
-        bench = tmp_path / "BENCH_serve.json"
+    def test_loadtest_end_to_end(self, capsys):
         code = main([
             "loadtest", "--spawn", "--duration", "0.3", "--concurrency", "2",
             "--model", "OpenCL", "--platform", "apu", "--precision", "single",
-            "--bench", str(bench),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "req/s" in out and "p99" in out
-        assert bench.exists()
+
+    def test_loadtest_fails_when_every_answer_is_shed(self, capsys):
+        """A zero-capacity queue answers only 429s: nothing was served,
+        so the run must not pass."""
+        code = main([
+            "loadtest", "--spawn", "--max-queue", "0", "--duration", "0.3",
+            "--concurrency", "2",
+        ])
+        out = capsys.readouterr().out
+        assert "429" in out and "200" not in out.split("statuses:")[1]
+        assert code == 1
