@@ -22,6 +22,7 @@ the hit/miss counters it reports.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import inspect
 import threading
@@ -30,6 +31,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
+
+import numpy as np
 
 from ..hardware.device import CPUDevice, GPUDevice
 from ..hardware.specs import Precision
@@ -317,10 +320,24 @@ class SetupMemoCache:
     deterministic functions of ``(config, precision[, seed])``, so
     their outputs are memoized here.
 
-    Hits return a **deep copy** of the stored value: ports are free to
-    mutate the state they receive, and a copy of a deterministic
-    build is bit-identical to a fresh build.  The LRU bound keeps at
-    most ``maxsize`` problem instances resident per process.
+    Every stored value is **frozen**: each array reachable through its
+    dataclass fields and tuples is read-only.  How a value is handed
+    out depends on the caller:
+
+    * functional runs (the default) get a **deep copy**, writable and
+      private: their kernels mutate the state they receive, and a copy
+      of a deterministic build is bit-identical to a fresh build.  A
+      miss stores a frozen deep copy and returns the build itself.
+    * scalar projection runs (inside :func:`shared_setups`) skip
+      kernel bodies, so they read setup arrays but never write them.
+      They get the stored arrays **by reference**: a hit returns a
+      shallow copy of the top-level state (so host-scalar writes such
+      as LULESH's ``dt``/``time`` stay private), and a miss freezes and
+      stores the build itself with no copy.  A stray in-place write to
+      a shared array raises instead of leaking into the next run.
+
+    The LRU bound keeps at most ``maxsize`` problem instances resident
+    per process.
     """
 
     def __init__(self, maxsize: int = 4, enabled: bool = True) -> None:
@@ -333,7 +350,7 @@ class SetupMemoCache:
     def __len__(self) -> int:
         return len(self._values)
 
-    def lookup(self, key: tuple, compute: Callable[[], T]) -> T:
+    def lookup(self, key: tuple, compute: Callable[[], T], shared: bool = False) -> T:
         if not self.enabled:
             return compute()
         rec = obs_spans.active()
@@ -342,12 +359,17 @@ class SetupMemoCache:
             self._values.move_to_end(key)
             if rec is not None:
                 rec.cache_event("setup", hit=True, kind=str(key[1]))
-            return copy.deepcopy(self._values[key])  # type: ignore[return-value]
+            stored: T = self._values[key]  # type: ignore[assignment]
+            return _shallow(stored) if shared else copy.deepcopy(stored)
         self._misses += 1
         if rec is not None:
             rec.cache_event("setup", hit=False, kind=str(key[1]))
         value = compute()
-        self._values[key] = copy.deepcopy(value)
+        if shared:
+            self._values[key] = _freeze(value)
+            value = _shallow(value)
+        else:
+            self._values[key] = _freeze(copy.deepcopy(value))
         while len(self._values) > self.maxsize:
             self._values.popitem(last=False)
         return value
@@ -359,6 +381,32 @@ class SetupMemoCache:
         self._values.clear()
         self._hits = 0
         self._misses = 0
+
+
+def _freeze(value: T) -> T:
+    """Mark every array reachable from ``value`` read-only; ``value``.
+
+    Walks dataclass fields and tuples: the shapes problem setups take
+    (an array, a tuple of arrays, or a state dataclass of arrays and
+    host scalars).
+    """
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for item in vars(value).values():
+            _freeze(item)
+    return value
+
+
+def _shallow(value: T) -> T:
+    """A private top level over shared (read-only) arrays: a view of a
+    bare array, a shallow copy of anything else."""
+    if isinstance(value, np.ndarray):
+        return value.view()  # type: ignore[return-value]
+    return copy.copy(value)
 
 
 #: The process-global cache backing the apps' ``make_*``/``assemble``
@@ -409,6 +457,25 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
     return register
 
 
+_SHARE_STATE = threading.local()
+
+
+@contextmanager
+def shared_setups() -> Iterator[None]:
+    """Hand out :data:`SETUP_CACHE` values by reference within the block.
+
+    Only for projection runs, which never execute kernel bodies and so
+    never write their setup arrays (see :class:`SetupMemoCache`).
+    Functional runs must receive private copies.
+    """
+    previous = getattr(_SHARE_STATE, "active", False)
+    _SHARE_STATE.active = True
+    try:
+        yield
+    finally:
+        _SHARE_STATE.active = previous
+
+
 @contextmanager
 def projection_stubs() -> Iterator[None]:
     """Serve registered stubs instead of real problem builds.
@@ -456,7 +523,11 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
                 while len(_STUB_CACHE) > _STUB_CACHE_MAX:
                     _STUB_CACHE.popitem(last=False)
                 return value
-        return SETUP_CACHE.lookup(key, lambda: builder(*args, **kwargs))
+        return SETUP_CACHE.lookup(
+            key,
+            lambda: builder(*args, **kwargs),
+            shared=getattr(_SHARE_STATE, "active", False),
+        )
 
     return wrapper
 
@@ -497,6 +568,26 @@ def cache_disabled() -> Iterator[None]:
             KERNEL_CACHE.enabled, SETUP_CACHE.enabled, TRACE_CACHE.enabled,
             PLAN_CACHE.enabled,
         ) = previous
+
+
+class HashedKey(tuple):
+    """A key part that computes its hash once.
+
+    Equal to, and hashing exactly like, the plain tuple of its items,
+    so an entry stored under a key built from ``HashedKey`` parts is
+    found by the plain-tuple key and vice versa.  A cache key hashes
+    every field of the frozen dataclasses inside it on every lookup;
+    a caller that looks up many keys sharing one part (a grid of clock
+    points over the same kernels) wraps that part once.
+    """
+
+    def __new__(cls, items: tuple) -> "HashedKey":
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def gpu_state_key(gpu: GPUDevice) -> tuple:

@@ -18,23 +18,34 @@ This engine lowers the matrix instead of looping it:
    captured :class:`ChargeProgram` is clock-independent and memoized in
    :data:`~repro.engine.memo.PLAN_CACHE`, so an entire frequency sweep
    shares one capture.
-2. **Batch pricing** — per cell, the atoms missing from
-   :data:`~repro.engine.memo.KERNEL_CACHE` are priced in one columnar
-   call (:mod:`repro.engine.timing_vec`), under exactly the keys the
-   scalar path uses, so either engine serves the other's cache.
+2. **Broadcast pricing** — per schedule group (the cells of a
+   :class:`~repro.exec.plan.SpecLattice` group differ only in clocks),
+   the GPU atoms are priced in one call over the (clock points x
+   atoms) grid (:func:`~repro.engine.timing_vec.time_gpu_kernel_grid`):
+   per-atom coefficients once, per-clock scalars as columns, and
+   elementwise roofline arithmetic with no reduction, so every cell is
+   the scalar formula's exact IEEE sequence.  CPU atoms never see the
+   GPU clocks and are priced once per group.  Every (cell, atom) price
+   then goes through :data:`~repro.engine.memo.KERNEL_CACHE` under
+   exactly the key the scalar path uses, so either engine serves the
+   other's cache.
 3. **Fold** — simulated seconds and every counter are reassembled with
-   ``np.add.accumulate`` over the event stream: a strictly
+   ``np.add.accumulate`` along each cell's event stream: a strictly
    left-associated IEEE fold, the same addition sequence the port's
    accumulator and :class:`~repro.engine.counters.PerfCounters`
    performed — bit-identical, not merely close.  (``np.sum`` would use
-   pairwise summation and drift in the last ulps.)
+   pairwise summation and drift in the last ulps.)  A group folds all
+   its cells in one ``(cells x events)`` accumulate; the adds of each
+   row are still that row's left fold.
 
 Cells the fold cannot express run through the scalar engine unchanged:
 functional (non-projection) runs, the Heterogeneous Compute model
 (a two-queue makespan, not a single accumulator), telemetry recordings
 (spans are per-charge by construction), and fault-injection campaigns
 (the chaos harness drives the scalar retry ladder).  The scalar path
-is also the per-cell fallback if anything in the columnar path raises.
+is also the per-cell fallback if anything in the columnar path raises:
+a group whose broadcast call raises is re-priced one cell at a time,
+and only a cell that still raises falls back.
 
 Deliberately *not* imported from ``repro.engine.__init__``:
 ``repro.models`` imports ``repro.engine.memo`` at import time, so
@@ -44,6 +55,7 @@ the package root would create an import cycle.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +67,7 @@ from ..apps.base import RunResult
 from ..engine import energy, memo
 from ..engine.counters import PerfCounters
 from ..engine.timing import KernelTiming
-from ..engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_batch
+from ..engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
 from ..exec.checkpoint import CheckpointJournal
 from ..exec.executor import (
     ExecStats,
@@ -65,7 +77,7 @@ from ..exec.executor import (
     _limited_by_tallies,
     execute,
 )
-from ..exec.faults import FaultPlan, RunError, fault_plan_from_env
+from ..exec.faults import FaultPlan, ResultValidationError, RunError, fault_plan_from_env
 from ..exec.plan import RunSpec, SpecLattice
 from ..exec.retry import RetryPolicy, run_with_retry, validate_result
 from ..models.base import ChargeLog, ExecutionContext
@@ -194,62 +206,94 @@ def _accumulate(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def price_cell(program: ChargeProgram, spec: RunSpec) -> RunResult:
-    """Price one captured program on one cell's device state.
+def _accumulate_rows(values: np.ndarray) -> np.ndarray:
+    """:func:`_accumulate` of every row of a ``(rows, events)`` matrix.
 
-    Atoms absent from :data:`~repro.engine.memo.KERNEL_CACHE` are
-    priced in one columnar batch per device kind; every atom then goes
-    through the same ``KERNEL_CACHE.lookup`` keys the scalar engine
-    uses, so hits, misses and stored values are interchangeable with
-    scalar runs.
+    ``np.add.accumulate`` along the event axis is the same left fold
+    per row: each output element is one IEEE add of the previous
+    partial sum and the next event, whatever order the rows are swept
+    in.
     """
-    from ..hardware.device import platform_for
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    return np.add.accumulate(values, axis=1)[:, -1]
 
-    platform = platform_for(spec.platform)
-    if spec.core_mhz is not None:
-        platform.gpu.core_clock.set(spec.core_mhz)
-    if spec.memory_mhz is not None:
-        platform.gpu.memory_clock.set(spec.memory_mhz)
-    gpu, host = platform.gpu, platform.host
-    gpu_key = memo.gpu_state_key(gpu)
+
+#: The :class:`KernelTiming` fields the counters fold, in fold order.
+_FOLDED = operator.attrgetter("seconds", "cycles", "instructions", "dram_bytes", "joules")
+
+
+def price_cell(
+    program: ChargeProgram, specs: Sequence[RunSpec]
+) -> list[tuple[RunResult, memo.MemoStats]]:
+    """Price one schedule group: every cell of ``specs`` from ``program``.
+
+    The rows share ``program``'s schedule and differ at most in clock
+    overrides (one :class:`~repro.exec.plan.SpecLattice` group); a
+    single cell is a one-row group.  GPU atoms are priced in one
+    broadcast call over (rows x atoms)
+    (:func:`~repro.engine.timing_vec.time_gpu_kernel_grid`); CPU atoms
+    are clock-independent and priced once for the group.  Every
+    ``(row, atom)`` price then goes through one
+    ``KERNEL_CACHE.lookup`` under the key the scalar engine uses, so
+    hits, misses and stored values are interchangeable with scalar
+    runs.  The folds run over the served prices, one strict left fold
+    per row.
+
+    Returns one ``(result, cache delta)`` pair per row, in order; the
+    delta counts the ``KERNEL_CACHE`` lookups made for that row alone.
+    """
+    platforms = [spec.make_platform() for spec in specs]
+    precision = specs[0].precision
+    platform = platforms[0]
+    host = platform.host
+    atoms = program.atoms
+
+    gpu_atoms = [i for i, atom in enumerate(atoms) if atom[0] == "gpu"]
+    gpu_grid = time_gpu_kernel_grid(
+        [atoms[i][1] for i in gpu_atoms], [p.gpu for p in platforms], precision
+    )
+    # One cache key part per atom, hashed once for the whole group:
+    # the lowering's content for a GPU atom (the clock state joins per
+    # row), the whole key for a CPU one.
     cpu_key = memo.cpu_state_key(host)
-
-    keys: list[tuple] = []
-    for atom in program.atoms:
-        if atom[0] == "gpu":
-            keys.append(("gpu-timing", atom[1].cache_key(), gpu_key, spec.precision))
-        else:
-            keys.append(("cpu-timing", atom[1], cpu_key, spec.precision, atom[2]))
-
-    # One columnar pricing call per device kind over the cache misses.
-    batched: dict[int, KernelTiming] = {}
-    gpu_pending = [
-        i
-        for i, atom in enumerate(program.atoms)
-        if atom[0] == "gpu" and not memo.KERNEL_CACHE.contains(keys[i])
-    ]
-    if gpu_pending:
-        batch = time_gpu_kernel_batch(
-            [program.atoms[i][1] for i in gpu_pending], gpu, spec.precision
+    atom_keys = [
+        memo.HashedKey(
+            atom[1].cache_key() if atom[0] == "gpu"
+            else ("cpu-timing", atom[1], cpu_key, precision, atom[2])
         )
-        batched.update(zip(gpu_pending, batch))
-    cpu_pending: dict[int, list[int]] = {}
-    for i, atom in enumerate(program.atoms):
-        if atom[0] == "cpu" and not memo.KERNEL_CACHE.contains(keys[i]):
-            cpu_pending.setdefault(atom[2], []).append(i)
-    for threads, indices in cpu_pending.items():
+        for atom in atoms
+    ]
+    # CPU atoms do not see the GPU clocks: one batch per thread count.
+    cpu_timings: dict[int, KernelTiming] = {}
+    by_threads: dict[int, list[int]] = {}
+    for i, atom in enumerate(atoms):
+        if atom[0] == "cpu":
+            by_threads.setdefault(atom[2], []).append(i)
+    for threads, indices in by_threads.items():
         batch = time_cpu_kernel_batch(
-            [program.atoms[i][1] for i in indices], host, spec.precision, threads=threads
+            [atoms[i][1] for i in indices], host, precision, threads=threads
         )
-        batched.update(zip(indices, batch))
+        cpu_timings.update(zip(indices, batch))
 
-    timings = [
-        memo.KERNEL_CACHE.lookup(keys[i], lambda i=i: batched[i])
-        for i in range(len(program.atoms))
-    ]
+    # Serve every (row, atom) price through the cache, row by row.
+    column = {i: j for j, i in enumerate(gpu_atoms)}
+    lookup = memo.KERNEL_CACHE.lookup
+    served: list[list[KernelTiming]] = []
+    deltas: list[memo.MemoStats] = []
+    for p, grid_row in zip(platforms, gpu_grid):
+        before = memo.KERNEL_CACHE.snapshot()
+        gpu_key = memo.HashedKey(memo.gpu_state_key(p.gpu))
+        served.append([
+            lookup(key, lambda t=cpu_timings[i]: t) if i in cpu_timings
+            else lookup(
+                ("gpu-timing", key, gpu_key, precision), lambda t=grid_row[column[i]]: t
+            )
+            for i, key in enumerate(atom_keys)
+        ])
+        deltas.append(memo.KERNEL_CACHE.snapshot().since(before))
 
-    # --- folds (bit-identical reconstruction) -------------------------
-    atom_seconds = np.array([t.seconds for t in timings] + [0.0])
+    # --- clock-independent terms, once per group ----------------------
     xfer_seconds = [
         platform.interconnect.transfer(nbytes, direction)
         for nbytes, direction in program.transfers
@@ -261,83 +305,100 @@ def price_cell(program: ChargeProgram, spec: RunSpec) -> RunResult:
     xfer_joules = np.array(
         [energy.transfer_joules(link_w, s) for s in xfer_seconds] + [0.0]
     )
-    # The port's clock: each counted charge contributes its return
-    # value (kernel seconds + overhead as one add, then the fold add —
-    # the same two-IEEE-add sequence the scalar accumulator performs).
-    kernel_contrib = atom_seconds[program.ev_atom] + program.ev_overhead
     transfer_contrib = np.where(
         program.ev_counted, transfer_seconds[program.ev_xfer], 0.0
     )
-    seconds = _accumulate(
-        np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)
-    )
-
     katoms = program.kernel_atoms
-    kernel_seconds = _accumulate(atom_seconds[katoms])
-    cycles = _accumulate(np.array([t.cycles for t in timings] + [0.0])[katoms])
-    instructions = _accumulate(
-        np.array([t.instructions for t in timings] + [0.0])[katoms]
-    )
-    dram_bytes = _accumulate(np.array([t.dram_bytes for t in timings] + [0.0])[katoms])
     atom_flops = np.array(
         [
             atom[1].spec.ops.flops if atom[0] == "gpu" else atom[1].ops.flops
-            for atom in program.atoms
+            for atom in atoms
         ]
         + [0.0]
     )
     flops = _accumulate(atom_flops[katoms])
     launch_overhead = _accumulate(program.kernel_overheads)
     transfer_total = _accumulate(transfer_seconds[program.transfer_events])
-    kernel_joules = _accumulate(np.array([t.joules for t in timings] + [0.0])[katoms])
     transfer_joules = _accumulate(xfer_joules[program.transfer_events])
 
-    records = [
-        timing.record(gpu.name if atom[0] == "gpu" else host.name)
-        for atom, timing in zip(program.atoms, timings)
-    ]
-    counters = PerfCounters(
-        kernel_seconds=kernel_seconds,
-        transfer_seconds=transfer_total,
-        host_seconds=0.0,
-        launch_overhead_seconds=launch_overhead,
-        instructions=instructions,
-        cycles=cycles,
-        flops=flops,
-        dram_bytes=dram_bytes,
-        bytes_to_device=program.bytes_to_device,
-        bytes_to_host=program.bytes_to_host,
-        kernel_launches=len(katoms),
-        transfers=len(program.transfer_events),
-        kernel_joules=kernel_joules,
-        transfer_joules=transfer_joules,
-        kernels=[records[i] for i in katoms],
+    # --- per-row folds over the served prices (bit-identical) ---------
+    # (rows, atoms + 1, field) with a zero trailing atom, so the -1
+    # atom index of a transfer event gathers 0.0.
+    fields = np.zeros((len(served), len(atoms) + 1, 5))
+    fields[:, :-1, :] = np.array(
+        [value for row in served for timing in row for value in _FOLDED(timing)]
+    ).reshape(len(served), len(atoms), 5)
+    # The port's clock: each counted charge contributes its return
+    # value (kernel seconds + overhead as one add, then the fold add —
+    # the same two-IEEE-add sequence the scalar accumulator performs).
+    kernel_contrib = fields[:, program.ev_atom, 0] + program.ev_overhead
+    folds = np.stack(
+        [
+            _accumulate_rows(np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)),
+            *(_accumulate_rows(fields[:, katoms, k]) for k in range(5)),
+        ],
+        axis=1,
     )
-    # Same three-term addition sequence as ``apps.base.make_result``.
-    joules = (
-        energy.static_joules(platform.idle_watts, seconds)
-        + counters.kernel_joules
-        + counters.transfer_joules
-    )
-    return RunResult(
-        app=program.app,
-        model=program.model,
-        platform=platform.name,
-        precision=spec.precision,
-        seconds=seconds,
-        kernel_seconds=kernel_seconds,
-        checksum=program.checksum,
-        counters=counters,
-        joules=joules,
-    )
+    priced: list[tuple[RunResult, memo.MemoStats]] = []
+    for spec, p, row, delta, (
+        seconds, kernel_seconds, cycles, instructions, dram_bytes, kernel_joules,
+    ) in zip(specs, platforms, served, deltas, folds.tolist()):
+        gpu_name, host_name = p.gpu.name, p.host.name
+        records = [
+            timing.record(gpu_name if atom[0] == "gpu" else host_name)
+            for atom, timing in zip(atoms, row)
+        ]
+        counters = PerfCounters(
+            kernel_seconds=kernel_seconds,
+            transfer_seconds=transfer_total,
+            host_seconds=0.0,
+            launch_overhead_seconds=launch_overhead,
+            instructions=instructions,
+            cycles=cycles,
+            flops=flops,
+            dram_bytes=dram_bytes,
+            bytes_to_device=program.bytes_to_device,
+            bytes_to_host=program.bytes_to_host,
+            kernel_launches=len(katoms),
+            transfers=len(program.transfer_events),
+            kernel_joules=kernel_joules,
+            transfer_joules=transfer_joules,
+            kernels=[records[i] for i in katoms],
+        )
+        # Same three-term addition sequence as ``apps.base.make_result``.
+        joules = (
+            energy.static_joules(p.idle_watts, seconds)
+            + counters.kernel_joules
+            + counters.transfer_joules
+        )
+        priced.append((
+            RunResult(
+                app=program.app,
+                model=program.model,
+                platform=p.name,
+                precision=spec.precision,
+                seconds=seconds,
+                kernel_seconds=kernel_seconds,
+                checksum=program.checksum,
+                counters=counters,
+                joules=joules,
+            ),
+            delta,
+        ))
+    return priced
 
 
-def price_specs(specs: Sequence[RunSpec]) -> list[RunResult]:
+def price_specs(specs: Sequence[RunSpec]) -> list[RunResult | None]:
     """Price a batch of eligible cells columnar, preserving order.
 
-    The serve batcher's cold-miss path: one capture per schedule
-    signature, then per-cell pricing — no retry/journal machinery.
-    Every spec must satisfy :func:`vector_eligible`.
+    The serve batcher's cold-miss path: one capture and one
+    :func:`price_cell` call per schedule group — no retry/journal
+    machinery.  Every spec must satisfy :func:`vector_eligible`.
+
+    Failures are isolated per group: a group whose broadcast call
+    raises is re-priced one row at a time, and only a row that still
+    raises, or whose group's capture failed, comes back as ``None``
+    (the caller's scalar fallback prices it).
     """
     for spec in specs:
         if not vector_eligible(spec):
@@ -345,27 +406,76 @@ def price_specs(specs: Sequence[RunSpec]) -> list[RunResult]:
     lattice = SpecLattice.from_specs(list(specs))
     results: list[RunResult | None] = [None] * len(lattice.rows)
     for _key, rows in lattice.groups:
-        program = cached_program(lattice.rows[rows[0]])
-        for index in rows:
-            results[index] = price_cell(program, lattice.rows[index])
-    return results  # type: ignore[return-value]
+        for index, priced in _price_group(lattice, rows):
+            if priced is not None:
+                results[index] = priced[0]
+    return results
 
 
-def _price_outcome(spec: RunSpec, program: ChargeProgram) -> RunOutcome:
-    """One cell priced with the scalar path's observability envelope."""
-    before = memo.KERNEL_CACHE.snapshot()
+def _price_group(
+    lattice: SpecLattice, rows: Sequence[int]
+) -> list[tuple[int, tuple[RunResult, memo.MemoStats] | None]]:
+    """``(row, priced)`` for one lattice group, ``None`` where it failed.
+
+    The group is priced in one broadcast call; if that raises, each row
+    is re-priced as a one-row group, so one bad cell (an out-of-range
+    clock, say) costs its group the fast path but no other row its
+    columnar price.  A failed capture fails every row.
+    """
+    specs = [lattice.rows[row] for row in rows]
+    try:
+        program = cached_program(specs[0])
+    except Exception:
+        return [(row, None) for row in rows]
+    try:
+        return list(zip(rows, price_cell(program, specs)))
+    except Exception:
+        if len(rows) == 1:
+            return [(rows[0], None)]
+    isolated: list[tuple[int, tuple[RunResult, memo.MemoStats] | None]] = []
+    for row, spec in zip(rows, specs):
+        try:
+            (priced,) = price_cell(program, [spec])
+        except Exception:
+            priced = None
+        isolated.append((row, priced))
+    return isolated
+
+
+def _price_outcome(
+    lattice: SpecLattice, rows: Sequence[int]
+) -> list[tuple[int, RunOutcome | None]]:
+    """One lattice group priced with the scalar path's observability
+    envelope: ``(row, outcome)``, ``None`` where pricing or result
+    validation failed.
+
+    Each outcome's cache counters are the lookups made for its own
+    row, so the per-row counts sum to the cache delta over the group.
+    ``wall_seconds`` is the group's wall time (its capture included)
+    divided by its row count: the rows are priced together, so that
+    even share is the only per-row wall time there is.
+    """
     started = time.perf_counter()
-    result = price_cell(program, spec)
-    validate_result(result)
-    wall = time.perf_counter() - started
-    delta = memo.KERNEL_CACHE.snapshot().since(before)
-    return RunOutcome(
-        spec=spec,
-        result=result,
-        wall_seconds=wall,
-        cache_hits=delta.hits,
-        cache_misses=delta.misses,
-    )
+    priced = _price_group(lattice, rows)
+    wall = (time.perf_counter() - started) / len(rows)
+    outcomes: list[tuple[int, RunOutcome | None]] = []
+    for row, pair in priced:
+        outcome = None
+        if pair is not None:
+            result, delta = pair
+            try:
+                validate_result(result)
+                outcome = RunOutcome(
+                    spec=lattice.rows[row],
+                    result=result,
+                    wall_seconds=wall,
+                    cache_hits=delta.hits,
+                    cache_misses=delta.misses,
+                )
+            except ResultValidationError:
+                pass  # left to the scalar retry ladder
+        outcomes.append((row, outcome))
+    return outcomes
 
 
 def execute_vector(
@@ -445,21 +555,12 @@ def execute_vector(
             indices = sorted(vector_cells)
             lattice = SpecLattice.from_specs([vector_cells[i] for i in indices])
             for _key, rows in lattice.groups:
-                program: ChargeProgram | None
-                try:
-                    program = cached_program(lattice.rows[rows[0]])
-                except Exception:
-                    program = None  # every cell of the group falls back
-                for row in rows:
+                for row, outcome in _price_outcome(lattice, rows):
                     index, spec = indices[row], lattice.rows[row]
-                    payload: RunOutcome | RunError
-                    if program is not None:
-                        try:
-                            payload = _price_outcome(spec, program)
-                        except Exception:
-                            payload = run_with_retry(spec, policy, faults=faults)
-                    else:
-                        payload = run_with_retry(spec, policy, faults=faults)
+                    payload = (
+                        outcome if outcome is not None
+                        else run_with_retry(spec, policy, faults=faults)
+                    )
                     if isinstance(payload, RunError):
                         errors[index] = payload
                     else:

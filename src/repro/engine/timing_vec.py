@@ -1,9 +1,11 @@
 """Columnar kernel pricing: batched, bit-identical to ``timing.py``.
 
 The columnar study engine (:mod:`repro.engine.study_vec`) gathers the
-unique kernels of a whole study into arrays and prices them in one
-call per device state.  The arithmetic here mirrors
-:func:`repro.engine.timing.time_gpu_kernel` /
+unique kernels of a schedule into arrays and prices them in one call
+per schedule group: :func:`time_gpu_kernel_grid` broadcasts the GPU
+roofline over (clock points x kernels), and the one-device
+:func:`time_gpu_kernel_batch` is its one-row case.  The arithmetic
+here mirrors :func:`repro.engine.timing.time_gpu_kernel` /
 :func:`~repro.engine.timing.time_cpu_kernel` *operation for
 operation* — same expressions, same association order, same
 float64 elementwise ops — so each batched timing is bit-identical to
@@ -11,15 +13,19 @@ the scalar pricing of the same kernel on the same device state.  That
 identity is what lets both engines share :data:`~repro.engine.memo.KERNEL_CACHE`
 entries and is asserted by ``tests/engine/test_study_vec.py``.
 
-Two kinds of quantities appear:
+Three kinds of quantities appear:
 
 * **per-kernel coefficients** computed by shared scalar helpers
   (:func:`~repro.hardware.compute_unit.occupancy`, traffic prediction,
   :func:`~repro.engine.timing.cpu_vector_rate`) — gathered in Python,
   exactly as the scalar path computes them;
+* **per-clock scalars** (peak FLOP/s, issue rate, pin bandwidth,
+  scatter latency, clock, power scale) — computed by the device's own
+  Python helpers once per clock point, as ``(rows, 1)`` columns;
 * **the roofline arithmetic** over those coefficient arrays — done as
-  batched NumPy float64 ops, which are IEEE-identical to the same
-  sequence of Python float ops.
+  elementwise NumPy float64 ops broadcast over the grid, which are
+  IEEE-identical to the same sequence of Python float ops.  No
+  formula may use a reduction: ``np.sum`` and friends reassociate.
 
 Every field of the returned :class:`~repro.engine.timing.KernelTiming`
 objects is converted back to a Python ``float``: values flow into the
@@ -59,16 +65,42 @@ def time_gpu_kernel_batch(
 ) -> list[KernelTiming]:
     """Price a batch of lowered kernels on one GPU state.
 
-    Returns one :class:`KernelTiming` per input, each bit-identical to
+    The one-row case of :func:`time_gpu_kernel_grid`.  Returns one
+    :class:`KernelTiming` per input, each bit-identical to
     ``time_gpu_kernel(lowered, gpu, precision)``.
     """
+    return time_gpu_kernel_grid(lowereds, [gpu], precision)[0]
+
+
+def time_gpu_kernel_grid(
+    lowereds: Sequence[LoweredKernel],
+    gpus: Sequence[GPUDevice],
+    precision: Precision,
+) -> list[list[KernelTiming]]:
+    """Price a batch of lowered kernels on several clock states of one GPU.
+
+    ``gpus`` are the rows (one device per clock point, all of one
+    spec), ``lowereds`` the columns.  Every clock-independent
+    coefficient is derived once per kernel; every clock-dependent
+    scalar once per row, by the device's own helpers, as a ``(rows, 1)``
+    column.  The roofline is then elementwise over the
+    ``(rows, kernels)`` grid, with no reduction anywhere, so each cell
+    is the same sequence of IEEE operations as the scalar pricing of
+    that kernel on that row's device.  Returns ``timings[row][kernel]``,
+    each bit-identical to ``time_gpu_kernel(lowered, gpus[row],
+    precision)``.
+    """
     if not lowereds:
-        return []
+        return [[] for _ in gpus]
+    spec0 = gpus[0].spec
+    if any(gpu.spec != spec0 for gpu in gpus):
+        raise ValueError("time_gpu_kernel_grid prices clock states of one GPU spec")
     specs = [lowered.spec for lowered in lowereds]
 
+    # --- per-kernel coefficients (clock-independent) ------------------
     occs = [
         occupancy(
-            gpu.spec,
+            spec0,
             registers_per_thread=spec.registers_per_thread,
             lds_bytes_per_workgroup=spec.lds_bytes_per_workgroup if lowered.uses_lds else 0,
             workgroup_size=spec.workgroup_size,
@@ -80,85 +112,111 @@ def time_gpu_kernel_batch(
     useful = np.array([lowered.vector_efficiency for lowered in lowereds]) * (
         1.0 - np.array([lowered.divergence for lowered in lowereds])
     )
-
-    # --- compute side -------------------------------------------------
     flops = np.array([spec.ops.flops for spec in specs])
-    flop_seconds = np.where(flops > 0, flops / (gpu.peak_flops(precision) * useful), 0.0)
-    lanes_per_cu = gpu.spec.simd_per_cu * gpu.spec.lanes_per_simd
-    issue_rate = gpu.spec.compute_units * lanes_per_cu * gpu.core_clock.hz
     instructions = np.array([lowered.instructions for lowered in lowereds])
     if precision is Precision.DOUBLE:
         fp_fraction = np.minimum(0.9, flops / np.maximum(instructions, 1.0))
         instructions = instructions * (
-            (1.0 - fp_fraction) + fp_fraction / gpu.spec.dp_rate_ratio
+            (1.0 - fp_fraction) + fp_fraction / spec0.dp_rate_ratio
         )
+    l2_bytes = spec0.l2_cache.size_bytes
+    dram = np.array([lowered.dram_traffic_bytes(l2_bytes) for lowered in lowereds])
+    memory_efficiency = np.array([lowered.memory_efficiency for lowered in lowereds])
+    pattern_eff = np.array([spec.access.row_buffer_efficiency for spec in specs]) * (
+        memory_efficiency
+    )
+    # ``MemorySystem.effective_bandwidth``'s range check, once per kernel.
+    valid = (pattern_eff > 0.0) & (pattern_eff <= 1.0)
+    if not valid.all():
+        raise ValueError(
+            f"pattern_efficiency must be in (0, 1], got {pattern_eff[~valid][0]}"
+        )
+
+    # --- per-clock scalars, one (rows, 1) column each -----------------
+    def column(values: list[float]) -> np.ndarray:
+        return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
+    lanes_per_cu = spec0.simd_per_cu * spec0.lanes_per_simd
+    hz = column([gpu.core_clock.hz for gpu in gpus])
+    peak_flops = column([gpu.peak_flops(precision) for gpu in gpus])
+    issue_rate = column(
+        [spec0.compute_units * lanes_per_cu * gpu.core_clock.hz for gpu in gpus]
+    )
+    peak_bandwidth = column([gpu.memory.peak_bandwidth_at_clock() for gpu in gpus])
+
+    # --- compute side -------------------------------------------------
+    flop_seconds = np.where(flops > 0, flops / (peak_flops * useful), 0.0)
     issue_seconds = instructions / (issue_rate * useful)
     compute_seconds = np.maximum(flop_seconds, issue_seconds) / hiding
 
     # --- memory side ----------------------------------------------------
-    l2_bytes = gpu.spec.l2_cache.size_bytes
-    dram = np.array([lowered.dram_traffic_bytes(l2_bytes) for lowered in lowereds])
-    bandwidth = np.array(
-        [
-            gpu.memory.effective_bandwidth(
-                lowered.spec.access.row_buffer_efficiency * lowered.memory_efficiency
-            )
-            for lowered in lowereds
-        ]
-    ) * 1e9
+    bandwidth = (peak_bandwidth * pattern_eff) * 1e9
     memory_seconds = np.where(dram != 0.0, dram / bandwidth / hiding, 0.0)
 
     mlp_values = [SCATTER_MLP.get(spec.access.kind) for spec in specs]
     scatter = np.array([value is not None for value in mlp_values]) & (dram != 0.0)
     if scatter.any():
         mlp = np.array([value if value is not None else 1.0 for value in mlp_values])
-        requests = dram / gpu.spec.l2_cache.line_bytes
+        requests = dram / spec0.l2_cache.line_bytes
         waves = np.array([occ.wavefronts_per_cu for occ in occs], dtype=np.int64)
-        outstanding = (gpu.spec.compute_units * waves) * mlp
-        dram_latency = SCATTER_DRAM_LATENCY_S * (
-            gpu.memory.clock.default_mhz / gpu.memory.clock.current_mhz
+        outstanding = (spec0.compute_units * waves) * mlp
+        latency = column(
+            [
+                SCATTER_PIPELINE_CYCLES / gpu.core_clock.hz
+                + SCATTER_DRAM_LATENCY_S
+                * (gpu.memory.clock.default_mhz / gpu.memory.clock.current_mhz)
+                for gpu in gpus
+            ]
         )
-        latency = SCATTER_PIPELINE_CYCLES / gpu.core_clock.hz + dram_latency
-        memory_efficiency = np.array([lowered.memory_efficiency for lowered in lowereds])
         latency_seconds = requests * latency / outstanding / memory_efficiency
         memory_seconds = np.where(
             scatter, np.maximum(memory_seconds, latency_seconds), memory_seconds
         )
 
     seconds = np.maximum(np.maximum(compute_seconds, memory_seconds), GPU_KERNEL_FLOOR_S)
-    cycles = seconds * gpu.core_clock.hz
+    cycles = seconds * hz
 
     # Energy is scalar-helper arithmetic on the *final* per-cell floats
     # (same call, same arguments as the scalar path) — bit-identity by
     # construction, not by re-derivation.
-    power_scale = clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz)
-
-    timings: list[KernelTiming] = []
-    for i, (lowered, occ) in enumerate(zip(lowereds, occs)):
-        cell_seconds = float(seconds[i])
-        cell_compute = float(compute_seconds[i])
-        cell_memory = float(memory_seconds[i])
-        if cell_seconds == GPU_KERNEL_FLOOR_S:
-            limited_by = "floor"
-        elif cell_compute >= cell_memory:
-            limited_by = "compute"
-        else:
-            limited_by = "memory"
-        timings.append(
-            KernelTiming(
-                name=lowered.spec.name,
-                seconds=cell_seconds,
-                cycles=float(cycles[i]),
-                instructions=float(lowered.instructions),
-                dram_bytes=float(dram[i]),
-                limited_by=limited_by,
-                compute_seconds=cell_compute,
-                memory_seconds=cell_memory,
-                occupancy_waves=occ.wavefronts_per_cu,
-                joules=kernel_joules(gpu.spec.power, cell_seconds, cell_compute, power_scale),
+    names = [spec.name for spec in specs]
+    kernel_instructions = [float(lowered.instructions) for lowered in lowereds]
+    kernel_dram = dram.tolist()
+    kernel_waves = [occ.wavefronts_per_cu for occ in occs]
+    power = spec0.power
+    grid: list[list[KernelTiming]] = []
+    for gpu, row_seconds, row_cycles, row_compute, row_memory in zip(
+        gpus, seconds.tolist(), cycles.tolist(),
+        compute_seconds.tolist(), memory_seconds.tolist(),
+    ):
+        power_scale = clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz)
+        row: list[KernelTiming] = []
+        for i, cell_seconds in enumerate(row_seconds):
+            cell_compute = row_compute[i]
+            cell_memory = row_memory[i]
+            if cell_seconds == GPU_KERNEL_FLOOR_S:
+                limited_by = "floor"
+            elif cell_compute >= cell_memory:
+                limited_by = "compute"
+            else:
+                limited_by = "memory"
+            row.append(
+                KernelTiming(
+                    name=names[i],
+                    seconds=cell_seconds,
+                    cycles=row_cycles[i],
+                    instructions=kernel_instructions[i],
+                    dram_bytes=kernel_dram[i],
+                    limited_by=limited_by,
+                    compute_seconds=cell_compute,
+                    memory_seconds=cell_memory,
+                    occupancy_waves=kernel_waves[i],
+                    joules=kernel_joules(power, cell_seconds, cell_compute, power_scale),
+                )
             )
-        )
-    return timings
+        grid.append(row)
+    return grid
 
 
 #: Access kinds whose predictable streams CPU prefetchers cover

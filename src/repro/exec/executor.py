@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -263,7 +263,6 @@ def execute_run(
     # Lazy imports keep the exec package importable from low layers
     # and let pool workers pay the heavy app imports exactly once.
     from ..apps import APPS_BY_NAME
-    from ..hardware.device import platform_for
     from ..models.base import ExecutionContext
 
     if faults is not None and faults.active:
@@ -274,24 +273,22 @@ def execute_run(
     trace_before = memo.TRACE_CACHE.snapshot()
     started = time.perf_counter()
     app = APPS_BY_NAME[spec.app]
-    platform = platform_for(spec.platform)
-    if spec.core_mhz is not None:
-        platform.gpu.core_clock.set(spec.core_mhz)
-    if spec.memory_mhz is not None:
-        platform.gpu.memory_clock.set(spec.memory_mhz)
     ctx = ExecutionContext(
-        platform=platform,
+        platform=spec.make_platform(),
         precision=spec.precision,
         execute_kernels=not spec.projection,
     )
     recorded: RunTelemetry | None = None
+    # Projection runs never write their setup arrays: share them.
+    setups = memo.shared_setups() if spec.projection else nullcontext()
     if telemetry:
         recorder = SpanRecorder(meta=spec.telemetry_meta())
-        with obs_spans.recording(recorder):
+        with obs_spans.recording(recorder), setups:
             result = app.ports[spec.model](ctx, spec.config)
         recorded = recorder.finish(spec.label)
     else:
-        result = app.ports[spec.model](ctx, spec.config)
+        with setups:
+            result = app.ports[spec.model](ctx, spec.config)
     wall = time.perf_counter() - started
     delta = memo.KERNEL_CACHE.snapshot().since(before)
     setup_delta = memo.SETUP_CACHE.snapshot().since(setup_before)

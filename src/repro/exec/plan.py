@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..hardware.specs import Precision
+
+if TYPE_CHECKING:
+    from ..hardware.device import Platform
 
 #: Platform selector values for :attr:`RunSpec.platform`.
 APU = "apu"
@@ -94,6 +97,19 @@ class RunSpec:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be a positive frequency, got {value!r}")
+        canonical = repr((
+            self.app,
+            self.model,
+            self.platform,
+            self.precision.value,
+            self.config,
+            self.projection,
+            self.core_mhz,
+            self.memory_mhz,
+        ))
+        object.__setattr__(
+            self, "_content_key", hashlib.sha256(canonical.encode()).hexdigest()
+        )
 
     @property
     def apu(self) -> bool:
@@ -110,6 +126,17 @@ class RunSpec:
             clocks = f"@{core}/{memory}MHz"
         return f"{self.app}/{self.model}/{self.platform}{clocks}/{self.precision.value}"
 
+    def make_platform(self) -> "Platform":
+        """A fresh platform with this run's clock overrides applied."""
+        from ..hardware.device import platform_for
+
+        platform = platform_for(self.platform)
+        if self.core_mhz is not None:
+            platform.gpu.core_clock.set(self.core_mhz)
+        if self.memory_mhz is not None:
+            platform.gpu.memory_clock.set(self.memory_mhz)
+        return platform
+
     def telemetry_meta(self) -> dict[str, str]:
         """Labels seeding this run's span recorder and metrics: the
         identity every span/metric of the run is attributed to."""
@@ -125,27 +152,13 @@ class RunSpec:
 
         Built from the repr of every field (config dataclasses repr
         all their parameters), so equal-content descriptors collide by
-        construction and object identity never matters.  Memoized per
-        instance (every field is frozen, so the digest cannot change):
-        the serve tier keys routing, caching, and the persistent store
-        off this digest, several times per cell.
+        construction and object identity never matters.  Computed once,
+        when the descriptor is built (every field is frozen, so the
+        digest cannot change): both executors deduplicate on it and the
+        serve tier keys routing, caching, and the persistent store off
+        it, so every descriptor needs it.
         """
-        cached = self.__dict__.get("_content_key")
-        if cached is not None:
-            return cached
-        canonical = repr((
-            self.app,
-            self.model,
-            self.platform,
-            self.precision.value,
-            self.config,
-            self.projection,
-            self.core_mhz,
-            self.memory_mhz,
-        ))
-        key = hashlib.sha256(canonical.encode()).hexdigest()
-        object.__setattr__(self, "_content_key", key)
-        return key
+        return self._content_key  # type: ignore[attr-defined]
 
     def schedule_key(self) -> tuple:
         """Everything that shapes the launch/transfer schedule.

@@ -187,6 +187,8 @@ def run_with_retry(
                     f"(watchdog budget {policy.run_timeout:g} s)"
                 )
             validate_result(outcome.result)
+            if attempt == 0:
+                return outcome  # a first try: its defaults already say so
             return replace(outcome, attempts=attempt + 1, retry_history=tuple(history))
         except KeyboardInterrupt:
             raise

@@ -350,7 +350,9 @@ class Batcher:
 
         Best-effort: any failure (capture, pricing, validation) simply
         leaves the affected specs to the scalar fallback — the batcher
-        never loses a request to the fast path.  Returns the priced
+        never loses a request to the fast path.  ``price_specs``
+        isolates failures per schedule group and then per row, so one
+        failing spec costs only itself the fast path.  Returns the priced
         results plus the wall window of the columnar call, so each
         served request's trace carries an ``engine`` segment covering
         the shared computation that produced its answer.
@@ -373,6 +375,8 @@ class Batcher:
         window = (window_start, time.perf_counter())
         priced: dict[str, RunResult] = {}
         for (key, _spec), result in zip(cold, results):
+            if result is None:
+                continue
             try:
                 validate_result(result)
             except Exception:

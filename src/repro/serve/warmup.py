@@ -117,9 +117,12 @@ def _price(specs: list[RunSpec]) -> dict[str, object]:
         try:
             results = price_specs(vector)
         except Exception:
-            scalar = list(specs)  # columnar capture failed: all via ladder
+            scalar = list(specs)  # the columnar path failed outright: all via ladder
         else:
             for spec, result in zip(vector, results):
+                if result is None:
+                    scalar.append(spec)
+                    continue
                 try:
                     validate_result(result)
                 except Exception:

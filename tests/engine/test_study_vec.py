@@ -7,8 +7,9 @@ record — with ``==``, no tolerance.  These tests run the full study
 matrix (including the Serial and Heterogeneous Compute cells the
 columnar engine must delegate) through both engines from cold caches
 and compare everything observable, then probe the seams: quarantine
-holes, clock-override sweeps, the batched pricers, capture memoization
-and the projection-stub cache.
+holes, clock-override sweeps, the batched pricers and their broadcast
+over clock points, the per-row folds, per-group failure isolation,
+capture memoization and the projection-stub cache.
 """
 
 import random
@@ -22,17 +23,24 @@ from repro.core.study import run_study
 from repro.engine import memo
 from repro.engine.study_vec import (
     VECTOR_MODELS,
+    _accumulate,
+    _accumulate_rows,
+    cached_program,
     capture_program,
     execute_vector,
     price_specs,
     vector_eligible,
 )
 from repro.engine.timing import time_cpu_kernel, time_gpu_kernel
-from repro.engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_batch
+from repro.engine.timing_vec import (
+    time_cpu_kernel_batch,
+    time_gpu_kernel_batch,
+    time_gpu_kernel_grid,
+)
 from repro.exec.executor import execute, execute_with_engine
 from repro.exec.plan import DGPU, RunSpec, study_runs, sweep_runs
 from repro.exec.retry import RetryPolicy
-from repro.hardware.device import make_platform
+from repro.hardware.device import make_platform, platform_for
 from repro.hardware.specs import Precision
 
 #: Every model of the comparison, including the two columnar-ineligible
@@ -618,3 +626,166 @@ def test_capture_lift_equals_a_by_value_rebuild(app_name, model):
         transfer_free += not len(program.transfer_events)
     if model in ("OpenMP", "Serial"):
         assert transfer_free == 2
+
+
+# --- broadcast pricing along the clock axis --------------------------
+
+
+def _clock_rows(platform):
+    """One device per clock point: both range edges of each domain, the
+    default, and an interior point, crossed."""
+    gpu = platform_for(platform).gpu
+    core, memory = gpu.core_clock, gpu.memory_clock
+    core_points = sorted({core.min_mhz, core.default_mhz, core.max_mhz,
+                          (core.min_mhz + core.max_mhz) / 2 + 0.25})
+    memory_points = sorted({memory.min_mhz, memory.default_mhz, memory.max_mhz,
+                            (memory.min_mhz + memory.max_mhz) / 2 + 0.5})
+    rows = []
+    for core_mhz in core_points:
+        for memory_mhz in memory_points:
+            row = platform_for(platform).gpu
+            row.core_clock.set(core_mhz)
+            row.memory_clock.set(memory_mhz)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("platform", ["apu", DGPU, "v100"])
+@pytest.mark.parametrize("precision", list(Precision))
+@pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
+def test_broadcast_grid_equals_per_row_batches(app_name, precision, platform):
+    """One (clock rows x atoms) broadcast call equals the one-row call
+    per clock point, and the scalar pricer per cell, exactly."""
+    spec = RunSpec(app_name, "OpenCL", platform, precision, sweep_configs()[app_name])
+    lowereds = [atom[1] for atom in capture_program(spec).atoms if atom[0] == "gpu"]
+    assert lowereds
+    rows = _clock_rows(platform)
+    grid = time_gpu_kernel_grid(lowereds, rows, precision)
+    assert len(grid) == len(rows)
+    for gpu, row in zip(rows, grid):
+        assert row == time_gpu_kernel_batch(lowereds, gpu, precision)
+        assert row == [time_gpu_kernel(lowered, gpu, precision) for lowered in lowereds]
+    # The edges genuinely price differently (the clocks reached the grid).
+    assert len({tuple(t.seconds for t in row) for row in grid}) > 1
+
+
+def test_broadcast_grid_rejects_mixed_gpu_specs():
+    spec = RunSpec("XSBench", "OpenCL", DGPU, Precision.SINGLE, sweep_configs()["XSBench"])
+    lowereds = [atom[1] for atom in capture_program(spec).atoms if atom[0] == "gpu"]
+    rows = [make_platform(apu=False).gpu, make_platform(apu=True).gpu]
+    with pytest.raises(ValueError, match="one GPU spec"):
+        time_gpu_kernel_grid(lowereds, rows, Precision.SINGLE)
+
+
+def test_row_fold_equals_per_row_left_fold():
+    """The 2-D fold over (cells x events) is each row's strict left fold."""
+    rng = np.random.default_rng(2015)
+    # Magnitudes spread over many decades, so association order shows.
+    values = rng.standard_normal((37, 211)) * 10.0 ** rng.integers(-8, 9, (37, 211))
+    folded = _accumulate_rows(values)
+    assert folded.tolist() == [_accumulate(row) for row in values]
+    assert _accumulate_rows(values[:, :0]).tolist() == [0.0] * 37
+
+
+def test_left_fold_is_not_np_sum():
+    """Why the formulas stay reduction-free: ``np.sum`` sums pairwise
+    (in blocks), a scalar ``+=`` accumulator left to right.  Here the
+    left fold loses every 1.0 against 1e17, while pairwise summation
+    adds the ones among themselves first and keeps them."""
+    values = np.array([1e17] + [1.0] * 1000)
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    assert _accumulate(values) == total == 1e17
+    assert _accumulate_rows(values[None, :]).tolist() == [total]
+    assert float(np.sum(values)) != total
+
+
+# --- failure isolation and per-row stats -----------------------------
+
+
+def _xsbench_grid():
+    config = sweep_configs()["XSBench"]
+    return sweep_runs(
+        "XSBench", config, Precision.SINGLE, (300.0, 547.0, 1000.0), (600.0, 1250.0), "OpenCL"
+    )
+
+
+def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
+    """A group whose broadcast call raises is re-priced row by row:
+    every row that prices alone stays columnar, and only the row that
+    still raises takes the scalar retry ladder."""
+    import repro.engine.study_vec as study_vec
+
+    runs = _xsbench_grid()
+    bad = runs[2]
+    real_price, real_retry = study_vec.price_cell, study_vec.run_with_retry
+    calls, ladder = [], []
+
+    def flaky(program, specs):
+        calls.append(len(specs))
+        if len(specs) > 1 or specs[0] == bad:
+            raise RuntimeError("injected pricing failure")
+        return real_price(program, specs)
+
+    def counted(spec, *args, **kwargs):
+        ladder.append(spec)
+        return real_retry(spec, *args, **kwargs)
+
+    monkeypatch.setattr(study_vec, "price_cell", flaky)
+    monkeypatch.setattr(study_vec, "run_with_retry", counted)
+    memo.clear_caches()
+    vector_outcomes, stats = execute_vector(runs)
+    assert calls == [len(runs)] + [1] * len(runs)
+    assert ladder == [bad]
+    assert not stats.failures
+    memo.clear_caches()
+    scalar_outcomes, _ = execute(runs)
+    for spec, left, right in zip(runs, scalar_outcomes, vector_outcomes):
+        assert outcome_fingerprint(left) == outcome_fingerprint(right), spec.label
+    memo.clear_caches()
+
+
+def test_price_specs_isolates_a_failing_group(monkeypatch):
+    """``price_specs`` returns ``None`` only for the rows that fail alone."""
+    import repro.engine.study_vec as study_vec
+
+    runs = _xsbench_grid()
+    other = RunSpec("read-benchmark", "OpenCL", DGPU, Precision.SINGLE,
+                    sweep_configs()["read-benchmark"])
+    bad = runs[4]
+    real = study_vec.price_cell
+
+    def flaky(program, specs):
+        if bad in specs:
+            raise RuntimeError("injected pricing failure")
+        return real(program, specs)
+
+    monkeypatch.setattr(study_vec, "price_cell", flaky)
+    memo.clear_caches()
+    results = price_specs([*runs, other])
+    assert [r is None for r in results] == [spec == bad for spec in [*runs, other]]
+    monkeypatch.setattr(study_vec, "price_cell", real)
+    memo.clear_caches()
+    expected = price_specs([*runs, other])
+    for got, want in zip(results, expected):
+        if got is not None:
+            assert result_fingerprint(got) == result_fingerprint(want)
+    memo.clear_caches()
+
+
+def test_per_row_cache_counts_sum_to_the_call_delta():
+    """Each outcome counts the lookups made for its own row, so the
+    stats totals equal the cache delta over the whole call."""
+    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
+    runs += _xsbench_grid()
+    memo.clear_caches()
+    for _ in range(2):  # cold, then warm
+        before = memo.KERNEL_CACHE.snapshot()
+        outcomes, stats = execute_vector(runs)
+        delta = memo.KERNEL_CACHE.snapshot().since(before)
+        assert (stats.cache_hits, stats.cache_misses) == (delta.hits, delta.misses)
+        for outcome in outcomes:
+            atoms = cached_program(outcome.spec).atoms
+            assert outcome.cache_hits + outcome.cache_misses == len(atoms)
+    memo.clear_caches()

@@ -145,6 +145,38 @@ def test_columnar_failure_falls_back_to_scalar(monkeypatch):
     assert result.seconds > 0
 
 
+def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
+    """One schedule group whose pricing raises takes the scalar ladder;
+    the batch's other cold specs stay columnar-priced and are counted."""
+    import repro.engine.study_vec as study_vec
+
+    real = study_vec.price_cell
+
+    def flaky(program, specs):
+        if program.model == "OpenACC":
+            raise RuntimeError("injected group failure")
+        return real(program, specs)
+
+    monkeypatch.setattr(study_vec, "price_cell", flaky)
+
+    async def main():
+        metrics = MetricsRegistry()
+        batcher = _batcher(metrics=metrics, engine="vector", window_s=0.05)
+        outcomes = await asyncio.gather(
+            batcher.submit(_spec()),
+            batcher.submit(_spec(platform="dgpu")),
+            batcher.submit(_spec(model="OpenACC")),
+        )
+        await batcher.drain()
+        return metrics, outcomes
+
+    metrics, outcomes = asyncio.run(main())
+    assert [label for _result, label in outcomes] == [COMPUTED] * 3
+    assert all(result.seconds > 0 for result, _label in outcomes)
+    assert metrics.counter("repro_serve_columnar_specs_total").value == 2
+    assert metrics.counter("repro_serve_engine_runs_total").value == 1
+
+
 def test_vector_batcher_counts_columnar_specs():
     """Cold eligible specs are tallied by the columnar counter; a
     scalar batcher never creates it."""
