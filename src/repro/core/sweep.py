@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ..apps.base import ProxyApp
 from ..exec.checkpoint import CheckpointJournal
@@ -28,9 +29,9 @@ from ..hardware.specs import Precision
 from ..obs.export import Timeline
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One measured grid point."""
+class SweepPoint(NamedTuple):
+    """One measured grid point (a named tuple: a dense grid builds
+    thousands, and a tuple is the cheapest immutable record)."""
 
     core_mhz: float
     memory_mhz: float
@@ -157,12 +158,7 @@ def run_sweep(
     anchor = seconds_grid.get((min(core_grid), min(memory_grid)))
     slowest = anchor if anchor is not None else max(seconds_grid.values())
     points = [
-        SweepPoint(
-            core_mhz=core,
-            memory_mhz=memory,
-            seconds=seconds,
-            normalized_performance=slowest / seconds,
-        )
+        SweepPoint(core, memory, seconds, slowest / seconds)
         for (core, memory), seconds in seconds_grid.items()
     ]
     return SweepResult(

@@ -36,11 +36,15 @@ This engine lowers the matrix instead of looping it:
    performed — bit-identical, not merely close.  (``np.sum`` would use
    pairwise summation and drift in the last ulps.)  A group folds all
    its cells in one ``(cells x events)`` accumulate; the adds of each
-   row are still that row's left fold.
+   row are still that row's left fold.  Heterogeneous Compute's clock
+   is not one accumulator but the makespan of a copy and a compute
+   stream: its capture also records the runtime's stream steps, and
+   the group replays them once over ``(cells,)`` columns of the same
+   per-event charge returns (``np.maximum`` and adds in the runtime's
+   order, no reduction), so each row is again the scalar sequence.
 
-Cells the fold cannot express run through the scalar engine unchanged:
-functional (non-projection) runs, the Heterogeneous Compute model
-(a two-queue makespan, not a single accumulator), telemetry recordings
+Cells the columnar engine cannot express run through the scalar engine
+unchanged: functional (non-projection) runs, telemetry recordings
 (spans are per-charge by construction), and fault-injection campaigns
 (the chaos harness drives the scalar retry ladder).  The scalar path
 is also the per-cell fallback if anything in the columnar path raises:
@@ -82,19 +86,22 @@ from ..exec.plan import RunSpec, SpecLattice
 from ..exec.retry import RetryPolicy, run_with_retry, validate_result
 from ..models.base import ChargeLog, ExecutionContext
 
-#: Models whose simulated clock is a single left-fold of ``charge_*``
-#: returns.  Heterogeneous Compute is excluded: its CPU and GPU queues
-#: accumulate separately and the run time is their makespan.
-VECTOR_MODELS = frozenset(
-    {"OpenMP", "Serial", "OpenCL", "C++ AMP", "OpenACC", "OpenMP Offload"}
-)
+#: Models whose captured schedule the columnar engine prices: the
+#: simulated clock is a single left fold of ``charge_*`` returns, or,
+#: for Heterogeneous Compute, the makespan of its copy and compute
+#: streams, replayed from the captured stream program.
+VECTOR_MODELS = frozenset({
+    "OpenMP", "Serial", "OpenCL", "C++ AMP", "OpenACC", "OpenMP Offload",
+    "Heterogeneous Compute",
+})
 
 
 def vector_eligible(spec: RunSpec) -> bool:
     """Whether the columnar engine can price this cell.
 
     Projection mode only (functional runs execute kernel bodies, which
-    capture skips by construction), and single-accumulator models only.
+    capture skips by construction), for the models of
+    :data:`VECTOR_MODELS`.
     """
     return spec.projection and spec.model in VECTOR_MODELS
 
@@ -130,6 +137,11 @@ class ChargeProgram:
     #: Exact byte totals by direction (Python ints, like the counters).
     bytes_to_device: int
     bytes_to_host: int
+    #: The two-stream program of a Heterogeneous Compute capture
+    #: (:attr:`~repro.models.base.ChargeLog.streams`), whose makespan is
+    #: the run's clock; ``None`` for the single-accumulator models,
+    #: whose clock is the left fold of every counted charge.
+    streams: tuple[tuple[str, int, tuple[int, ...]], ...] | None = None
 
 
 def capture_program(spec: RunSpec) -> ChargeProgram:
@@ -188,6 +200,7 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
         transfer_events=transfer_events,
         bytes_to_device=bytes_to_device,
         bytes_to_host=bytes_to_host,
+        streams=tuple(log.streams) if log.streams else None,
     )
 
 
@@ -217,6 +230,40 @@ def _accumulate_rows(values: np.ndarray) -> np.ndarray:
     if values.shape[1] == 0:
         return np.zeros(values.shape[0])
     return np.add.accumulate(values, axis=1)[:, -1]
+
+
+def _makespan_rows(
+    streams: Sequence[tuple[str, int, tuple[int, ...]]], contrib: np.ndarray
+) -> np.ndarray:
+    """:class:`~repro.models.hc.HCRuntime`'s makespan for every row of
+    a ``(rows, events)`` matrix of charge returns.
+
+    Replays the captured stream program once over ``(rows,)`` vectors
+    in the runtime's own operation order: ``np.maximum`` is exact and
+    each add is the runtime's add, with no reduction anywhere, so every
+    row is the scalar run's IEEE sequence.  A ready slot never written
+    reads 0.0, like the runtime's ``_ready.get(id(a), 0.0)``.
+    """
+    zero = np.zeros(contrib.shape[0])
+    columns = contrib.T
+    copy = compute = zero
+    ready: dict[int, np.ndarray] = {}
+    for kind, event, slots in streams:
+        if kind == "launch":
+            start = compute
+            for slot in slots:
+                start = np.maximum(start, ready.get(slot, zero))
+            compute = start + columns[event]
+        elif kind == "sync":
+            copy = compute = np.maximum(copy, compute) + columns[event]
+            for slot in slots:
+                ready[slot] = copy
+        elif kind == "async":
+            copy = copy + columns[event]
+            ready[slots[0]] = copy
+        else:  # "ready0"
+            ready[slots[0]] = zero
+    return np.maximum(copy, compute)
 
 
 #: The :class:`KernelTiming` fields the counters fold, in fold order.
@@ -330,11 +377,15 @@ def price_cell(
     ).reshape(len(served), len(atoms), 5)
     # The port's clock: each counted charge contributes its return
     # value (kernel seconds + overhead as one add, then the fold add —
-    # the same two-IEEE-add sequence the scalar accumulator performs).
+    # the same two-IEEE-add sequence the scalar accumulator performs),
+    # or, for a two-stream program, the replayed makespan over the same
+    # returns.
     kernel_contrib = fields[:, program.ev_atom, 0] + program.ev_overhead
+    contrib = np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)
     folds = np.stack(
         [
-            _accumulate_rows(np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)),
+            _accumulate_rows(contrib) if program.streams is None
+            else _makespan_rows(program.streams, contrib),
             *(_accumulate_rows(fields[:, katoms, k]) for k in range(5)),
         ],
         axis=1,
@@ -579,7 +630,7 @@ def execute_vector(
         cache_hits=sum(o.cache_hits for o in executed if o is not None),
         cache_misses=sum(o.cache_misses for o in executed if o is not None),
         per_run=[
-            (o.spec.label, o.wall_seconds, o.cache_hits, o.cache_misses, 0, 0, 0, 0)
+            (o.spec, o.wall_seconds, o.cache_hits, o.cache_misses, 0, 0, 0, 0)
             for o in executed
             if o is not None
         ],

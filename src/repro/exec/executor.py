@@ -32,11 +32,14 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -105,10 +108,13 @@ class ExecStats:
     setup_misses: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
-    #: Per-run (label, wall seconds, kernel hits, kernel misses,
+    #: Per-run (spec, wall seconds, kernel hits, kernel misses,
     #: setup hits, setup misses, trace hits, trace misses) — one row
-    #: per executed unique run.
-    per_run: list[tuple[str, float, int, int, int, int, int, int]] = field(default_factory=list)
+    #: per executed unique run.  Rows carry the :class:`RunSpec`, not
+    #: its label: only ``repro study --per-run`` formats one.
+    per_run: list[tuple[RunSpec, float, int, int, int, int, int, int]] = field(
+        default_factory=list
+    )
     #: Kernel launches by dominant limiter ("compute" / "memory" /
     #: "floor"), summed over the executed runs — Table I's
     #: boundedness claim, visible per study run.
@@ -469,13 +475,10 @@ def default_workers() -> int:
 
 def _limited_by_tallies(executed: list[RunOutcome | None]) -> dict[str, int]:
     """Kernel launches by dominant limiter, over the executed runs."""
-    tallies: dict[str, int] = {}
-    for outcome in executed:
-        if outcome is None:
-            continue
-        for record in outcome.result.counters.kernels:
-            tallies[record.limited_by] = tallies.get(record.limited_by, 0) + 1
-    return tallies
+    records = chain.from_iterable(
+        outcome.result.counters.kernels for outcome in executed if outcome is not None
+    )
+    return dict(Counter(map(attrgetter("limited_by"), records)))
 
 
 def _executor_metrics(stats: ExecStats, worker_busy: dict[int, float]) -> MetricsRegistry:
@@ -922,7 +925,7 @@ def execute(
         trace_hits=sum(o.trace_hits for o in executed if o is not None),
         trace_misses=sum(o.trace_misses for o in executed if o is not None),
         per_run=[
-            (o.spec.label, o.wall_seconds, o.cache_hits, o.cache_misses,
+            (o.spec, o.wall_seconds, o.cache_hits, o.cache_misses,
              o.setup_hits, o.setup_misses, o.trace_hits, o.trace_misses)
             for o in executed
             if o is not None

@@ -97,19 +97,25 @@ class RunSpec:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be a positive frequency, got {value!r}")
-        canonical = repr((
+        schedule = (
             self.app,
             self.model,
             self.platform,
             self.precision.value,
-            self.config,
+            repr(self.config),
             self.projection,
-            self.core_mhz,
-            self.memory_mhz,
-        ))
+        )
+        # The repr of the full field tuple, spelled out so the config's
+        # repr is built once for both keys.
+        canonical = (
+            f"({self.app!r}, {self.model!r}, {self.platform!r}, "
+            f"{self.precision.value!r}, {schedule[4]}, {self.projection!r}, "
+            f"{self.core_mhz!r}, {self.memory_mhz!r})"
+        )
         object.__setattr__(
             self, "_content_key", hashlib.sha256(canonical.encode()).hexdigest()
         )
+        object.__setattr__(self, "_schedule_key", schedule)
 
     @property
     def apu(self) -> bool:
@@ -167,16 +173,9 @@ class RunSpec:
         what each kernel *costs*, never which kernels launch or what
         moves over the interconnect.  Cells sharing this key (e.g. an
         entire frequency sweep) share one captured charge schedule in
-        the columnar engine.
+        the columnar engine.  Computed once, with the content key.
         """
-        return (
-            self.app,
-            self.model,
-            self.platform,
-            self.precision.value,
-            repr(self.config),
-            self.projection,
-        )
+        return self._schedule_key  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)

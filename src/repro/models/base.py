@@ -255,6 +255,16 @@ class ChargeLog:
       clock).
     * ``event_ids`` — the schedule, in charge order: one
       ``event_table`` index per charge.
+    * ``streams`` — the two-stream program of a Heterogeneous Compute
+      run (:class:`~repro.models.hc.HCRuntime`), empty for every
+      single-accumulator model: ``(kind, event, slots)`` steps in call
+      order, where ``kind`` is ``"sync"`` (a copy that joins both
+      streams), ``"async"`` (a copy on the DMA stream), ``"ready0"``
+      (an array usable at time 0) or ``"launch"``; ``event`` is the
+      ``event_ids`` position of the charge the step made (``-1`` for
+      ``"ready0"``); ``slots`` number the ready-table entries the step
+      writes (copies) or reads (launches).  Slots are keyed by
+      ``id(host)`` exactly as the runtime's ready table is.
 
     A log belongs to one capture context: its platform (which decides
     hand-tuned retargeting) is fixed for the log's lifetime.
@@ -276,6 +286,8 @@ class ChargeLog:
         self._gpu_events: dict[tuple[int, int, int, int], tuple] = {}
         self._cpu_events: dict[tuple[int, int], tuple] = {}
         self._xfer_events: dict[tuple[int, str, bool], int] = {}
+        self.streams: list[tuple[str, int, tuple[int, ...]]] = []
+        self._slots: dict[int, int] = {}
 
     @property
     def events(self) -> list[tuple[int, float, int, bool]]:
@@ -342,6 +354,14 @@ class ChargeLog:
             event = self._xfer_events[key] = self._event_id((-1, 0.0, index, counted))
         self.event_ids.append(event)
         return 0.0
+
+    def stream_step(self, kind: str, arrays: tuple = ()) -> None:
+        """Record one step of the two-stream program (see ``streams``);
+        every kind but ``"ready0"`` follows the charge it made."""
+        slots = self._slots
+        keys = tuple(slots.setdefault(id(a), len(slots)) for a in arrays)
+        event = -1 if kind == "ready0" else len(self.event_ids) - 1
+        self.streams.append((kind, event, keys))
 
 
 class Toolchain:

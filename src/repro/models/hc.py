@@ -19,6 +19,11 @@ stream.  ``async_copy_to_device`` advances only the copy stream; a
 ``launch`` whose inputs are still in flight waits for them, otherwise
 it overlaps with outstanding copies.  ``finish()`` (and
 ``simulated_seconds``) report the makespan of the two streams.
+
+In capture mode (a :class:`~repro.models.base.ChargeLog` on the
+context) every charge returns 0.0, so the runtime also records each
+stream step into the log; the columnar engine replays those steps over
+per-clock price columns to recover the makespan.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ class HCRuntime:
         self._compute_time = 0.0
         #: When each staged array's device copy becomes usable.
         self._ready: dict[int, float] = {}
+        #: Capture mode: the log that records the stream steps.
+        self._log = ctx.charge_log
 
     @property
     def simulated_seconds(self) -> float:
@@ -90,10 +97,11 @@ class HCRuntime:
     def copy_to_device(self, host: np.ndarray) -> np.ndarray:
         """Synchronous host->device copy; raw pointer on the APU."""
         if self.unified:
-            self._ready[id(host)] = 0.0
-            return host
+            return self._ready_at_zero(host, host)
         device = self._stage(host)
         seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
+        if self._log is not None:
+            self._log.stream_step("sync", (host,))
         done = max(self._copy_time, self._compute_time) + seconds
         self._copy_time = self._compute_time = done
         self._ready[id(host)] = done
@@ -106,10 +114,11 @@ class HCRuntime:
         array wait for it, everything else overlaps.
         """
         if self.unified:
-            self._ready[id(host)] = 0.0
-            return host
+            return self._ready_at_zero(host, host)
         device = self._stage(host)
         seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
+        if self._log is not None:
+            self._log.stream_step("async", (host,))
         self._copy_time += seconds
         self._ready[id(host)] = self._copy_time
         return device
@@ -118,17 +127,21 @@ class HCRuntime:
         """Allocate device storage for an output array without copying
         (the ``CL_MEM_WRITE_ONLY`` idiom: results only ever come back)."""
         if self.unified:
-            self._ready[id(host)] = 0.0
-            return host
+            return self._ready_at_zero(host, host)
         if not self.ctx.execute_kernels:
             self._device[id(host)] = host
-            self._ready[id(host)] = 0.0
-            return host
+            return self._ready_at_zero(host, host)
         device = self._device.get(id(host))
         if device is None:
             device = np.empty_like(host)
             self._device[id(host)] = device
+        return self._ready_at_zero(host, device)
+
+    def _ready_at_zero(self, host: np.ndarray, device: np.ndarray) -> np.ndarray:
+        """Mark ``host``'s device copy usable from time 0; returns ``device``."""
         self._ready[id(host)] = 0.0
+        if self._log is not None:
+            self._log.stream_step("ready0", (host,))
         return device
 
     def copy_to_host(self, host: np.ndarray) -> None:
@@ -141,6 +154,8 @@ class HCRuntime:
         if self.ctx.execute_kernels and device is not host:
             np.copyto(host, device)
         seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "d2h")
+        if self._log is not None:
+            self._log.stream_step("sync")
         done = max(self._copy_time, self._compute_time) + seconds
         self._copy_time = self._compute_time = done
 
@@ -175,6 +190,8 @@ class HCRuntime:
             device_arrays = [self.device_view(a) for a in arrays]
             func(*device_arrays, *scalars)
         seconds = self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(arrays))
+        if self._log is not None:
+            self._log.stream_step("launch", tuple(arrays))
         start = self._compute_time
         for a in arrays:
             start = max(start, self._ready.get(id(a), 0.0))

@@ -171,7 +171,6 @@ class Program:
     def __init__(self, context: Context) -> None:
         context._check()
         self.context = context
-        self._kernels: dict[str, Kernel] = {}
         self._built = False
 
     def build(self) -> "Program":
@@ -182,9 +181,7 @@ class Program:
     def create_kernel(self, name: str, func: Callable[..., None], spec: KernelSpec) -> Kernel:
         if not self._built:
             raise CLError("clCreateKernel before clBuildProgram")
-        kernel = Kernel(self, name, func, spec)
-        self._kernels[name] = kernel
-        return kernel
+        return Kernel(self, name, func, spec)
 
 
 class CommandQueue:

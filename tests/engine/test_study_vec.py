@@ -4,12 +4,13 @@ The acceptance property of :mod:`repro.engine.study_vec` is *bit*
 identity: the lowered spec-lattice pricing must reproduce the scalar
 executor's results exactly — seconds, every counter, every kernel
 record — with ``==``, no tolerance.  These tests run the full study
-matrix (including the Serial and Heterogeneous Compute cells the
-columnar engine must delegate) through both engines from cold caches
-and compare everything observable, then probe the seams: quarantine
-holes, clock-override sweeps, the batched pricers and their broadcast
-over clock points, the per-row folds, per-group failure isolation,
-capture memoization and the projection-stub cache.
+matrix (every model, Heterogeneous Compute's two-stream makespan
+included, plus functional cells the columnar engine must delegate)
+through both engines from cold caches and compare everything
+observable, then probe the seams: quarantine holes, clock-override
+sweeps, the batched pricers and their broadcast over clock points, the
+per-row folds, per-group failure isolation, capture memoization and
+the projection-stub cache.
 """
 
 import random
@@ -43,9 +44,9 @@ from repro.exec.retry import RetryPolicy
 from repro.hardware.device import make_platform, platform_for
 from repro.hardware.specs import Precision
 
-#: Every model of the comparison, including the two columnar-ineligible
-#: tails: Serial folds fine, Heterogeneous Compute is a two-queue
-#: makespan and must be delegated to the scalar engine.
+#: Every model of the comparison: Serial and the offload models price
+#: as one left fold, Heterogeneous Compute as a replayed two-stream
+#: makespan.
 ALL_MODELS = ("Serial", "OpenCL", "C++ AMP", "OpenACC", "Heterogeneous Compute")
 
 #: Every numeric field of :class:`repro.engine.counters.PerfCounters`.
@@ -102,10 +103,21 @@ def outcome_fingerprint(outcome):
     return fp
 
 
+def functional_cells():
+    """Functional (``projection=False``) cells, which the columnar
+    engine must hand to the scalar executor."""
+    return [
+        RunSpec(app, model, DGPU, Precision.SINGLE, sweep_configs()[app], projection=False)
+        for app in ("read-benchmark", "XSBench")
+        for model in ("OpenCL", "Heterogeneous Compute")
+    ]
+
+
 @pytest.fixture(scope="module")
 def matrix_pair():
-    """The full matrix through both engines, each from cold caches."""
-    runs = full_matrix()
+    """The full matrix plus functional cells through both engines,
+    each from cold caches."""
+    runs = full_matrix() + functional_cells()
     memo.clear_caches()
     scalar = execute(runs)
     memo.clear_caches()
@@ -123,12 +135,13 @@ def test_full_matrix_bit_identical(matrix_pair):
 
 
 def test_matrix_covers_both_engine_paths(matrix_pair):
-    """The fixture matrix genuinely exercises the columnar fold *and*
-    the scalar delegation tail."""
+    """The fixture matrix genuinely exercises the columnar fold, the
+    columnar makespan replay *and* the scalar delegation tail."""
     runs, _scalar, _vector = matrix_pair
-    assert any(vector_eligible(spec) for spec in runs)
+    hc = "Heterogeneous Compute"
+    assert any(vector_eligible(spec) and spec.model != hc for spec in runs)
+    assert any(vector_eligible(spec) and spec.model == hc for spec in runs)
     assert any(not vector_eligible(spec) for spec in runs)
-    assert any(spec.model == "Heterogeneous Compute" for spec in runs)
 
 
 def test_run_study_engines_agree_end_to_end():
@@ -268,12 +281,15 @@ def test_batched_cpu_pricer_matches_scalar(app_name):
 
 
 def test_price_specs_rejects_ineligible():
+    """Functional cells are refused; Heterogeneous Compute projection
+    cells are priced (their makespan replays from the capture)."""
     config = sweep_configs()["LULESH"]
-    hc = RunSpec("LULESH", "Heterogeneous Compute", DGPU, Precision.SINGLE, config)
     functional = RunSpec("LULESH", "OpenCL", DGPU, Precision.SINGLE, config, projection=False)
-    for spec in (hc, functional):
-        with pytest.raises(ValueError):
-            price_specs([spec])
+    with pytest.raises(ValueError):
+        price_specs([functional])
+    hc = RunSpec("LULESH", "Heterogeneous Compute", DGPU, Precision.SINGLE, config)
+    (result,) = price_specs([hc])
+    assert result is not None and result.seconds > 0.0
 
 
 def test_price_specs_order_invariant():

@@ -1,5 +1,7 @@
 """Run-descriptor flattening and content addressing."""
 
+import hashlib
+
 import pytest
 
 from repro.apps.readmem import ReadMemConfig
@@ -61,6 +63,17 @@ class TestRunSpec:
             spec(memory_mhz=1100.0),
         ):
             assert changed.content_key() != base.content_key(), changed
+
+    @pytest.mark.parametrize("clocks", [(None, None), (800.0, None), (None, 1375.5)])
+    def test_keys_are_the_field_tuple(self, clocks):
+        """Both keys are built once, sharing one config repr; the
+        content key stays the digest of the whole field tuple's repr
+        (persistent stores are keyed by it)."""
+        s = spec(projection=False, core_mhz=clocks[0], memory_mhz=clocks[1])
+        fields = (s.app, s.model, s.platform, s.precision.value, s.config,
+                  s.projection, s.core_mhz, s.memory_mhz)
+        assert s.content_key() == hashlib.sha256(repr(fields).encode()).hexdigest()
+        assert s.schedule_key() == (*fields[:4], repr(s.config), s.projection)
 
 
 class TestValidation:
