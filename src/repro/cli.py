@@ -395,7 +395,6 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        window_s=args.window_ms / 1e3,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         deadline_s=args.deadline,
@@ -422,8 +421,7 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
                 signal.signal(sig, lambda *_: stop.set())
         await server.start()
         print(f"serving on {server.url} "
-              f"(batch window {config.window_s * 1e3:g} ms, "
-              f"queue bound {config.max_queue}, deadline {config.deadline_s:g} s)")
+              f"(queue bound {config.max_queue}, deadline {config.deadline_s:g} s)")
         if server.warm_report is not None:
             print(server.warm_report.summary())
         print("routes: POST /v1/predict /v1/study /v1/batch, "
@@ -544,8 +542,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int | None:
         url = args.url if len(args.url) > 1 else args.url[0]
     else:
         spawned = ServerThread(ServeConfig(
-            max_queue=args.max_queue, window_s=args.window_ms / 1e3,
-            store_path=args.store, warm=args.warm,
+            max_queue=args.max_queue, store_path=args.store, warm=args.warm,
         )).start()
         url = spawned.url
         print(f"spawned ephemeral server on {url}")
@@ -611,8 +608,7 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
     batch_bodies = _loadtest_bodies(batch_args)
 
     tier = ShardedTier(ServeConfig(
-        max_queue=args.max_queue, window_s=args.window_ms / 1e3,
-        store_path=store, warm=args.warm,
+        max_queue=args.max_queue, store_path=store, warm=args.warm,
     ), shards=args.shards)
     print(f"starting {args.shards}-shard tier (store {store}) ...")
     with tier:
@@ -704,7 +700,6 @@ def _loadtest_chaos(args: argparse.Namespace) -> int | None:
         store=args.store,
         settle_timeout_s=args.settle_timeout,
         max_queue=args.max_queue,
-        window_ms=args.window_ms,
         echo=print,
     )
     print()
@@ -937,9 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8351, metavar="N",
                        help="listen port; 0 picks an ephemeral one "
                             "(default 8351)")
-    serve.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
-                       help="micro-batching window: how long a cold request "
-                            "waits for companions (default 2 ms)")
     serve.add_argument("--max-batch", type=int, default=32, metavar="N",
                        help="flush a batch early at N queued specs")
     serve.add_argument("--max-queue", type=int, default=64, metavar="N",
@@ -955,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "HTTP deadline still applies)")
     serve.add_argument("--engine", choices=("vector", "scalar"), default="vector",
                        help="cold-batch pricing engine: 'vector' prices each "
-                            "micro-batch window columnar; 'scalar' runs specs "
+                            "dispatched batch columnar; 'scalar' runs specs "
                             "one by one (bit-identical)")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="run N server processes over a shared store "
@@ -1041,8 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "behaviour)")
     loadtest.add_argument("--max-queue", type=int, default=64, metavar="N",
                           help="admission bound of the spawned server")
-    loadtest.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
-                          help="batch window of the spawned server")
     loadtest.add_argument("--breakdown", action="store_true",
                           help="scrape /metrics before and after the run and "
                                "report per-segment latency percentiles (queue "

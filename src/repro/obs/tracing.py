@@ -3,7 +3,7 @@
 The PR-2 span layer answers "where does *simulated* time go inside one
 run"; this module answers "where does *wall* time go for one request"
 as it crosses the serving stack: the asyncio server, the batcher's
-queue and window, the single-flight leader/follower split, the backend
+queue, the single-flight leader/follower split, the backend
 engine thread, and (for batch studies) the executor's pool workers.
 
 The pieces mirror W3C Trace Context:
@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 #: docs key off this vocabulary.
 SEGMENTS = (
     "handle", "serialize", "queue_wait", "batch_wait", "coalesced_wait",
-    "engine", "singleflight_wait",
+    "engine", "singleflight_wait", "store_read", "store_write",
 )
 
 _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$")

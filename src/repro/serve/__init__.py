@@ -9,9 +9,9 @@ serving-stack shape the ROADMAP's north star asks for:
 * :mod:`repro.serve.protocol` — versioned JSON request/response
   schemas (``/v1/predict``, ``/v1/study``, ``/v1/batch``,
   health/readiness/metrics).
-* :mod:`repro.serve.batcher` — micro-batching with single-flight
-  deduplication over the process-global result memo, dispatching to a
-  backend thread that runs the exec retry ladder.
+* :mod:`repro.serve.batcher` — idle-dispatch micro-batching with
+  single-flight deduplication over the process-global result memo,
+  dispatching to a backend thread that runs the exec retry ladder.
 * :mod:`repro.serve.server` — stdlib asyncio HTTP/1.1 server with
   bounded admission (429 + ``Retry-After``), per-request deadlines,
   graceful drain, Prometheus instrumentation with trace exemplars,

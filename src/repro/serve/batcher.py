@@ -5,33 +5,37 @@ The :class:`Batcher` sits between them:
 
 * **Fast path** — a spec whose result is already in the process-global
   :data:`~repro.engine.memo.RESULT_CACHE` returns synchronously on the
-  event loop (one dict lookup, no batching window, no thread hop).
+  event loop (one dict lookup, no batching wait, no thread hop).
   This is what makes warm-cache predict queries cheap enough to serve
   hundreds per second.
 * **Single-flight** — concurrent requests for the same
   :class:`~repro.exec.plan.RunSpec` content share one future; only the
   first costs an engine run.  Joins are tallied in the cache's
   ``coalesced`` counter (``repro_memo_singleflight_coalesced_total``).
-* **Micro-batching** — distinct cold specs arriving within the batch
-  window are merged into one batch and dispatched together to a
-  single backend worker thread, where each runs through the retry
-  ladder of :mod:`repro.exec.retry` (the per-run watchdog doubles as
-  the request's compute deadline) and lands in the result cache.  The
-  engine's kernel/setup/trace memo caches live in this process, so
-  every request warms them for the next.
+* **Idle dispatch** — cold specs go to a single backend worker
+  thread as soon as it is free.  An idle backend gets them at the end
+  of the current event-loop iteration, so the requests read in one
+  wake-up (and a predict's two legs) share a batch; specs arriving
+  while a batch runs go out together the moment it finishes.  There
+  each runs through the retry ladder of :mod:`repro.exec.retry` (the
+  per-run watchdog doubles as the request's compute deadline) and
+  lands in the result cache.  The engine's kernel/setup/trace memo
+  caches live in this process, so every request warms them for the
+  next.
 
 Results are deterministic pure functions of their spec, so cached,
 coalesced and computed answers are all bit-identical.
 
 Tracing: each queued spec carries its request's
-:class:`~repro.obs.tracing.SpanContext` through the window and across
+:class:`~repro.obs.tracing.SpanContext` through the wait and across
 the thread hop (contextvars do not follow ``run_in_executor``), so the
 batcher can attribute every microsecond a request spends here —
 ``batch_wait`` (submit → batch dispatch), ``queue_wait`` (dispatch →
 the backend thread picking the spec up), ``engine`` (the compute
-itself, parenting any deeper run spans), and ``coalesced_wait`` for
-followers riding an identical in-flight spec.  All of it is
-observation-only; with no ambient context the batcher records nothing.
+itself, parenting any deeper run spans), the persistent store's
+``store_read``/``store_write``, and ``coalesced_wait`` for followers
+riding an identical in-flight spec.  All of it is observation-only;
+with no ambient context the batcher records nothing.
 """
 
 from __future__ import annotations
@@ -77,11 +81,11 @@ class BackendRunError(RuntimeError):
 class Batcher:
     """Coalesce concurrent predictions into engine batches.
 
-    One instance belongs to one event loop.  ``window_s`` bounds how
-    long a cold request waits for companions; ``max_batch`` flushes a
-    full batch early.  All engine work runs on one dedicated backend
-    thread, so the simulator itself stays single-threaded while the
-    loop keeps serving cache hits.
+    One instance belongs to one event loop.  A cold request waits for
+    companions only while a batch runs; ``max_batch`` flushes a full
+    batch early.  All engine work runs on one dedicated
+    backend thread, so the simulator itself stays single-threaded while
+    the loop keeps serving cache hits.
 
     ``engine`` picks how a flushed batch's cold specs are priced:
     ``"vector"`` gathers the columnar-eligible ones
@@ -93,14 +97,12 @@ class Batcher:
 
     def __init__(
         self,
-        window_s: float = 0.002,
         max_batch: int = 32,
         policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         cache: memo.SingleFlightCache | None = None,
         engine: str = "vector",
     ) -> None:
-        self.window_s = window_s
         self.max_batch = max_batch
         self.policy = policy if policy is not None else RetryPolicy(max_attempts=2)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -108,7 +110,8 @@ class Batcher:
         self.engine = engine
         self._waiters: dict[str, asyncio.Future] = {}
         self._pending: list[_BatchItem] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
+        #: Batches dispatched and not yet answered (micro and bulk).
+        self._running = 0
         self._flushes: set[asyncio.Task] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine"
@@ -164,11 +167,10 @@ class Batcher:
     async def submit_batch(
         self, specs: Sequence[RunSpec]
     ) -> list[tuple[RunResult, str]]:
-        """Resolve a bulk plan, bypassing the micro-batching window.
+        """Resolve a bulk plan as one engine batch of its own.
 
         The ``/v1/batch`` path: study-shaped traffic arrives already
-        batched, so waiting ``window_s`` for companions only adds
-        latency.  Warm cells are answered from cache/store in place;
+        batched.  Warm cells are answered from cache/store in place;
         all cold cells are dispatched *immediately* as one engine
         batch (columnar-priced under the vector engine).  Duplicate
         specs — within the batch or against in-flight micro-batch
@@ -201,12 +203,9 @@ class Batcher:
         if cold:
             self.metrics.counter(
                 "repro_serve_bulk_batches_total",
-                help="Bulk (/v1/batch) engine batches dispatched, "
-                "bypassing the micro-batch window.",
+                help="Bulk (/v1/batch) engine batches dispatched.",
             ).inc()
-            task = loop.create_task(self._flush(cold))
-            self._flushes.add(task)
-            task.add_done_callback(self._flushes.discard)
+            self._start_flush(loop, cold)
         for index, future, provenance in awaiting:
             results[index] = (await asyncio.shield(future), provenance)
         return results  # type: ignore[return-value]
@@ -220,9 +219,6 @@ class Batcher:
     async def drain(self) -> None:
         """Stop accepting new work and wait for everything in flight."""
         self._closed = True
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         if self._pending:
             self._start_flush(asyncio.get_running_loop())
         while self._flushes or self._waiters:
@@ -235,20 +231,23 @@ class Batcher:
 
     def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
         if len(self._pending) >= self.max_batch:
-            if self._flush_handle is not None:
-                self._flush_handle.cancel()
-                self._flush_handle = None
             self._start_flush(loop)
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window_s, self._on_window, loop)
+        elif not self._running:
+            # End of this loop iteration: the specs of the requests read
+            # in the same wake-up still share the batch.
+            loop.call_soon(self._flush_if_idle, loop)
 
-    def _on_window(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._flush_handle = None
-        if self._pending:
+    def _flush_if_idle(self, loop: asyncio.AbstractEventLoop) -> None:
+        if self._pending and not self._running:
             self._start_flush(loop)
 
-    def _start_flush(self, loop: asyncio.AbstractEventLoop) -> None:
-        batch, self._pending = self._pending, []
+    def _start_flush(
+        self, loop: asyncio.AbstractEventLoop, batch: list[_BatchItem] | None = None
+    ) -> None:
+        """Dispatch ``batch`` (default: everything queued) as one batch."""
+        if batch is None:
+            batch, self._pending = self._pending, []
+        self._running += 1
         task = loop.create_task(self._flush(batch))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)
@@ -272,6 +271,10 @@ class Batcher:
             # The dispatch itself failed (e.g. executor torn down): no
             # waiter may be left pending forever.
             rows = [(item.key, None, exc) for item in batch]
+        finally:
+            # What queued behind the running batches goes when they end.
+            self._running -= 1
+            self._flush_if_idle(loop)
         for key, value, exc in rows:
             future = self._waiters.pop(key, None)
             if future is None or future.done():
@@ -302,7 +305,7 @@ class Batcher:
             key, spec, ctx = item.key, item.spec, item.ctx
             picked_up_s = time.perf_counter()
             if ctx is not None:
-                # Window wait on the loop, then executor-queue wait plus
+                # Wait on the loop for the backend, then executor-queue wait plus
                 # earlier batch members' compute, attributed per item.  A
                 # columnar-served item stopped waiting when the shared
                 # pricing call began — not when this loop reached it —
@@ -315,9 +318,11 @@ class Batcher:
                 tracer.record("queue_wait", dispatched_s, waited_until, parent=ctx)
             try:
                 if key in precomputed:
-                    value = self.cache.get_or_compute(
-                        key, lambda key=key: precomputed[key]
-                    )
+                    # Ambient context, so a store write is attributed.
+                    with tracing.use(ctx):
+                        value = self.cache.get_or_compute(
+                            key, lambda key=key: precomputed[key]
+                        )
                     if ctx is not None and columnar_window is not None:
                         tracer.record(
                             "engine", columnar_window[0], columnar_window[1],

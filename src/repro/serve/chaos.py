@@ -402,7 +402,6 @@ def run_chaos_drill(
     settle_timeout_s: float = 60.0,
     max_error_rate: float = 0.01,
     max_queue: int = 256,
-    window_ms: float = 2.0,
     policy: SupervisionPolicy | None = None,
     router: RouterConfig | None = None,
     echo=None,
@@ -418,10 +417,7 @@ def run_chaos_drill(
     expected = expected_responses(bodies)
 
     tier = ShardedTier(
-        ServeConfig(
-            max_queue=max_queue, window_s=window_ms / 1e3,
-            store_path=store, warm="load",
-        ),
+        ServeConfig(max_queue=max_queue, store_path=store, warm="load"),
         shards=shards,
         router=router if router is not None else DRILL_ROUTER,
         policy=policy if policy is not None else DRILL_POLICY,

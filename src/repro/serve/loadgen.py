@@ -540,7 +540,7 @@ def segment_breakdown(before: str, after: str) -> list[SegmentStats]:
     # contrast the breakdown exists to show.
     order = {name: i for i, name in enumerate((
         "queue_wait", "batch_wait", "coalesced_wait", "singleflight_wait",
-        "engine", "handle", "serialize",
+        "engine", "store_read", "store_write", "handle", "serialize",
     ))}
     stats.sort(key=lambda s: (order.get(s.segment, len(order)), s.segment))
     return stats

@@ -413,8 +413,8 @@ class BatchRequest:
     exactly the listed cells — no implicit baseline runs, no
     speedups — so a client (or the shard router fanning out a
     ``/v1/study``) controls precisely which specs are computed where.
-    Cells skip the micro-batching window and go straight to columnar
-    pricing.
+    The cold cells go to the engine as one batch of their own, straight
+    to columnar pricing.
     """
 
     cells: tuple[PredictRequest, ...]

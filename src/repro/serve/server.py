@@ -86,7 +86,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is on Server.port
-    window_s: float = 0.002
     max_batch: int = 32
     #: Admission bound: predictions in flight before shedding begins.
     max_queue: int = 64
@@ -100,8 +99,8 @@ class ServeConfig:
     run_timeout_s: float | None = None
     #: How long a drain waits for in-flight requests before giving up.
     drain_timeout_s: float = 10.0
-    #: Cold-batch pricing engine: ``"vector"`` prices each micro-batch
-    #: window's eligible specs as one columnar call, ``"scalar"`` runs
+    #: Cold-batch pricing engine: ``"vector"`` prices each dispatched
+    #: batch's eligible specs as one columnar call, ``"scalar"`` runs
     #: them through the retry ladder one by one (bit-identical).
     engine: str = "vector"
     #: Record a distributed trace per prediction request.  Purely
@@ -221,7 +220,6 @@ class Server:
             cache = PersistentResultCache(self.store)
         self.warm_report: warmup.WarmReport | None = None
         self.batcher = Batcher(
-            window_s=self.config.window_s,
             max_batch=self.config.max_batch,
             policy=self.config.policy(),
             metrics=self.metrics,
@@ -273,7 +271,6 @@ class Server:
             "server-started",
             url=self.url,
             engine=self.config.engine,
-            window_ms=self.config.window_s * 1e3,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             tracing=self.config.tracing,

@@ -193,6 +193,7 @@ class ResultStore:
         import pickle
 
         path = self.path_for(key)
+        started = time.perf_counter()
         if path.exists() and self._decode(key, self._read_quiet(path)) is not None:
             return False
         payload = pickle.dumps(result)
@@ -212,6 +213,12 @@ class ResultStore:
         os.replace(tmp, path)
         with self._mutex:
             self._writes += 1
+        ctx = tracing.current()
+        if ctx is not None:
+            tracing.TRACER.record(
+                "store_write", started, time.perf_counter(),
+                parent=ctx, attrs={"key": key[:16]},
+            )
         return True
 
     @staticmethod

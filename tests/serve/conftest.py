@@ -29,8 +29,8 @@ def fresh_tracer():
 
 @pytest.fixture
 def server():
-    """A live loopback prediction server with a short batch window."""
-    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+    """A live loopback prediction server."""
+    with ServerThread(ServeConfig()) as thread:
         yield thread
 
 

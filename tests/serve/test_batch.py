@@ -97,7 +97,7 @@ def test_empty_and_non_array_cells_are_rejected(server):
 
 
 def test_batch_over_the_configured_cap_is_413():
-    config = ServeConfig(window_s=0.001, max_batch_cells=4)
+    config = ServeConfig(max_batch_cells=4)
     with ServerThread(config) as thread:
         cells = [_cell("OpenCL")] * 5
         status, _headers, doc = request(thread, "POST", "/v1/batch", {"cells": cells})
@@ -111,7 +111,7 @@ def test_batch_over_the_configured_cap_is_413():
 
 def test_study_over_the_env_cap_is_413(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_MAX_STUDY_RUNS", "8")
-    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+    with ServerThread(ServeConfig()) as thread:
         # One app expands to 16 runs (4 cells x 1 baseline + 3 models).
         status, _headers, doc = request(
             thread, "POST", "/v1/study", {"apps": ["XSBench"], "scale": "bench"}
@@ -121,7 +121,7 @@ def test_study_over_the_env_cap_is_413(monkeypatch):
 
 
 def test_config_cap_beats_the_protocol_default():
-    config = ServeConfig(window_s=0.001, max_study_runs=16)
+    config = ServeConfig(max_study_runs=16)
     with ServerThread(config) as thread:
         status, _h, _d = request(
             thread, "POST", "/v1/study", {"apps": ["XSBench"], "scale": "bench"}

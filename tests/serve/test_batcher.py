@@ -1,6 +1,9 @@
-"""Micro-batching, single-flight coalescing, and drain semantics."""
+"""Idle dispatch, micro-batching, single-flight coalescing, and drain
+semantics."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -19,10 +22,43 @@ def _spec(model="OpenCL", platform="apu", precision="single"):
 
 
 def _batcher(**kwargs):
-    kwargs.setdefault("window_s", 0.001)
     kwargs.setdefault("metrics", MetricsRegistry())
     kwargs.setdefault("cache", SingleFlightCache())
     return Batcher(**kwargs)
+
+
+def _hold_first_batch(batcher):
+    """Block the batcher's first batch on its backend thread until the
+    returned ``release`` event is set; ``sizes`` logs every batch."""
+    started, release = threading.Event(), threading.Event()
+    sizes = []
+    run_batch = batcher._run_batch
+
+    def held(batch, dispatched_s):
+        sizes.append(len(batch))
+        if len(sizes) == 1:
+            started.set()
+            release.wait(timeout=30)
+        return run_batch(batch, dispatched_s)
+
+    batcher._run_batch = held
+    return started, release, sizes
+
+
+async def _until(event):
+    deadline = time.monotonic() + 30
+    while not event.is_set():
+        assert time.monotonic() < deadline, "backend never picked the batch up"
+        await asyncio.sleep(0.001)
+
+
+async def _submit_one_per_iteration(batcher, specs):
+    """Submit each spec from its own event-loop iteration."""
+    tasks = []
+    for spec in specs:
+        tasks.append(asyncio.create_task(batcher.submit(spec)))
+        await asyncio.sleep(0)  # the task submits before we resume
+    return tasks
 
 
 def test_submit_computes_then_serves_from_cache():
@@ -41,7 +77,7 @@ def test_submit_computes_then_serves_from_cache():
 
 def test_concurrent_identical_submits_coalesce():
     async def main():
-        batcher = _batcher(window_s=0.05)
+        batcher = _batcher()
         spec = _spec()
         outcomes = await asyncio.gather(*(batcher.submit(spec) for _ in range(5)))
         await batcher.drain()
@@ -57,7 +93,7 @@ def test_concurrent_identical_submits_coalesce():
 
 def test_distinct_specs_merge_into_one_batch():
     async def main():
-        batcher = _batcher(window_s=0.05)
+        batcher = _batcher()
         specs = [_spec(model=m) for m in ("OpenCL", "C++ AMP", "OpenACC")]
         await batcher.submit_many(specs)
         await batcher.drain()
@@ -71,14 +107,94 @@ def test_distinct_specs_merge_into_one_batch():
     assert count == 1 and total == 3  # one batch of three specs
 
 
-def test_full_batch_flushes_before_window():
+def test_lone_cold_submit_sets_no_timer():
+    """An idle backend takes a lone cold spec at once: no timer runs."""
     async def main():
-        batcher = _batcher(window_s=60.0, max_batch=2)
-        specs = [_spec(model=m) for m in ("OpenCL", "C++ AMP")]
-        # A 60 s window would time the test out unless max_batch flushes.
-        await asyncio.wait_for(batcher.submit_many(specs), timeout=30)
+        batcher = _batcher()
+        loop = asyncio.get_running_loop()
+        timers = []
+        call_later = loop.call_later
+
+        def counting(*args, **kwargs):
+            timers.append(args)
+            return call_later(*args, **kwargs)
+
+        loop.call_later = counting
+        try:
+            _result, label = await batcher.submit(_spec())
+        finally:
+            del loop.call_later
         await batcher.drain()
-    asyncio.run(main())
+        return label, timers
+    label, timers = asyncio.run(main())
+    assert label == COMPUTED
+    assert timers == []
+
+
+def test_specs_queued_behind_a_running_batch_go_out_together():
+    async def main():
+        batcher = _batcher()
+        started, release, sizes = _hold_first_batch(batcher)
+        try:
+            first = asyncio.create_task(batcher.submit(_spec()))
+            await _until(started)
+            queued = await _submit_one_per_iteration(
+                batcher, [_spec(model=m) for m in ("C++ AMP", "OpenACC")]
+            )
+        finally:
+            release.set()
+        outcomes = await asyncio.gather(first, *queued)
+        await batcher.drain()
+        return batcher, sizes, outcomes
+    batcher, sizes, outcomes = asyncio.run(main())
+    assert [label for _result, label in outcomes] == [COMPUTED] * 3
+    assert batcher.metrics.get("repro_serve_batches_total").value == 2
+    _counts, total, count = batcher.metrics.get("repro_serve_batch_size").snapshot()
+    assert (count, total) == (2, 3)
+    assert sizes == [1, 2]
+
+
+def test_full_batch_flushes_while_backend_busy():
+    """``max_batch`` splits the specs queued behind a running batch."""
+    async def main():
+        batcher = _batcher(max_batch=2)
+        started, release, sizes = _hold_first_batch(batcher)
+        try:
+            first = asyncio.create_task(batcher.submit(_spec()))
+            await _until(started)
+            queued = await _submit_one_per_iteration(batcher, [
+                _spec(model="C++ AMP"), _spec(model="OpenACC"),
+                _spec(platform="dgpu"),
+            ])
+        finally:
+            release.set()
+        await asyncio.gather(first, *queued)
+        await batcher.drain()
+        return sizes
+    assert asyncio.run(main()) == [1, 2, 1]
+
+
+def test_drain_answers_specs_queued_behind_a_running_batch():
+    async def main():
+        batcher = _batcher()
+        started, release, sizes = _hold_first_batch(batcher)
+        try:
+            first = asyncio.create_task(batcher.submit(_spec()))
+            await _until(started)
+            queued = await _submit_one_per_iteration(
+                batcher, [_spec(model=m) for m in ("C++ AMP", "OpenACC")]
+            )
+            draining = asyncio.create_task(batcher.drain())
+            await asyncio.sleep(0)
+        finally:
+            release.set()
+        await asyncio.wait_for(draining, timeout=30)
+        tasks = [first, *queued]
+        assert all(task.done() for task in tasks)
+        return sizes, [task.result()[1] for task in tasks]
+    sizes, labels = asyncio.run(main())
+    assert labels == [COMPUTED] * 3
+    assert sizes == [1, 2]
 
 
 def test_backend_failure_propagates_and_is_not_cached():
@@ -161,7 +277,7 @@ def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
 
     async def main():
         metrics = MetricsRegistry()
-        batcher = _batcher(metrics=metrics, engine="vector", window_s=0.05)
+        batcher = _batcher(metrics=metrics, engine="vector")
         outcomes = await asyncio.gather(
             batcher.submit(_spec()),
             batcher.submit(_spec(platform="dgpu")),
@@ -183,7 +299,7 @@ def test_vector_batcher_counts_columnar_specs():
 
     async def main(engine):
         metrics = MetricsRegistry()
-        batcher = _batcher(metrics=metrics, engine=engine, window_s=0.05)
+        batcher = _batcher(metrics=metrics, engine=engine)
         await asyncio.gather(
             batcher.submit(_spec()), batcher.submit(_spec(model="OpenACC"))
         )

@@ -77,7 +77,7 @@ def test_study_v100_family_matches_oracle(server, v100_study):
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
     config = ServeConfig(
-        window_s=0.001, store_path=str(tmp_path_factory.mktemp("store")),
+        store_path=str(tmp_path_factory.mktemp("store")),
     )
     with ShardedTier(config, shards=2) as tier:
         yield tier

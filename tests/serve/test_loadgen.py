@@ -47,7 +47,7 @@ def test_load_result_summary_and_json():
 
 
 def test_closed_loop_against_live_server():
-    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+    with ServerThread(ServeConfig()) as thread:
         result = asyncio.run(run_load(
             thread.url, BODIES, mode="closed", concurrency=2, duration_s=0.3,
         ))
@@ -58,7 +58,7 @@ def test_closed_loop_against_live_server():
 
 
 def test_open_loop_respects_offered_rate():
-    with ServerThread(ServeConfig(window_s=0.001)) as thread:
+    with ServerThread(ServeConfig()) as thread:
         result = asyncio.run(run_load(
             thread.url, BODIES, mode="open", concurrency=4, duration_s=0.5,
             rate=100.0,

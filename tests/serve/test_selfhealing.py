@@ -41,7 +41,7 @@ FIELDS = ("seconds", "kernel_seconds", "baseline_seconds",
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
     config = ServeConfig(
-        window_s=0.001, store_path=str(tmp_path_factory.mktemp("store")),
+        store_path=str(tmp_path_factory.mktemp("store")),
         warm="load",
     )
     with ShardedTier(

@@ -81,20 +81,34 @@ def test_cold_study_engages_the_columnar_path():
     misses through the whole-batch columnar call — and stays
     bit-identical to the direct pipeline, which the tests above check
     against the same default server."""
-    with ServerThread(ServeConfig(window_s=0.001, engine="vector")) as thread:
+    with ServerThread(ServeConfig(engine="vector")) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
         _status, _headers, text = request(thread, "GET", "/metrics")
         samples = parse_prometheus(text)
         # All 16 unique cold cells (4 baselines + 12 model runs) went
-        # through the columnar path, across however many batch windows.
+        # through the columnar path, across however many batches.
         assert sum(v for _labels, v in samples["repro_serve_columnar_specs_total"]) == 16
+
+
+def test_cold_predict_prices_both_legs_in_one_batch(server):
+    """A predict submits its model and baseline legs in one event-loop
+    iteration, so idle dispatch still sends them as one columnar batch."""
+    body = {"app": "CoMD", "model": "OpenCL", "platform": "dgpu",
+            "precision": "double"}
+    _status, _headers, doc = request(server, "POST", "/v1/predict", body)
+    assert doc["provenance"] == {"baseline": "computed", "model": "computed"}
+    _status, _headers, text = request(server, "GET", "/metrics")
+    samples = parse_prometheus(text)
+    assert sum(v for _l, v in samples["repro_serve_batches_total"]) == 1
+    assert sum(v for _l, v in samples["repro_serve_batch_size_sum"]) == 2
+    assert sum(v for _l, v in samples["repro_serve_columnar_specs_total"]) == 2
 
 
 def test_scalar_engine_serves_identical_entries(xsbench_study):
     """``engine="scalar"`` disables the columnar path entirely and
     serves the same bits."""
-    with ServerThread(ServeConfig(window_s=0.001, engine="scalar")) as thread:
+    with ServerThread(ServeConfig(engine="scalar")) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
         assert len(doc["entries"]) == len(xsbench_study.entries)
@@ -205,7 +219,7 @@ def test_out_of_range_clock_is_a_400_on_a_live_connection(server, clocks):
 
 
 def test_overload_sheds_with_429_and_retry_after():
-    with ServerThread(ServeConfig(window_s=0.001, max_queue=0)) as thread:
+    with ServerThread(ServeConfig(max_queue=0)) as thread:
         status, headers, doc = request(thread, "POST", "/v1/predict", {
             "app": "XSBench", "model": "OpenCL", "platform": "apu",
             "precision": "single",
@@ -221,7 +235,7 @@ def test_overload_sheds_with_429_and_retry_after():
 
 
 def test_deadline_overrun_is_a_504():
-    with ServerThread(ServeConfig(window_s=0.001, deadline_s=0.0)) as thread:
+    with ServerThread(ServeConfig(deadline_s=0.0)) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/predict", {
             "app": "XSBench", "model": "OpenCL", "platform": "apu",
             "precision": "single",
@@ -233,7 +247,7 @@ def test_deadline_overrun_is_a_504():
 def test_graceful_drain_finishes_in_flight_work():
     """Shutdown waits for admitted requests and then refuses new ones."""
     async def main():
-        server = Server(ServeConfig(window_s=0.001))
+        server = Server(ServeConfig())
         await server.start()
         port = server.port
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -262,7 +276,7 @@ def test_graceful_drain_finishes_in_flight_work():
 
 def test_readyz_flips_to_503_while_draining():
     async def main():
-        server = Server(ServeConfig(window_s=0.001))
+        server = Server(ServeConfig())
         await server.start()
         # A keep-alive connection opened before the drain begins.
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)

@@ -56,7 +56,7 @@ def test_shard_for_key_rejects_zero_shards():
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
     config = ServeConfig(
-        window_s=0.001, store_path=str(tmp_path_factory.mktemp("store")),
+        store_path=str(tmp_path_factory.mktemp("store")),
         warm="load",
     )
     with ShardedTier(config, shards=2) as tier:

@@ -56,7 +56,7 @@ class _Worker(threading.Thread):
 
 def test_tier_stop_drains_in_flight_requests_cleanly(tmp_path):
     config = ServeConfig(
-        window_s=0.001, store_path=str(tmp_path / "store"), warm="load",
+        store_path=str(tmp_path / "store"), warm="load",
     )
     # Slow probes: supervision must not mistake the drain for a hang.
     policy = SupervisionPolicy(probe_interval_s=5.0, probe_timeout_s=5.0)

@@ -302,7 +302,7 @@ def test_restart_serves_warm_and_bit_identical_to_scalar_oracle(
     process answers from disk — no recompute — with bytes equal to the
     scalar retry-ladder oracle."""
     body, _spec, baseline, model = xsbench_cell
-    config = ServeConfig(window_s=0.001, store_path=str(tmp_path), warm="load")
+    config = ServeConfig(store_path=str(tmp_path), warm="load")
     with ServerThread(config) as thread:
         status, _headers, cold = request(thread, "POST", "/v1/predict", body)
         assert status == 200
@@ -325,11 +325,11 @@ def test_restart_serves_warm_and_bit_identical_to_scalar_oracle(
 def test_warm_none_still_hits_the_store_lazily(tmp_path, xsbench_cell):
     body, _spec, _baseline, model = xsbench_cell
     with ServerThread(
-        ServeConfig(window_s=0.001, store_path=str(tmp_path), warm="none")
+        ServeConfig(store_path=str(tmp_path), warm="none")
     ) as thread:
         request(thread, "POST", "/v1/predict", body)
     with ServerThread(
-        ServeConfig(window_s=0.001, store_path=str(tmp_path), warm="none")
+        ServeConfig(store_path=str(tmp_path), warm="none")
     ) as thread:
         _status, _headers, doc = request(thread, "POST", "/v1/predict", body)
         # No boot-time seeding, so the first touch reads the disk tier.

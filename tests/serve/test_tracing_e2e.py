@@ -133,7 +133,7 @@ def test_debug_logs_expose_the_access_record(server):
 
 
 def test_latency_histogram_labels_shed_requests_by_status():
-    with ServerThread(ServeConfig(window_s=0.001, max_queue=0)) as thread:
+    with ServerThread(ServeConfig(max_queue=0)) as thread:
         status, _headers, _doc = request(thread, "POST", "/v1/predict", PREDICT_BODY)
         assert status == 429
         _status, _headers, text = request(thread, "GET", "/metrics")
@@ -163,13 +163,13 @@ def test_build_info_and_uptime_gauges(server):
 
 
 def test_tracing_off_is_dark_and_bit_identical():
-    with ServerThread(ServeConfig(window_s=0.001, tracing=True)) as thread:
+    with ServerThread(ServeConfig(tracing=True)) as thread:
         _status, _headers, traced = request(thread, "POST", "/v1/predict", PREDICT_BODY)
     from repro.engine import memo
     from repro.obs import tracing
     memo.RESULT_CACHE.clear()
     tracing.TRACER.clear()  # the trace store is process-global
-    with ServerThread(ServeConfig(window_s=0.001, tracing=False)) as thread:
+    with ServerThread(ServeConfig(tracing=False)) as thread:
         _status, _headers, untraced = request(thread, "POST", "/v1/predict", PREDICT_BODY)
         _status, _headers, index = request(thread, "GET", "/v1/debug/traces")
         assert index["tracing"] is False
@@ -179,3 +179,32 @@ def test_tracing_off_is_dark_and_bit_identical():
     for field in ("seconds", "kernel_seconds", "baseline_seconds",
                   "speedup", "kernel_speedup", "key", "provenance"):
         assert traced[field] == untraced[field], field
+
+
+# -- the store write is a segment of the cold path -----------------------
+
+
+def _cold_predict_spans(config):
+    with ServerThread(config) as thread:
+        status, _headers, _doc = request(thread, "POST", "/v1/predict", PREDICT_BODY)
+        assert status == 200
+        _status, _headers, index = request(thread, "GET", "/v1/debug/traces")
+        summary = next(t for t in index["traces"] if t["route"] == "predict")
+        _status, _headers, doc = request(thread, "GET", summary["href"])
+    return doc["spans"]
+
+
+def test_cold_store_write_is_a_segment_under_handle(tmp_path):
+    spans = _cold_predict_spans(ServeConfig(store_path=str(tmp_path)))
+    handle = next(s for s in spans if s["name"] == "handle")
+    writes = [s for s in spans if s["name"] == "store_write"]
+    assert writes
+    for span in writes:
+        assert span["kind"] == "segment"
+        assert span["parent_id"] == handle["span_id"]
+
+
+def test_store_less_server_records_no_store_write():
+    spans = _cold_predict_spans(ServeConfig())
+    assert "engine" in {s["name"] for s in spans}
+    assert "store_write" not in {s["name"] for s in spans}

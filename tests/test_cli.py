@@ -98,11 +98,15 @@ class TestServeCommands:
         parser = build_parser()
         args = parser.parse_args(["serve"])
         assert args.port == 8351
-        assert args.window_ms == 2.0
         assert args.max_queue == 64
         args = parser.parse_args(["loadtest", "--spawn", "--mode", "open",
                                   "--rate", "200"])
         assert args.rate == 200.0
+        # Cold requests dispatch when the engine is idle: no batch window.
+        for argv in (["serve", "--window-ms", "2"],
+                     ["loadtest", "--window-ms", "2"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_loadtest_url_and_spawn_are_exclusive(self):
         with pytest.raises(SystemExit):
