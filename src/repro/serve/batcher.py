@@ -3,11 +3,11 @@
 The HTTP handlers are coroutines; the engine is synchronous Python.
 The :class:`Batcher` sits between them:
 
-* **Fast path** — a spec whose result is already in the process-global
-  :data:`~repro.engine.memo.RESULT_CACHE` returns synchronously on the
-  event loop (one dict lookup, no batching wait, no thread hop).
-  This is what makes warm-cache predict queries cheap enough to serve
-  hundreds per second.
+* **One resolve pass** — on the event loop, a spec resident in the
+  :data:`~repro.engine.memo.RESULT_CACHE` (or the store) is answered in
+  place, an in-flight one joins its future, a cold one is queued.  A
+  warm request creates no task or timer; any other waits once, and its
+  deadline bounds only that wait.
 * **Single-flight** — concurrent requests for the same
   :class:`~repro.exec.plan.RunSpec` content share one future; only the
   first costs an engine run.  Joins are tallied in the cache's
@@ -41,6 +41,7 @@ with no ambient context the batcher records nothing.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, NamedTuple, Sequence
@@ -49,7 +50,7 @@ from ..apps.base import RunResult
 from ..engine import memo
 from ..exec.faults import RunError
 from ..exec.plan import RunSpec
-from ..exec.retry import RetryPolicy, run_with_retry
+from ..exec.retry import RetryPolicy, run_with_retry, validate_result
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from .store import STORED
@@ -68,6 +69,21 @@ class _BatchItem(NamedTuple):
 COMPUTED = "computed"
 CACHED = "cache"
 COALESCED = "coalesced"
+
+
+def peek(
+    cache: memo.SingleFlightCache, key: str
+) -> tuple[RunResult | None, str | None]:
+    """Non-computing lookup: ``(value, provenance)`` on a hit from memory
+    or (with a persistent cache) disk, else ``(None, None)``."""
+    peek_tiered = getattr(cache, "peek_tiered", None)
+    if peek_tiered is None:
+        found, value = cache.peek(key)
+        return (value, CACHED) if found else (None, None)
+    value, source = peek_tiered(key)
+    if source is None:
+        return None, None
+    return value, CACHED if source == "memory" else STORED
 
 
 class BackendRunError(RuntimeError):
@@ -107,12 +123,22 @@ class Batcher:
         self.policy = policy if policy is not None else RetryPolicy(max_attempts=2)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else memo.RESULT_CACHE
+        # Held, not looked up per dispatch: the lookup delays the hand-off.
+        self._batches = self.metrics.counter(
+            "repro_serve_batches_total", help="Engine batches dispatched."
+        )
+        self._batch_sizes = self.metrics.histogram(
+            "repro_serve_batch_size",
+            help="Coalesced specs per dispatched engine batch.",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+        )
         self.engine = engine
+        if engine == "vector":  # loaded now, not in the first cold batch
+            from ..engine import study_vec  # noqa: F401
         self._waiters: dict[str, asyncio.Future] = {}
         self._pending: list[_BatchItem] = []
         #: Batches dispatched and not yet answered (micro and bulk).
-        self._running = 0
-        self._flushes: set[asyncio.Task] = set()
+        self._running: set[asyncio.Future] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine"
         )
@@ -125,156 +151,133 @@ class Batcher:
         """Requests admitted but not yet answered (queued + in flight)."""
         return len(self._waiters)
 
-    def _peek(self, key: str) -> tuple[RunResult | None, str | None]:
-        """Non-computing lookup: ``(value, provenance)`` on a hit from
-        memory or (with a persistent cache) disk, else ``(None, None)``."""
-        peek_tiered = getattr(self.cache, "peek_tiered", None)
-        if peek_tiered is not None:
-            value, source = peek_tiered(key)
-            if source is None:
-                return None, None
-            return value, CACHED if source == "memory" else STORED
-        found, value = self.cache.peek(key)
-        return (value, CACHED) if found else (None, None)
-
-    async def submit(self, spec: RunSpec) -> tuple[RunResult, str]:
-        """Resolve one spec to its result and provenance label."""
-        key = spec.content_key()
-        value, provenance = self._peek(key)
-        if provenance is not None:
-            return value, provenance
-        ctx = tracing.current()
-        future = self._waiters.get(key)
-        if future is not None:
-            self.cache.record_coalesced()
-            wait_start = time.perf_counter()
-            value = await asyncio.shield(future)
-            if ctx is not None:
-                tracing.TRACER.record(
-                    "coalesced_wait", wait_start, time.perf_counter(), parent=ctx,
-                    attrs={"key": key[:16]},
-                )
-            return value, COALESCED
-        if self._closed:
-            raise RuntimeError("batcher is draining; not accepting new work")
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._waiters[key] = future
-        self._pending.append(_BatchItem(key, spec, ctx, time.perf_counter()))
-        self._schedule_flush(loop)
-        return await asyncio.shield(future), COMPUTED
+    async def submit(
+        self, spec: RunSpec, deadline: float | None = None
+    ) -> tuple[RunResult, str]:
+        """Resolve one spec: the one-spec case of :meth:`submit_many`."""
+        return (await self.submit_many((spec,), deadline))[0]
 
     async def submit_batch(
-        self, specs: Sequence[RunSpec]
+        self, specs: Sequence[RunSpec], deadline: float | None = None
     ) -> list[tuple[RunResult, str]]:
-        """Resolve a bulk plan as one engine batch of its own.
+        """The ``/v1/batch`` path: :meth:`submit_many` with ``bulk``."""
+        return await self.submit_many(specs, deadline, bulk=True)
 
-        The ``/v1/batch`` path: study-shaped traffic arrives already
-        batched.  Warm cells are answered from cache/store in place;
-        all cold cells are dispatched *immediately* as one engine
-        batch (columnar-priced under the vector engine).  Duplicate
-        specs — within the batch or against in-flight micro-batch
-        work — coalesce onto one computation, exactly like
-        :meth:`submit`.
-        """
-        results: list[tuple[RunResult, str] | None] = [None] * len(specs)
-        awaiting: list[tuple[int, asyncio.Future, str]] = []
-        cold: list[_BatchItem] = []
-        ctx = tracing.current()
+    async def submit_many(
+        self, specs: Iterable[RunSpec], deadline: float | None = None, bulk=False
+    ) -> list[tuple[RunResult, str]]:
+        """Resolve specs to ``(result, provenance)`` in order (``/v1/predict``,
+        ``/v1/study``).  Only pending specs make the caller wait, once;
+        ``deadline`` (absolute ``loop.time()``) bounds that wait, and an
+        overrun raises :class:`asyncio.TimeoutError` while the engine run
+        goes on to warm the cache for a retry.  ``bulk`` sends the cold
+        specs out at once as one engine batch of their own (study-shaped
+        traffic that arrives batched) instead of through the queue."""
+        results: list = []
+        #: (index, future, provenance, key) per spec not resident.
+        waits: list[tuple[int, asyncio.Future, str, str]] = []
+        cold: list[tuple[str, RunSpec]] = []
         loop = asyncio.get_running_loop()
-        now = time.perf_counter()
-        for index, spec in enumerate(specs):
+        for spec in specs:
             key = spec.content_key()
-            value, provenance = self._peek(key)
+            value, provenance = peek(self.cache, key)
             if provenance is not None:
-                results[index] = (value, provenance)
+                results.append((value, provenance))
                 continue
             future = self._waiters.get(key)
             if future is not None:
                 self.cache.record_coalesced()
-                awaiting.append((index, future, COALESCED))
-                continue
-            if self._closed:
-                raise RuntimeError("batcher is draining; not accepting new work")
-            future = loop.create_future()
-            self._waiters[key] = future
-            cold.append(_BatchItem(key, spec, ctx, now))
-            awaiting.append((index, future, COMPUTED))
+                provenance = COALESCED
+            else:
+                if self._closed:
+                    raise RuntimeError("batcher is draining; not accepting new work")
+                future = self._waiters[key] = loop.create_future()
+                cold.append((key, spec))
+                provenance = COMPUTED
+            waits.append((len(results), future, provenance, key))
+            results.append(None)
+        if not waits:
+            return results
+        ctx = tracing.current()
+        wait_start = time.perf_counter()
+        # Shielded: a deadline cancels this wait, never the engine run.
+        waiting = asyncio.shield(asyncio.gather(*(wait[1] for wait in waits)))
         if cold:
-            self.metrics.counter(
-                "repro_serve_bulk_batches_total",
-                help="Bulk (/v1/batch) engine batches dispatched.",
-            ).inc()
-            self._start_flush(loop, cold)
-        for index, future, provenance in awaiting:
-            results[index] = (await asyncio.shield(future), provenance)
-        return results  # type: ignore[return-value]
-
-    async def submit_many(
-        self, specs: Iterable[RunSpec]
-    ) -> list[tuple[RunResult, str]]:
-        """Resolve a whole plan concurrently (the ``/v1/study`` path)."""
-        return list(await asyncio.gather(*(self.submit(spec) for spec in specs)))
+            # Queued last: the batch wait starts when this request's work ends.
+            now = time.perf_counter()
+            items = [_BatchItem(key, spec, ctx, now) for key, spec in cold]
+            if bulk:
+                self.metrics.counter(
+                    "repro_serve_bulk_batches_total",
+                    help="Bulk (/v1/batch) engine batches dispatched.",
+                ).inc()
+                self._start_flush(items)
+            else:
+                for item in items:
+                    self._pending.append(item)
+                    if len(self._pending) >= self.max_batch:
+                        self._start_flush()
+                if self._pending and not self._running:
+                    # End of this loop iteration: the specs of the requests
+                    # read in the same wake-up share the batch.
+                    loop.call_soon(self._flush_if_idle)
+        if deadline is not None:
+            waiting = asyncio.wait_for(waiting, deadline - loop.time())
+        for (index, _future, provenance, key), value in zip(waits, await waiting):
+            results[index] = (value, provenance)
+            if provenance == COALESCED and ctx is not None:
+                tracing.TRACER.record(
+                    "coalesced_wait", wait_start, time.perf_counter(), parent=ctx,
+                    attrs={"key": key[:16]},
+                )
+        return results
 
     async def drain(self) -> None:
         """Stop accepting new work and wait for everything in flight."""
         self._closed = True
         if self._pending:
-            self._start_flush(asyncio.get_running_loop())
-        while self._flushes or self._waiters:
-            futures = list(self._waiters.values())
-            tasks = list(self._flushes)
-            await asyncio.gather(*futures, *tasks, return_exceptions=True)
+            self._start_flush()
+        while self._running or self._waiters:
+            await asyncio.gather(
+                *self._waiters.values(), *self._running, return_exceptions=True
+            )
         self._executor.shutdown(wait=True)
 
     # -- batching machinery --------------------------------------------
 
-    def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
-        if len(self._pending) >= self.max_batch:
-            self._start_flush(loop)
-        elif not self._running:
-            # End of this loop iteration: the specs of the requests read
-            # in the same wake-up still share the batch.
-            loop.call_soon(self._flush_if_idle, loop)
-
-    def _flush_if_idle(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _flush_if_idle(self) -> None:
         if self._pending and not self._running:
-            self._start_flush(loop)
+            self._start_flush()
 
-    def _start_flush(
-        self, loop: asyncio.AbstractEventLoop, batch: list[_BatchItem] | None = None
-    ) -> None:
-        """Dispatch ``batch`` (default: everything queued) as one batch."""
+    def _start_flush(self, batch: list[_BatchItem] | None = None) -> None:
+        """Hand ``batch`` (default: everything queued) to the backend
+        thread now: no task, so no loop iteration before the hand-off."""
         if batch is None:
             batch, self._pending = self._pending, []
-        self._running += 1
-        task = loop.create_task(self._flush(batch))
-        self._flushes.add(task)
-        task.add_done_callback(self._flushes.discard)
-
-    async def _flush(self, batch: list[_BatchItem]) -> None:
+        self._batches.inc()
+        self._batch_sizes.observe(len(batch))
         loop = asyncio.get_running_loop()
-        self.metrics.counter(
-            "repro_serve_batches_total", help="Engine batches dispatched."
-        ).inc()
-        self.metrics.histogram(
-            "repro_serve_batch_size",
-            help="Coalesced specs per dispatched engine batch.",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-        ).observe(len(batch))
-        dispatched_s = time.perf_counter()
         try:
-            rows = await loop.run_in_executor(
-                self._executor, self._run_batch, batch, dispatched_s
+            running = loop.run_in_executor(
+                self._executor, self._run_batch, batch, time.perf_counter()
             )
         except Exception as exc:
             # The dispatch itself failed (e.g. executor torn down): no
             # waiter may be left pending forever.
+            running = loop.create_future()
+            running.set_exception(exc)
+        self._running.add(running)
+        running.add_done_callback(functools.partial(self._answer, batch))
+
+    def _answer(self, batch: list[_BatchItem], running: asyncio.Future) -> None:
+        """Settle a finished batch's waiters."""
+        self._running.discard(running)
+        try:
+            rows = running.result()
+        except Exception as exc:
             rows = [(item.key, None, exc) for item in batch]
-        finally:
-            # What queued behind the running batches goes when they end.
-            self._running -= 1
-            self._flush_if_idle(loop)
+        # What queued behind the running batches goes when they end.
+        self._flush_if_idle()
         for key, value, exc in rows:
             future = self._waiters.pop(key, None)
             if future is None or future.done():
@@ -363,7 +366,6 @@ class Batcher:
         the shared computation that produced its answer.
         """
         from ..engine.study_vec import price_specs, vector_eligible
-        from ..exec.retry import validate_result
 
         cold = [
             (item.key, item.spec)

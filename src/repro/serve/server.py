@@ -10,10 +10,10 @@ Three concerns live here, layered over the :class:`~repro.serve.batcher.Batcher`
   and a ``Retry-After`` hint, so overload degrades into fast, honest
   rejections instead of collapse.
 * **Deadlines** — every prediction carries a wall-clock budget
-  (``deadline_s``); a request that cannot be answered in time gets a
-  504 while its engine run, if any, completes and warms the cache for
-  the retry.  The backend's own watchdog is the retry ladder of
-  :mod:`repro.exec.retry`.
+  (``deadline_s``), applied to its wait for cold legs; a request that
+  cannot be answered in time gets a 504 while its engine run completes
+  and warms the cache for the retry.  The backend's own watchdog is
+  the retry ladder of :mod:`repro.exec.retry`.
 * **Graceful drain** — on SIGTERM/SIGINT the listener closes first,
   in-flight requests finish (bounded by ``drain_timeout_s``), and
   ``/readyz`` flips to 503 so an orchestrator stops routing here.
@@ -651,7 +651,9 @@ class Server:
     async def _admitted(
         self, route: str, request: _HttpRequest
     ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
-        """Admission control + deadline around the prediction routes."""
+        """Admission control around the prediction routes.  The handler
+        is awaited directly; its absolute deadline bounds only the
+        batcher's wait for cold legs, so a warm request sets no timer."""
         if self._draining:
             return route, 503, protocol.error_response(503, "server is draining"), ()
         if self._active >= self.config.max_queue:
@@ -682,10 +684,9 @@ class Server:
                 "predict": self._predict, "study": self._study,
                 "batch": self._batch,
             }[route]
+            deadline = asyncio.get_running_loop().time() + self.config.deadline_s
             try:
-                payload = await asyncio.wait_for(
-                    handler(doc), timeout=self.config.deadline_s
-                )
+                payload = await handler(doc, deadline)
             except protocol.LimitExceeded as exc:
                 return route, 413, protocol.error_response(413, str(exc)), ()
             except protocol.ProtocolError as exc:
@@ -709,12 +710,12 @@ class Server:
 
     # -- handlers ------------------------------------------------------
 
-    async def _predict(self, doc: object) -> dict:
+    async def _predict(self, doc: object, deadline: float) -> dict:
         request = protocol.PredictRequest.from_json(doc)
         baseline_spec, model_spec = request.specs()
         self._consume_corrupt(model_spec)
         (baseline, baseline_prov), (model, model_prov) = await self.batcher.submit_many(
-            [baseline_spec, model_spec]
+            (baseline_spec, model_spec), deadline
         )
         return protocol.predict_response(
             request,
@@ -724,24 +725,24 @@ class Server:
             key=model_spec.content_key()[:16],
         )
 
-    async def _batch(self, doc: object) -> dict:
+    async def _batch(self, doc: object, deadline: float) -> dict:
         request = protocol.BatchRequest.from_json(
             doc, max_cells=self.config.max_batch_cells
         )
         specs = request.specs()
         if specs:
             self._consume_corrupt(specs[0])
-        served = await self.batcher.submit_batch(specs)
+        served = await self.batcher.submit_batch(specs, deadline)
         return protocol.batch_response(request, served)
 
-    async def _study(self, doc: object) -> dict:
+    async def _study(self, doc: object, deadline: float) -> dict:
         request = protocol.StudyRequest.from_json(
             doc, max_runs=self.config.max_study_runs
         )
         runs = request.runs()
         if runs:
             self._consume_corrupt(runs[0])
-        served = await self.batcher.submit_many(runs)
+        served = await self.batcher.submit_many(runs, deadline)
         provenance_tally: dict[str, int] = {}
         for _result, label in served:
             provenance_tally[label] = provenance_tally.get(label, 0) + 1

@@ -56,9 +56,9 @@ from ..obs import logging as obs_logging
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from . import protocol
-from .batcher import CACHED, BackendRunError
+from .batcher import BackendRunError, peek
 from .breaker import BREAKER_STATE_VALUES, BreakerState, CircuitBreaker, RetryBudget
-from .store import STORED, PersistentResultCache, ResultStore
+from .store import PersistentResultCache, ResultStore
 from .supervise import ShardHealth, ShardState, SupervisionPolicy
 from .server import (
     SERVE_LATENCY_BUCKETS,
@@ -603,15 +603,9 @@ class _LocalPricer:
 
     def _price_sync(self, spec: RunSpec) -> tuple[object, str]:
         key = spec.content_key()
-        peek_tiered = getattr(self.cache, "peek_tiered", None)
-        if peek_tiered is not None:
-            value, source = peek_tiered(key)
-            if source is not None:
-                return value, CACHED if source == "memory" else STORED
-        else:
-            found, value = self.cache.peek(key)
-            if found:
-                return value, CACHED
+        value, provenance = peek(self.cache, key)
+        if provenance is not None:
+            return value, provenance
         return self.cache.get_or_compute(key, lambda: self._compute(spec)), DEGRADED
 
     def _compute(self, spec: RunSpec) -> object:

@@ -2,12 +2,17 @@
 semantics."""
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.engine.memo import SingleFlightCache
+from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import Batcher, PredictRequest
 from repro.serve.batcher import CACHED, COALESCED, COMPUTED
@@ -310,3 +315,113 @@ def test_vector_batcher_counts_columnar_specs():
     assert vector.counter("repro_serve_columnar_specs_total").value == 2
     scalar = asyncio.run(main("scalar"))
     assert scalar.counter("repro_serve_columnar_specs_total").value == 0
+
+
+def test_resident_submit_many_never_suspends():
+    """Resident specs are answered in the call that asks for them: no
+    task, no timer (a deadline included), and the coroutine finishes
+    without yielding to the loop."""
+    names = ("call_later", "call_at", "create_task")
+
+    async def main():
+        batcher = _batcher()
+        specs = [_spec(), _spec(model="OpenACC")]
+        await batcher.submit_many(specs)
+        loop = asyncio.get_running_loop()
+        scheduled = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                scheduled.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            setattr(loop, name, counting(name, getattr(loop, name)))
+        try:
+            resolving = batcher.submit_many(specs, deadline=loop.time() + 30)
+            with pytest.raises(StopIteration) as stop:
+                resolving.send(None)
+        finally:
+            for name in names:
+                delattr(loop, name)
+        await batcher.drain()
+        return stop.value.value, scheduled
+
+    served, scheduled = asyncio.run(main())
+    assert [label for _result, label in served] == [CACHED, CACHED]
+    assert scheduled == []
+
+
+def test_deadline_bounds_the_cold_wait_and_the_run_still_lands():
+    """An overrun raises on the wait alone: the engine run completes and
+    a retry is served from cache."""
+    async def main():
+        batcher = _batcher()
+        started, release, _sizes = _hold_first_batch(batcher)
+        loop = asyncio.get_running_loop()
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await batcher.submit_many(
+                    [_spec(), _spec(model="OpenACC")], deadline=loop.time() + 0.05
+                )
+            assert started.is_set()
+        finally:
+            release.set()
+        while batcher.depth:
+            await asyncio.sleep(0.001)
+        retry = await batcher.submit_many([_spec(), _spec(model="OpenACC")])
+        await batcher.drain()
+        return retry
+
+    assert [label for _result, label in asyncio.run(main())] == [CACHED, CACHED]
+
+
+def test_coalesced_leg_records_its_wait():
+    """A spec that joins an in-flight one is labelled ``coalesced`` and
+    records a ``coalesced_wait`` segment under its request."""
+    async def main():
+        batcher = _batcher()
+        started, release, _sizes = _hold_first_batch(batcher)
+        try:
+            first = asyncio.create_task(batcher.submit(_spec()))
+            await _until(started)
+            root = tracing.TRACER.start_span("request", kind="server")
+            with tracing.use(root.context):
+                joining = asyncio.create_task(
+                    batcher.submit_many([_spec(), _spec(model="OpenACC")])
+                )
+            await asyncio.sleep(0)
+        finally:
+            release.set()
+        await first
+        served = await joining
+        await batcher.drain()
+        return served, root, tracing.TRACER.pending_spans(root.trace_id)
+
+    served, root, spans = asyncio.run(main())
+    assert [label for _result, label in served] == [COALESCED, COMPUTED]
+    waits = [span for span in spans if span.name == "coalesced_wait"]
+    assert len(waits) == 1
+    assert waits[0].parent_id == root.span_id
+    assert waits[0].end_s >= waits[0].start_s
+
+
+def test_vector_engine_is_loaded_with_the_batcher_not_the_first_cold_batch():
+    """A vector batcher imports the columnar engine when it is built; a
+    scalar one never loads it."""
+    probe = (
+        "import sys\n"
+        "from repro.serve import Batcher\n"
+        "Batcher(engine={engine!r})\n"
+        "print('repro.engine.study_vec' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+    loaded = {}
+    for engine in ("vector", "scalar"):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(engine=engine)],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        )
+        loaded[engine] = out.stdout.strip()
+    assert loaded == {"vector": "True", "scalar": "False"}

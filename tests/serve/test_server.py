@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
@@ -242,6 +244,45 @@ def test_deadline_overrun_is_a_504():
         })
         assert status == 504
         assert "deadline" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("path, body", [
+    ("/v1/predict", {"app": "XSBench", "model": "OpenCL", "platform": "apu",
+                     "precision": "single"}),
+    ("/v1/study", {"apps": ["XSBench"], "models": ["OpenCL"],
+                   "platforms": ["apu"], "precisions": ["single"]}),
+    ("/v1/batch", {"cells": [
+        {"app": "XSBench", "model": model, "platform": "apu", "precision": "single"}
+        for model in ("OpenMP", "OpenCL")
+    ]}),
+])
+def test_slow_backend_is_a_504_and_the_retry_is_served_from_cache(path, body):
+    """The deadline bounds the wait for cold legs on every route; the
+    engine run behind a 504 completes and answers the retry."""
+    release = threading.Event()
+    with ServerThread(ServeConfig(deadline_s=0.2)) as thread:
+        batcher = thread.server.batcher
+        run_batch = batcher._run_batch
+
+        def held(batch, dispatched_s):
+            release.wait(timeout=30)
+            return run_batch(batch, dispatched_s)
+
+        batcher._run_batch = held
+        try:
+            status, _headers, doc = request(thread, "POST", path, body)
+        finally:
+            release.set()
+        assert status == 504
+        assert "deadline" in doc["error"]["message"]
+        until = time.monotonic() + 30
+        while batcher.depth:
+            assert time.monotonic() < until, "the engine run never landed"
+            time.sleep(0.005)
+        status, _headers, doc = request(thread, "POST", path, body)
+        assert status == 200
+        labels = doc["provenance"].values() if path == "/v1/predict" else doc["served"]
+        assert set(labels) == {"cache"}
 
 
 def test_graceful_drain_finishes_in_flight_work():
