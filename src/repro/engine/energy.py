@@ -17,10 +17,11 @@ the same charge timeline it prices for time:
 * **transfer** — staging copies power the link + DMA engines for the
   duration of the copy (zero on the APU: unified memory moves nothing).
 
-Every helper takes and returns plain Python floats and is called on the
-*final* per-kernel scalars by both the scalar timing path
-(``engine.timing``) and the columnar batch path (``engine.timing_vec``),
-which is what keeps joules bit-identical between the two engines.
+Every helper takes and returns plain Python floats.  Kernel pricing
+(``engine.timing_vec``) calls them on each kernel's *final* timing
+floats, and the scalar counters and the columnar engine fold the same
+helpers in the same order, which keeps joules bit-identical between
+the two engines.
 """
 
 from __future__ import annotations

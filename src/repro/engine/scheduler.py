@@ -4,10 +4,13 @@ A discrete-event execution of one kernel launch: workgroups are
 dispatched to compute units as slots free up, each workgroup overlaps
 its compute phase with its DRAM traffic, and all CUs contend for the
 one shared memory interface.  This is the detailed counterpart of the
-closed-form model in :mod:`repro.engine.timing`; the two are
-cross-validated in the test suite, and the scheduler additionally
-exposes utilization and tail effects (partial last batches, uneven
-workgroup distribution) that the analytic model smooths over.
+closed-form roofline (:mod:`repro.engine.timing_vec`, reached one
+kernel at a time through :func:`repro.engine.timing.time_gpu_kernel`)
+and its independent check: the roofline is written only once, so
+``tests/engine/test_differential.py`` fuzzes it against this event
+loop.  The scheduler additionally exposes utilization and tail effects
+(partial last batches, uneven workgroup distribution) that the
+analytic model smooths over.
 """
 
 from __future__ import annotations

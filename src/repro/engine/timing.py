@@ -14,17 +14,22 @@ a roofline with occupancy-based latency hiding:
 
 The same machinery prices the CPU baseline (OpenMP / serial), with CPU
 autovectorization taking the role vector efficiency plays on the GPU.
+
+The formulas are written once, over arrays, in
+:mod:`repro.engine.timing_vec`.  This module holds the model's
+constants, :class:`KernelTiming`, the CPU rate helpers and the
+one-kernel entry points :func:`time_gpu_kernel` and
+:func:`time_cpu_kernel`, which are one-cell calls into the array
+formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.compute_unit import latency_hiding_factor, occupancy
 from ..hardware.device import CPUDevice, GPUDevice
 from ..hardware.specs import Precision
 from .counters import KernelRecord
-from .energy import clock_power_scale, kernel_joules
 from .kernel import AccessKind, KernelSpec, LoweredKernel
 
 #: Floor on any kernel execution: pipeline ramp, drain and bookkeeping.
@@ -89,83 +94,11 @@ def time_gpu_kernel(
     gpu: GPUDevice,
     precision: Precision,
 ) -> KernelTiming:
-    """Price one lowered kernel launch on a GPU at its current clocks."""
-    spec = lowered.spec
+    """Price one lowered kernel launch on a GPU at its current clocks:
+    the one-cell case of :func:`~repro.engine.timing_vec.time_gpu_kernel_grid`."""
+    from .timing_vec import time_gpu_kernel_grid
 
-    occ = occupancy(
-        gpu.spec,
-        registers_per_thread=spec.registers_per_thread,
-        lds_bytes_per_workgroup=spec.lds_bytes_per_workgroup if lowered.uses_lds else 0,
-        workgroup_size=spec.workgroup_size,
-        total_work_items=spec.work_items,
-    )
-    hiding = latency_hiding_factor(occ)
-    useful_lanes = lowered.vector_efficiency * (1.0 - lowered.divergence)
-
-    # --- compute side -------------------------------------------------
-    flop_seconds = 0.0
-    if spec.ops.flops > 0:
-        flop_seconds = spec.ops.flops / (gpu.peak_flops(precision) * useful_lanes)
-    lanes_per_cu = gpu.spec.simd_per_cu * gpu.spec.lanes_per_simd
-    issue_rate = gpu.spec.compute_units * lanes_per_cu * gpu.core_clock.hz
-    instructions = lowered.instructions
-    if precision is Precision.DOUBLE:
-        # GCN issues DP VALU ops at the device's DP rate (1/4 Tahiti,
-        # 1/16 Kaveri), so the FP share of the instruction stream
-        # occupies proportionally more issue slots.
-        fp_fraction = min(0.9, spec.ops.flops / max(instructions, 1.0))
-        instructions *= (1.0 - fp_fraction) + fp_fraction / gpu.spec.dp_rate_ratio
-    issue_seconds = instructions / (issue_rate * useful_lanes)
-    compute_seconds = max(flop_seconds, issue_seconds) / hiding
-
-    # --- memory side ----------------------------------------------------
-    dram_bytes = lowered.dram_traffic_bytes(gpu.spec.l2_cache.size_bytes)
-    pattern_eff = spec.access.row_buffer_efficiency * lowered.memory_efficiency
-    bandwidth = gpu.memory.effective_bandwidth(pattern_eff) * 1e9
-    memory_seconds = dram_bytes / bandwidth / hiding if dram_bytes else 0.0
-
-    # Scattered patterns are additionally latency-bound: requests per
-    # line, against the in-flight capacity the resident wavefronts
-    # sustain.  Poorly generated code (low memory efficiency) issues
-    # proportionally more requests.
-    mlp = SCATTER_MLP.get(spec.access.kind)
-    if mlp is not None and dram_bytes:
-        line = gpu.spec.l2_cache.line_bytes
-        requests = dram_bytes / line
-        outstanding = gpu.spec.compute_units * occ.wavefronts_per_cu * mlp
-        dram_latency = SCATTER_DRAM_LATENCY_S * (
-            gpu.memory.clock.default_mhz / gpu.memory.clock.current_mhz
-        )
-        latency = SCATTER_PIPELINE_CYCLES / gpu.core_clock.hz + dram_latency
-        latency_seconds = requests * latency / outstanding / lowered.memory_efficiency
-        memory_seconds = max(memory_seconds, latency_seconds)
-
-    seconds = max(compute_seconds, memory_seconds, GPU_KERNEL_FLOOR_S)
-    if seconds == GPU_KERNEL_FLOOR_S:
-        limited_by = "floor"
-    elif compute_seconds >= memory_seconds:
-        limited_by = "compute"
-    else:
-        limited_by = "memory"
-
-    cycles = seconds * gpu.core_clock.hz
-    return KernelTiming(
-        name=spec.name,
-        seconds=seconds,
-        cycles=cycles,
-        instructions=lowered.instructions,
-        dram_bytes=dram_bytes,
-        limited_by=limited_by,
-        compute_seconds=compute_seconds,
-        memory_seconds=memory_seconds,
-        occupancy_waves=occ.wavefronts_per_cu,
-        joules=kernel_joules(
-            gpu.spec.power,
-            seconds,
-            compute_seconds,
-            clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz),
-        ),
-    )
+    return time_gpu_kernel_grid([lowered], [gpu], precision)[0][0]
 
 
 def cpu_vector_rate(cpu: CPUDevice, spec: KernelSpec, precision: Precision, threads: int) -> float:
@@ -198,71 +131,8 @@ def time_cpu_kernel(
     precision: Precision,
     threads: int = 1,
 ) -> KernelTiming:
-    """Price one parallel loop on the host CPU with ``threads`` cores."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    threads = min(threads, cpu.spec.cores)
+    """Price one parallel loop on the host CPU with ``threads`` cores:
+    the one-spec case of :func:`~repro.engine.timing_vec.time_cpu_kernel_batch`."""
+    from .timing_vec import time_cpu_kernel_batch
 
-    flop_seconds = 0.0
-    if spec.ops.flops > 0:
-        flop_seconds = spec.ops.flops / cpu_vector_rate(cpu, spec, precision, threads)
-    # Non-FP instruction issue (address arithmetic, branches).
-    scalar_rate = threads * cpu.spec.clock_mhz * 1e6 * 2.0  # ~2 IPC scalar issue
-    issue_seconds = spec.ops.int_ops / scalar_rate if spec.ops.int_ops else 0.0
-    compute_seconds = flop_seconds + issue_seconds
-
-    host_memory = cpu.memory_system()
-    traffic = spec.ops.total_bytes * max(
-        spec.access.traffic_multiplier(cpu.spec.llc.size_bytes), 0.05
-    )
-    # CPU hardware prefetchers blunt the row-buffer penalty of
-    # *predictable* access patterns (streams, stencils, banded SpMV
-    # gathers) far more than the GPU's uncached path does; random
-    # descents (binary search) and neighbour-list gathers stay exposed.
-    prefetchable = spec.access.kind in (
-        AccessKind.STREAMING, AccessKind.STENCIL, AccessKind.CSR_SPMV,
-    )
-    row_buffer = spec.access.row_buffer_efficiency
-    if prefetchable:
-        row_buffer = max(row_buffer, 0.8)
-    pattern_eff = row_buffer * cpu_stream_efficiency(threads)
-    bandwidth = host_memory.peak_bandwidth_at_clock() * pattern_eff * 1e9
-    memory_seconds = traffic / bandwidth if traffic else 0.0
-
-    # Scattered patterns are latency-bound on the CPU as well: the
-    # out-of-order window sustains only a few misses per core, and a
-    # dependent descent (binary search) keeps barely one in flight.
-    mlp = SCATTER_MLP.get(spec.access.kind)
-    if mlp is not None and traffic:
-        requests = traffic / cpu.spec.llc.line_bytes
-        per_core_mlp = 1.5 if spec.access.kind is AccessKind.BINARY_SEARCH else 6.0
-        outstanding = threads * per_core_mlp
-        latency_seconds = requests * CPU_MISS_LATENCY_S / outstanding
-        memory_seconds = max(memory_seconds, latency_seconds)
-
-    seconds = max(compute_seconds, memory_seconds, CPU_LOOP_FLOOR_S)
-    if seconds == CPU_LOOP_FLOOR_S:
-        limited_by = "floor"
-    elif compute_seconds >= memory_seconds:
-        limited_by = "compute"
-    else:
-        limited_by = "memory"
-
-    cycles = seconds * cpu.spec.clock_mhz * 1e6
-    return KernelTiming(
-        name=spec.name,
-        seconds=seconds,
-        cycles=cycles,
-        instructions=spec.instructions,
-        dram_bytes=traffic,
-        limited_by=limited_by,
-        compute_seconds=compute_seconds,
-        memory_seconds=memory_seconds,
-        occupancy_waves=threads,
-        joules=kernel_joules(
-            cpu.spec.power,
-            seconds,
-            compute_seconds,
-            share=threads / cpu.spec.cores,
-        ),
-    )
+    return time_cpu_kernel_batch([spec], cpu, precision, threads=threads)[0]

@@ -1,37 +1,33 @@
-"""Columnar kernel pricing: batched, bit-identical to ``timing.py``.
+"""The kernel roofline, written once, over arrays.
 
-The columnar study engine (:mod:`repro.engine.study_vec`) gathers the
-unique kernels of a schedule into arrays and prices them in one call
-per schedule group: :func:`time_gpu_kernel_grid` broadcasts the GPU
-roofline over (clock points x kernels), and the one-device
-:func:`time_gpu_kernel_batch` is its one-row case.  The arithmetic
-here mirrors :func:`repro.engine.timing.time_gpu_kernel` /
-:func:`~repro.engine.timing.time_cpu_kernel` *operation for
-operation* — same expressions, same association order, same
-float64 elementwise ops — so each batched timing is bit-identical to
-the scalar pricing of the same kernel on the same device state.  That
-identity is what lets both engines share :data:`~repro.engine.memo.KERNEL_CACHE`
-entries and is asserted by ``tests/engine/test_study_vec.py``.
+Every kernel price in the reproduction comes from here.
+:func:`time_gpu_kernel_grid` broadcasts the GPU roofline over
+(clock points x kernels) and :func:`time_cpu_kernel_batch` prices a
+batch of CPU loops.  The columnar study engine
+(:mod:`repro.engine.study_vec`) calls them once per schedule group; the
+one-kernel entry points :func:`repro.engine.timing.time_gpu_kernel`
+and :func:`~repro.engine.timing.time_cpu_kernel` are their one-cell
+calls.
 
 Three kinds of quantities appear:
 
-* **per-kernel coefficients** computed by shared scalar helpers
+* **per-kernel coefficients** computed by scalar helpers
   (:func:`~repro.hardware.compute_unit.occupancy`, traffic prediction,
-  :func:`~repro.engine.timing.cpu_vector_rate`) — gathered in Python,
-  exactly as the scalar path computes them;
+  :func:`~repro.engine.timing.cpu_vector_rate`) and gathered in Python;
 * **per-clock scalars** (peak FLOP/s, issue rate, pin bandwidth,
-  scatter latency, clock, power scale) — computed by the device's own
+  scatter latency, clock, power scale) computed by the device's own
   Python helpers once per clock point, as ``(rows, 1)`` columns;
-* **the roofline arithmetic** over those coefficient arrays — done as
-  elementwise NumPy float64 ops broadcast over the grid, which are
-  IEEE-identical to the same sequence of Python float ops.  No
-  formula may use a reduction: ``np.sum`` and friends reassociate.
+* **the roofline arithmetic** over those coefficient arrays, done as
+  elementwise NumPy float64 ops broadcast over the grid.  Elementwise
+  ops give each cell the same bits whatever else shares its call, so a
+  grid cell equals the one-cell call of the same kernel on the same
+  device state.  No formula may use a reduction: ``np.sum`` and
+  friends reassociate (``tests/engine/test_timing_vec.py`` checks).
 
 Every field of the returned :class:`~repro.engine.timing.KernelTiming`
-objects is converted back to a Python ``float``: values flow into the
-shared memo cache and ultimately into ``json.dumps`` (goldens,
-exports), which rejects ``np.float64`` — and the scalar engine must be
-able to consume cache entries this engine inserted.
+objects is a Python ``float``: values flow into the shared memo cache
+and ultimately into ``json.dumps`` (goldens, exports), which rejects
+``np.float64``.
 """
 
 from __future__ import annotations
@@ -58,18 +54,33 @@ from .timing import (
 )
 
 
-def time_gpu_kernel_batch(
-    lowereds: Sequence[LoweredKernel],
-    gpu: GPUDevice,
-    precision: Precision,
+def _row(
+    floor: float, names: list[str], seconds: list[float], cycles: list[float],
+    instructions: list[float], dram_bytes: list[float], compute: list[float],
+    memory: list[float], waves: list[int], joules: list[float],
 ) -> list[KernelTiming]:
-    """Price a batch of lowered kernels on one GPU state.
+    """One row of priced cells, each labelled by what bounds it: the
+    launch floor, else the slower of the compute and memory sides.
 
-    The one-row case of :func:`time_gpu_kernel_grid`.  Returns one
-    :class:`KernelTiming` per input, each bit-identical to
-    ``time_gpu_kernel(lowered, gpu, precision)``.
+    Every argument but ``floor`` is a per-kernel list of Python values.
     """
-    return time_gpu_kernel_grid(lowereds, [gpu], precision)[0]
+    return [
+        KernelTiming(
+            name=name,
+            seconds=s,
+            cycles=c,
+            instructions=i,
+            dram_bytes=d,
+            limited_by="floor" if s == floor else "compute" if cs >= ms else "memory",
+            compute_seconds=cs,
+            memory_seconds=ms,
+            occupancy_waves=w,
+            joules=j,
+        )
+        for name, s, c, i, d, cs, ms, w, j in zip(
+            names, seconds, cycles, instructions, dram_bytes, compute, memory, waves, joules
+        )
+    ]
 
 
 def time_gpu_kernel_grid(
@@ -85,10 +96,8 @@ def time_gpu_kernel_grid(
     scalar once per row, by the device's own helpers, as a ``(rows, 1)``
     column.  The roofline is then elementwise over the
     ``(rows, kernels)`` grid, with no reduction anywhere, so each cell
-    is the same sequence of IEEE operations as the scalar pricing of
-    that kernel on that row's device.  Returns ``timings[row][kernel]``,
-    each bit-identical to ``time_gpu_kernel(lowered, gpus[row],
-    precision)``.
+    is bit-identical to the one-cell call ``time_gpu_kernel(lowered,
+    gpus[row], precision)``.  Returns ``timings[row][kernel]``.
     """
     if not lowereds:
         return [[] for _ in gpus]
@@ -115,6 +124,9 @@ def time_gpu_kernel_grid(
     flops = np.array([spec.ops.flops for spec in specs])
     instructions = np.array([lowered.instructions for lowered in lowereds])
     if precision is Precision.DOUBLE:
+        # GCN issues DP VALU ops at the device's DP rate (1/4 Tahiti,
+        # 1/16 Kaveri), so the FP share of the instruction stream
+        # occupies proportionally more issue slots.
         fp_fraction = np.minimum(0.9, flops / np.maximum(instructions, 1.0))
         instructions = instructions * (
             (1.0 - fp_fraction) + fp_fraction / spec0.dp_rate_ratio
@@ -136,7 +148,6 @@ def time_gpu_kernel_grid(
     def column(values: list[float]) -> np.ndarray:
         return np.array(values, dtype=np.float64).reshape(-1, 1)
 
-
     lanes_per_cu = spec0.simd_per_cu * spec0.lanes_per_simd
     hz = column([gpu.core_clock.hz for gpu in gpus])
     peak_flops = column([gpu.peak_flops(precision) for gpu in gpus])
@@ -154,6 +165,10 @@ def time_gpu_kernel_grid(
     bandwidth = (peak_bandwidth * pattern_eff) * 1e9
     memory_seconds = np.where(dram != 0.0, dram / bandwidth / hiding, 0.0)
 
+    # Scattered patterns are additionally latency-bound: requests per
+    # line, against the in-flight capacity the resident wavefronts
+    # sustain.  Poorly generated code (low memory efficiency) issues
+    # proportionally more requests.
     mlp_values = [SCATTER_MLP.get(spec.access.kind) for spec in specs]
     scatter = np.array([value is not None for value in mlp_values]) & (dram != 0.0)
     if scatter.any():
@@ -177,9 +192,7 @@ def time_gpu_kernel_grid(
     seconds = np.maximum(np.maximum(compute_seconds, memory_seconds), GPU_KERNEL_FLOOR_S)
     cycles = seconds * hz
 
-    # Energy is scalar-helper arithmetic on the *final* per-cell floats
-    # (same call, same arguments as the scalar path) — bit-identity by
-    # construction, not by re-derivation.
+    # Energy is scalar-helper arithmetic on the *final* per-cell floats.
     names = [spec.name for spec in specs]
     kernel_instructions = [float(lowered.instructions) for lowered in lowereds]
     kernel_dram = dram.tolist()
@@ -191,36 +204,21 @@ def time_gpu_kernel_grid(
         compute_seconds.tolist(), memory_seconds.tolist(),
     ):
         power_scale = clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz)
-        row: list[KernelTiming] = []
-        for i, cell_seconds in enumerate(row_seconds):
-            cell_compute = row_compute[i]
-            cell_memory = row_memory[i]
-            if cell_seconds == GPU_KERNEL_FLOOR_S:
-                limited_by = "floor"
-            elif cell_compute >= cell_memory:
-                limited_by = "compute"
-            else:
-                limited_by = "memory"
-            row.append(
-                KernelTiming(
-                    name=names[i],
-                    seconds=cell_seconds,
-                    cycles=row_cycles[i],
-                    instructions=kernel_instructions[i],
-                    dram_bytes=kernel_dram[i],
-                    limited_by=limited_by,
-                    compute_seconds=cell_compute,
-                    memory_seconds=cell_memory,
-                    occupancy_waves=kernel_waves[i],
-                    joules=kernel_joules(power, cell_seconds, cell_compute, power_scale),
-                )
-            )
-        grid.append(row)
+        joules = [
+            kernel_joules(power, cell_seconds, cell_compute, power_scale)
+            for cell_seconds, cell_compute in zip(row_seconds, row_compute)
+        ]
+        grid.append(_row(
+            GPU_KERNEL_FLOOR_S, names, row_seconds, row_cycles, kernel_instructions,
+            kernel_dram, row_compute, row_memory, kernel_waves, joules,
+        ))
     return grid
 
 
-#: Access kinds whose predictable streams CPU prefetchers cover
-#: (mirrors the tuple inline in ``time_cpu_kernel``).
+#: Access kinds whose predictable streams CPU prefetchers cover.  They
+#: blunt the row-buffer penalty of streams, stencils and banded SpMV
+#: gathers far more than the GPU's uncached path does; random descents
+#: (binary search) and neighbour-list gathers stay exposed.
 _PREFETCHABLE = (AccessKind.STREAMING, AccessKind.STENCIL, AccessKind.CSR_SPMV)
 
 
@@ -233,7 +231,8 @@ def time_cpu_kernel_batch(
     """Price a batch of parallel loops on the host CPU.
 
     Returns one :class:`KernelTiming` per spec, each bit-identical to
-    ``time_cpu_kernel(spec, cpu, precision, threads=threads)``.
+    the one-spec call ``time_cpu_kernel(spec, cpu, precision,
+    threads=threads)``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -244,7 +243,8 @@ def time_cpu_kernel_batch(
     flops = np.array([spec.ops.flops for spec in specs])
     rates = np.array([cpu_vector_rate(cpu, spec, precision, threads) for spec in specs])
     flop_seconds = np.where(flops > 0, flops / rates, 0.0)
-    scalar_rate = threads * cpu.spec.clock_mhz * 1e6 * 2.0
+    # Non-FP instruction issue (address arithmetic, branches).
+    scalar_rate = threads * cpu.spec.clock_mhz * 1e6 * 2.0  # ~2 IPC scalar issue
     int_ops = np.array([spec.ops.int_ops for spec in specs])
     issue_seconds = np.where(int_ops != 0.0, int_ops / scalar_rate, 0.0)
     compute_seconds = flop_seconds + issue_seconds
@@ -269,6 +269,9 @@ def time_cpu_kernel_batch(
     bandwidth = np.array([_bandwidth(spec) for spec in specs])
     memory_seconds = np.where(traffic != 0.0, traffic / bandwidth, 0.0)
 
+    # Scattered patterns are latency-bound on the CPU as well: the
+    # out-of-order window sustains only a few misses per core, and a
+    # dependent descent (binary search) keeps barely one in flight.
     mlp_values = [SCATTER_MLP.get(spec.access.kind) for spec in specs]
     scatter = np.array([value is not None for value in mlp_values]) & (traffic != 0.0)
     if scatter.any():
@@ -289,31 +292,14 @@ def time_cpu_kernel_batch(
     cycles = (seconds * cpu.spec.clock_mhz) * 1e6
     thread_share = threads / cpu.spec.cores
 
-    timings: list[KernelTiming] = []
-    for i, spec in enumerate(specs):
-        cell_seconds = float(seconds[i])
-        cell_compute = float(compute_seconds[i])
-        cell_memory = float(memory_seconds[i])
-        if cell_seconds == CPU_LOOP_FLOOR_S:
-            limited_by = "floor"
-        elif cell_compute >= cell_memory:
-            limited_by = "compute"
-        else:
-            limited_by = "memory"
-        timings.append(
-            KernelTiming(
-                name=spec.name,
-                seconds=cell_seconds,
-                cycles=float(cycles[i]),
-                instructions=float(spec.instructions),
-                dram_bytes=float(traffic[i]),
-                limited_by=limited_by,
-                compute_seconds=cell_compute,
-                memory_seconds=cell_memory,
-                occupancy_waves=threads,
-                joules=kernel_joules(
-                    cpu.spec.power, cell_seconds, cell_compute, share=thread_share
-                ),
-            )
-        )
-    return timings
+    seconds_list = seconds.tolist()
+    compute_list = compute_seconds.tolist()
+    joules = [
+        kernel_joules(cpu.spec.power, cell_seconds, cell_compute, share=thread_share)
+        for cell_seconds, cell_compute in zip(seconds_list, compute_list)
+    ]
+    return _row(
+        CPU_LOOP_FLOOR_S, [spec.name for spec in specs], seconds_list, cycles.tolist(),
+        [float(spec.instructions) for spec in specs], traffic.tolist(), compute_list,
+        memory_seconds.tolist(), [threads] * len(specs), joules,
+    )

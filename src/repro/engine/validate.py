@@ -1,7 +1,7 @@
 """Cross-validation: the analytic timing model vs the event scheduler.
 
-The closed-form roofline (`timing.py`) is fast enough to price every
-launch of a study; the event-driven scheduler (`scheduler.py`) models
+The closed-form roofline (`timing_vec.py`, one kernel at a time via
+`timing.py`) is fast enough to price every launch of a study; the event-driven scheduler (`scheduler.py`) models
 the machine in more detail but costs one event per workgroup.  This
 module runs both over a set of kernels and reports where they diverge,
 so calibration drift is caught mechanically.

@@ -33,11 +33,7 @@ from repro.engine.study_vec import (
     vector_eligible,
 )
 from repro.engine.timing import time_cpu_kernel, time_gpu_kernel
-from repro.engine.timing_vec import (
-    time_cpu_kernel_batch,
-    time_gpu_kernel_batch,
-    time_gpu_kernel_grid,
-)
+from repro.engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
 from repro.exec.executor import execute, execute_with_engine
 from repro.exec.plan import DGPU, RunSpec, study_runs, sweep_runs
 from repro.exec.retry import RetryPolicy
@@ -248,14 +244,15 @@ def test_quarantine_holes_match_scalar(monkeypatch):
 
 @pytest.mark.parametrize("app_name", ["read-benchmark", "LULESH", "CoMD", "XSBench", "miniFE"])
 def test_batched_gpu_pricer_matches_scalar(app_name):
-    """``time_gpu_kernel_batch`` equals per-atom ``time_gpu_kernel``
-    exactly, for every captured atom of every app's OpenCL schedule."""
+    """One batched call over every captured atom of an app's OpenCL
+    schedule equals the one-row, one-kernel call per atom, exactly:
+    kernels priced together do not disturb each other's bits."""
     spec = RunSpec(app_name, "OpenCL", DGPU, Precision.SINGLE, sweep_configs()[app_name])
     program = capture_program(spec)
     lowereds = [atom[1] for atom in program.atoms if atom[0] == "gpu"]
     assert lowereds
     gpu = make_platform(apu=False).gpu
-    batch = time_gpu_kernel_batch(lowereds, gpu, Precision.SINGLE)
+    batch = time_gpu_kernel_grid(lowereds, [gpu], Precision.SINGLE)[0]
     assert batch == [
         time_gpu_kernel(lowered, gpu, Precision.SINGLE) for lowered in lowereds
     ]
@@ -263,8 +260,8 @@ def test_batched_gpu_pricer_matches_scalar(app_name):
 
 @pytest.mark.parametrize("app_name", ["read-benchmark", "LULESH", "CoMD", "XSBench", "miniFE"])
 def test_batched_cpu_pricer_matches_scalar(app_name):
-    """``time_cpu_kernel_batch`` equals per-spec ``time_cpu_kernel``
-    for every captured atom of the OpenMP baseline schedule."""
+    """One batched call over every captured atom of the OpenMP baseline
+    schedule equals the one-spec call per atom, exactly."""
     spec = RunSpec(app_name, "OpenMP", DGPU, Precision.DOUBLE, sweep_configs()[app_name])
     program = capture_program(spec)
     by_threads = {}
@@ -671,7 +668,7 @@ def _clock_rows(platform):
 @pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
 def test_broadcast_grid_equals_per_row_batches(app_name, precision, platform):
     """One (clock rows x atoms) broadcast call equals the one-row call
-    per clock point, and the scalar pricer per cell, exactly."""
+    per clock point, exactly."""
     spec = RunSpec(app_name, "OpenCL", platform, precision, sweep_configs()[app_name])
     lowereds = [atom[1] for atom in capture_program(spec).atoms if atom[0] == "gpu"]
     assert lowereds
@@ -679,8 +676,7 @@ def test_broadcast_grid_equals_per_row_batches(app_name, precision, platform):
     grid = time_gpu_kernel_grid(lowereds, rows, precision)
     assert len(grid) == len(rows)
     for gpu, row in zip(rows, grid):
-        assert row == time_gpu_kernel_batch(lowereds, gpu, precision)
-        assert row == [time_gpu_kernel(lowered, gpu, precision) for lowered in lowereds]
+        assert row == time_gpu_kernel_grid(lowereds, [gpu], precision)[0]
     # The edges genuinely price differently (the clocks reached the grid).
     assert len({tuple(t.seconds for t in row) for row in grid}) > 1
 
