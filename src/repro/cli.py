@@ -548,7 +548,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int | None:
         print(f"spawned ephemeral server on {url}")
 
     async def measured() -> tuple:
-        from .serve.loadgen import fetch_text
+        from .serve.http import fetch_text
 
         scrape = url if isinstance(url, str) else url[0]
         before = await fetch_text(scrape) if args.breakdown else None
@@ -598,7 +598,7 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
     import tempfile
 
     from .serve import ServeConfig, run_load
-    from .serve.loadgen import post_json
+    from .serve.http import post_json
     from .serve.shard import ShardedTier
 
     store = args.store or tempfile.mkdtemp(prefix="repro-store-")
@@ -662,7 +662,8 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
         print(f"\nrestart drill: {restart}")
 
         if args.breakdown:
-            from .serve.loadgen import fetch_json, render_shard_health
+            from .serve.http import fetch_json
+            from .serve.loadgen import render_shard_health
 
             try:
                 listing = asyncio.run(fetch_json(tier.url, "/v1/shards"))

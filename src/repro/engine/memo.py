@@ -28,7 +28,7 @@ import inspect
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
@@ -413,6 +413,11 @@ def _shallow(value: T) -> T:
 #: problem builders.
 SETUP_CACHE = SetupMemoCache()
 
+#: The memo layers the cache toggle governs (:func:`set_cache_enabled`,
+#: :func:`cache_setting`): engine-internal recomputation.
+#: ``RESULT_CACHE`` is deliberately not among them.
+TOGGLED_CACHES = (KERNEL_CACHE, SETUP_CACHE, TRACE_CACHE, PLAN_CACHE)
+
 
 #: Registered projection stubs: (builder module, builder qualname) ->
 #: a cheap builder producing state with the real shapes/dtypes but no
@@ -534,10 +539,8 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
 
 def set_cache_enabled(enabled: bool) -> None:
     """Enable or disable every memo layer (pricing, setup, trace, plan)."""
-    KERNEL_CACHE.enabled = enabled
-    SETUP_CACHE.enabled = enabled
-    TRACE_CACHE.enabled = enabled
-    PLAN_CACHE.enabled = enabled
+    for cache in TOGGLED_CACHES:
+        cache.enabled = enabled
 
 
 def clear_caches() -> None:
@@ -551,23 +554,21 @@ def clear_caches() -> None:
 
 
 @contextmanager
-def cache_disabled() -> Iterator[None]:
-    """Force recomputation within the block (e.g. for cross-checks)."""
-    previous = (
-        KERNEL_CACHE.enabled, SETUP_CACHE.enabled, TRACE_CACHE.enabled,
-        PLAN_CACHE.enabled,
-    )
-    KERNEL_CACHE.enabled = False
-    SETUP_CACHE.enabled = False
-    TRACE_CACHE.enabled = False
-    PLAN_CACHE.enabled = False
+def cache_setting(enabled: bool) -> Iterator[None]:
+    """Apply the cache toggle within the block, restoring each layer's
+    prior state on exit."""
+    previous = [cache.enabled for cache in TOGGLED_CACHES]
+    set_cache_enabled(enabled)
     try:
         yield
     finally:
-        (
-            KERNEL_CACHE.enabled, SETUP_CACHE.enabled, TRACE_CACHE.enabled,
-            PLAN_CACHE.enabled,
-        ) = previous
+        for cache, was_enabled in zip(TOGGLED_CACHES, previous):
+            cache.enabled = was_enabled
+
+
+def cache_disabled() -> AbstractContextManager[None]:
+    """Force recomputation within the block (e.g. for cross-checks)."""
+    return cache_setting(False)
 
 
 class HashedKey(tuple):

@@ -77,7 +77,6 @@ from ..exec.executor import (
     ExecStats,
     ExecutionInterrupted,
     RunOutcome,
-    _cache_setting,
     _limited_by_tallies,
     execute,
 )
@@ -602,7 +601,7 @@ def execute_vector(
 
     interrupted = False
     try:
-        with _cache_setting(use_cache):
+        with memo.cache_setting(use_cache):
             indices = sorted(vector_cells)
             lattice = SpecLattice.from_specs([vector_cells[i] for i in indices])
             for _key, rows in lattice.groups:

@@ -36,7 +36,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
@@ -646,21 +646,6 @@ class ExecutionInterrupted(KeyboardInterrupt):
         self.checkpoint = checkpoint
 
 
-@contextmanager
-def _cache_setting(use_cache: bool):
-    """Apply the cache toggle in-process, restoring the prior state."""
-    previous = (
-        memo.KERNEL_CACHE.enabled, memo.SETUP_CACHE.enabled, memo.TRACE_CACHE.enabled,
-        memo.PLAN_CACHE.enabled,
-    )
-    memo.set_cache_enabled(use_cache)
-    try:
-        yield
-    finally:
-        (memo.KERNEL_CACHE.enabled, memo.SETUP_CACHE.enabled,
-         memo.TRACE_CACHE.enabled, memo.PLAN_CACHE.enabled) = previous
-
-
 def _quarantine_error(spec: RunSpec, attempts: int, reason: str) -> RunError:
     """A parent-side quarantine record (no worker traceback exists)."""
     return RunError(
@@ -788,7 +773,7 @@ def execute(
         # cells together under the bounded setup LRU even when the
         # caller shuffled its plan; for a canonically ordered plan the
         # two orders coincide.
-        with _cache_setting(use_cache):
+        with memo.cache_setting(use_cache):
             for block in _affinity_blocks(sorted(specs.items())):
                 for index, spec in block:
                     settle(

@@ -20,7 +20,10 @@ to rehearse them:
   a study under transient injection must produce results bit-identical
   to a fault-free run.
 
-Plans come from the CLI (``--inject-faults crash:0.2,timeout:0.1``) or
+The ``kind:rate`` grammar, environment arming and hash draw live once,
+in :class:`SeededFaultPlan`, which the serve tier's plan
+(:class:`repro.serve.faults.ServeFaultPlan`) subclasses too.  Plans
+come from the CLI (``--inject-faults crash:0.2,timeout:0.1``) or
 the ``REPRO_INJECT_FAULTS`` / ``REPRO_FAULT_SEED`` environment
 variables (which reach pool workers of any entry point).
 """
@@ -30,9 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 
 class ErrorKind(str, Enum):
@@ -124,9 +127,9 @@ class RunError:
 #:                 the Ctrl-C checkpoint-flush path deterministically.
 FAULT_KINDS = ("crash", "timeout", "corrupt", "poison", "abort", "hang", "interrupt")
 
-#: How long an injected ``hang`` sleeps in a pool worker — far past
-#: any sane watchdog, short enough that an unconfigured test suite
-#: would still terminate.
+#: How long an injected ``hang`` sleeps (a pool worker here, a whole
+#: shard in the serve tier) — far past any watchdog, probe or call
+#: deadline, short enough that a wedged test suite still terminates.
 HANG_SECONDS = 3600.0
 
 ENV_FAULTS = "REPRO_INJECT_FAULTS"
@@ -145,46 +148,120 @@ def _hash01(token: str) -> float:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """Seeded, per-spec fault injections (reproducible chaos).
+class SeededFaultPlan:
+    """The ``kind:rate`` grammar and seeded draw every fault plan shares.
 
-    ``rates`` maps fault kind -> probability that the kind is drawn
-    for a given run spec (stored as a sorted tuple of pairs so plans
-    are hashable and picklable into pool workers).  A drawn fault
-    fires on the first ``attempts`` attempts of that spec and then
-    stands down, so a retry budget larger than ``attempts`` always
-    recovers; raise ``attempts`` past the retry budget to rehearse
-    quarantine instead.
+    ``rates`` maps fault kind -> draw probability (a sorted tuple of
+    pairs, so plans are hashable, picklable into pool workers and
+    round-trippable).  A subclass names its injectable :attr:`KINDS`,
+    the :attr:`LABEL` its errors carry, its environment variables, and
+    the pseudo-keys (:attr:`OPTIONS`: token -> field name and type)
+    that set its extra fields; ``seed`` is a pseudo-key of every plan.
+    Draws hash ``f"{seed}:{kind}:{key}"``, so no RNG state is involved.
     """
+
+    KINDS: ClassVar[tuple[str, ...]] = ()
+    LABEL: ClassVar[str] = "fault"
+    OPTIONS: ClassVar[dict[str, tuple[str, type]]] = {}
+    ENV_FAULTS: ClassVar[str] = ""
+    ENV_SEED: ClassVar[str] = ""
 
     seed: int = 0
     rates: tuple[tuple[str, float], ...] = ()
-    attempts: int = 1
+    #: Whether any kind can be drawn; computed once, because a server
+    #: checks it on every request.
+    active: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for kind, rate in self.rates:
-            if kind not in FAULT_KINDS:
+            if kind not in self.KINDS:
                 raise ValueError(
-                    f"unknown fault kind {kind!r}: known kinds are {', '.join(FAULT_KINDS)}"
+                    f"unknown {self.LABEL} kind {kind!r}: known kinds are "
+                    f"{', '.join(self.KINDS)}"
                 )
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate for {kind!r} must be in [0, 1], got {rate}")
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-
-    @property
-    def active(self) -> bool:
-        return any(rate > 0 for _, rate in self.rates)
+        object.__setattr__(self, "active", any(rate > 0 for _, rate in self.rates))
 
     def rate(self, kind: str) -> float:
         return dict(self.rates).get(kind, 0.0)
 
     def drawn(self, kind: str, key: str) -> bool:
-        """Whether ``kind`` is drawn for the spec with content ``key``."""
+        """Whether ``kind`` is drawn for the draw key ``key`` (a run
+        spec's content key, or a serve request's shard and ordinal)."""
         rate = self.rate(kind)
-        if rate <= 0.0:
-            return False
-        return _hash01(f"{self.seed}:{kind}:{key}") < rate
+        return rate > 0.0 and _hash01(f"{self.seed}:{kind}:{key}") < rate
+
+    def spec_string(self) -> str:
+        """Round-trippable ``kind:rate,...`` form (see :meth:`parse`)."""
+        parts = [f"{kind}:{rate:g}" for kind, rate in self.rates]
+        fields = self.__dataclass_fields__
+        for token, (name, convert) in self.OPTIONS.items():
+            value = getattr(self, name)
+            if value != fields[name].default:
+                parts.append(f"{token}:{value:g}" if convert is float else f"{token}:{value}")
+        return ",".join(parts)
+
+    @classmethod
+    def parse(cls, spec: str, seed: int = 0):
+        """Parse ``kind:rate,...`` tokens, plus ``seed:N`` and the
+        subclass's pseudo-keys, into a plan."""
+        rates: dict[str, float] = {}
+        options: dict[str, object] = {}
+        for token in spec.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            name, sep, value = token.partition(":")
+            name = name.strip()
+            if not sep:
+                raise ValueError(
+                    f"malformed {cls.LABEL} token {token!r}: expected kind:rate"
+                )
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"malformed {cls.LABEL} rate in {token!r}") from None
+            if name == "seed":
+                seed = int(number)
+            elif name in cls.OPTIONS:
+                field_name, convert = cls.OPTIONS[name]
+                options[field_name] = convert(number)
+            else:
+                rates[name] = number
+        return cls(seed=seed, rates=tuple(sorted(rates.items())), **options)
+
+    @classmethod
+    def from_env(cls, environ: Mapping[str, str] = os.environ):
+        """The ambient plan, if chaos was requested via the environment."""
+        spec = environ.get(cls.ENV_FAULTS)
+        if not spec:
+            return None
+        return cls.parse(spec, seed=int(environ.get(cls.ENV_SEED, "0")))
+
+
+@dataclass(frozen=True)
+class FaultPlan(SeededFaultPlan):
+    """Seeded, per-spec fault injections (reproducible chaos).
+
+    A kind is drawn per run spec, keyed on the spec's content key.  A
+    drawn fault fires on the first ``attempts`` attempts of that spec
+    and then stands down, so a retry budget larger than ``attempts``
+    always recovers; raise ``attempts`` past the retry budget to
+    rehearse quarantine instead.
+    """
+
+    KINDS: ClassVar[tuple[str, ...]] = FAULT_KINDS
+    OPTIONS: ClassVar[dict[str, tuple[str, type]]] = {"attempts": ("attempts", int)}
+    ENV_FAULTS: ClassVar[str] = ENV_FAULTS
+    ENV_SEED: ClassVar[str] = ENV_SEED
+
+    attempts: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
 
     def injects(self, kind: str, key: str, attempt: int) -> bool:
         """Whether ``kind`` fires on this attempt of this spec."""
@@ -193,13 +270,6 @@ class FaultPlan:
     def faults_for(self, key: str) -> tuple[str, ...]:
         """All fault kinds drawn for one spec, in canonical order."""
         return tuple(kind for kind in FAULT_KINDS if self.drawn(kind, key))
-
-    def spec_string(self) -> str:
-        """Round-trippable ``kind:rate,...`` form (see :func:`parse_fault_plan`)."""
-        parts = [f"{kind}:{rate:g}" for kind, rate in self.rates]
-        if self.attempts != 1:
-            parts.append(f"attempts:{self.attempts}")
-        return ",".join(parts)
 
     def apply(self, key: str, label: str, attempt: int, in_pool_worker: bool) -> None:
         """Raise (or hard-exit) for every process fault drawn on this attempt.
@@ -229,44 +299,10 @@ class FaultPlan:
             raise RunTimeout(f"injected timeout: {label} (attempt {attempt})")
 
 
-def parse_fault_plan(spec: str, seed: int = 0) -> FaultPlan:
-    """Parse ``crash:0.2,timeout:0.1[,attempts:2]`` into a plan.
+#: ``crash:0.2,timeout:0.1[,attempts:2][,seed:N]`` -> :class:`FaultPlan`.
+parse_fault_plan = FaultPlan.parse
 
-    Each token is ``kind:value``; kinds are the injectable
-    :data:`FAULT_KINDS` plus the pseudo-keys ``attempts`` (faulted
-    attempts per drawn spec) and ``seed``.
-    """
-    rates: dict[str, float] = {}
-    attempts = 1
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, value = token.partition(":")
-        name = name.strip()
-        if not sep:
-            raise ValueError(f"malformed fault token {token!r}: expected kind:rate")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(f"malformed fault rate in {token!r}") from None
-        if name == "attempts":
-            attempts = int(number)
-        elif name == "seed":
-            seed = int(number)
-        else:
-            rates[name] = number
-    return FaultPlan(seed=seed, rates=tuple(sorted(rates.items())), attempts=attempts)
-
-
-def fault_plan_from_env(environ: Mapping[str, str] = os.environ) -> FaultPlan | None:
-    """The ambient fault plan, if chaos was requested via environment.
-
-    This is how an injection campaign reaches pool workers and entry
-    points that do not thread a plan through explicitly.
-    """
-    spec = environ.get(ENV_FAULTS)
-    if not spec:
-        return None
-    seed = int(environ.get(ENV_SEED, "0"))
-    return parse_fault_plan(spec, seed=seed)
+#: The plan armed by ``REPRO_INJECT_FAULTS`` / ``REPRO_FAULT_SEED``;
+#: this is how an injection campaign reaches pool workers and entry
+#: points that do not thread a plan through explicitly.
+fault_plan_from_env = FaultPlan.from_env

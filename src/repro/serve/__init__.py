@@ -12,6 +12,9 @@ serving-stack shape the ROADMAP's north star asks for:
 * :mod:`repro.serve.batcher` — idle-dispatch micro-batching with
   single-flight deduplication over the process-global result memo,
   dispatching to a backend thread that runs the exec retry ladder.
+* :mod:`repro.serve.http` — the one HTTP/1.1 framing module: request
+  parser and response encoder, request encoder and response reader,
+  the router's pooled keep-alive client, and one-shot JSON helpers.
 * :mod:`repro.serve.server` — stdlib asyncio HTTP/1.1 server with
   bounded admission (429 + ``Retry-After``), per-request deadlines,
   graceful drain, Prometheus instrumentation with trace exemplars,
@@ -43,15 +46,13 @@ from .batcher import BackendRunError, Batcher
 from .breaker import BreakerState, CircuitBreaker, RetryBudget
 from .chaos import ChaosReport, chaos_bodies, expected_responses, run_chaos_drill
 from .faults import ServeChaos, ServeFaultPlan, parse_serve_fault_plan
+from .http import fetch_json, fetch_text, retry_after_delay
 from .loadgen import (
     LoadResult,
     SegmentStats,
-    fetch_json,
-    fetch_text,
     percentile,
     render_breakdown,
     render_shard_health,
-    retry_after_delay,
     run_load,
     segment_breakdown,
 )

@@ -40,14 +40,8 @@ from ..exec.retry import RetryPolicy, run_with_retry
 from ..obs import logging as obs_logging
 from . import protocol
 from .faults import ENV_SERVE_FAULTS, ENV_SERVE_SEED
-from .loadgen import (
-    LoadResult,
-    count_non_2xx,
-    fetch_json,
-    fetch_text,
-    post_json,
-    run_load,
-)
+from .http import fetch_json, fetch_text, post_json
+from .loadgen import LoadResult, count_non_2xx, run_load
 from .server import ServeConfig
 from .shard import RouterConfig, ShardedTier
 from .supervise import SupervisionPolicy

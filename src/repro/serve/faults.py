@@ -37,64 +37,52 @@ and ``seed`` tune the rest.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar
 
-from ..exec.faults import _hash01
+from ..exec.faults import SeededFaultPlan
 
 #: Injectable serve-layer fault kinds, in draw order (one request
 #: suffers at most one fault; earlier kinds win ties).
 SERVE_FAULT_KINDS = ("crash", "hang", "slow", "reset", "corrupt")
-
-#: How long a hung shard sleeps per request — far past any probe or
-#: call deadline, short enough that a wedged test still terminates.
-HANG_SECONDS = 3600.0
 
 ENV_SERVE_FAULTS = "REPRO_SERVE_INJECT_FAULTS"
 ENV_SERVE_SEED = "REPRO_SERVE_FAULT_SEED"
 
 
 @dataclass(frozen=True)
-class ServeFaultPlan:
+class ServeFaultPlan(SeededFaultPlan):
     """Seeded per-request fault draws for one serve process.
 
     ``rates`` maps fault kind -> probability per admitted prediction
-    request (a sorted tuple of pairs, so plans are hashable and
-    round-trippable).  ``only_shard`` confines injection to one shard
-    id; ``limit`` caps total injections per process so a drill's storm
-    is bounded by construction.
+    request.  ``only_shard`` (pseudo-key ``shard``) confines injection
+    to one shard id; ``limit`` caps total injections per process so a
+    drill's storm is bounded by construction.
     """
 
-    seed: int = 0
-    rates: tuple[tuple[str, float], ...] = ()
+    KINDS: ClassVar[tuple[str, ...]] = SERVE_FAULT_KINDS
+    LABEL: ClassVar[str] = "serve fault"
+    OPTIONS: ClassVar[dict[str, tuple[str, type]]] = {
+        "slow_s": ("slow_s", float),
+        "limit": ("limit", int),
+        "shard": ("only_shard", int),
+    }
+    ENV_FAULTS: ClassVar[str] = ENV_SERVE_FAULTS
+    ENV_SEED: ClassVar[str] = ENV_SERVE_SEED
+
     slow_s: float = 0.05
     limit: int = 1_000_000
     only_shard: int | None = None
 
     def __post_init__(self) -> None:
-        for kind, rate in self.rates:
-            if kind not in SERVE_FAULT_KINDS:
-                raise ValueError(
-                    f"unknown serve fault kind {kind!r}: known kinds are "
-                    f"{', '.join(SERVE_FAULT_KINDS)}"
-                )
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"fault rate for {kind!r} must be in [0, 1], got {rate}"
-                )
+        super().__post_init__()
         if self.slow_s < 0:
             raise ValueError(f"slow_s must be >= 0, got {self.slow_s}")
         if self.limit < 0:
             raise ValueError(f"limit must be >= 0, got {self.limit}")
-
-    @property
-    def active(self) -> bool:
-        return self.limit > 0 and any(rate > 0 for _, rate in self.rates)
-
-    def rate(self, kind: str) -> float:
-        return dict(self.rates).get(kind, 0.0)
+        if self.limit == 0:
+            object.__setattr__(self, "active", False)
 
     def applies_to(self, shard: int | None) -> bool:
         return self.only_shard is None or self.only_shard == shard
@@ -110,84 +98,23 @@ class ServeFaultPlan:
         """
         if not self.applies_to(shard):
             return None
+        key = f"{shard}:{ordinal}"
         for kind in SERVE_FAULT_KINDS:
-            rate = self.rate(kind)
-            if rate <= 0.0:
-                continue
-            if _hash01(f"{self.seed}:{kind}:{shard}:{ordinal}") < rate:
+            if self.drawn(kind, key):
                 return kind
         return None
 
-    def spec_string(self) -> str:
-        """Round-trippable ``kind:rate,...`` form (see
-        :func:`parse_serve_fault_plan`)."""
-        parts = [f"{kind}:{rate:g}" for kind, rate in self.rates]
-        if self.slow_s != ServeFaultPlan.slow_s:
-            parts.append(f"slow_s:{self.slow_s:g}")
-        if self.limit != ServeFaultPlan.limit:
-            parts.append(f"limit:{self.limit}")
-        if self.only_shard is not None:
-            parts.append(f"shard:{self.only_shard}")
-        return ",".join(parts)
 
+#: ``crash:0.002,reset:0.01[,slow_s:0.05][,limit:N][,shard:0][,seed:N]``
+#: -> :class:`ServeFaultPlan`.
+parse_serve_fault_plan = ServeFaultPlan.parse
 
-def parse_serve_fault_plan(spec: str, seed: int = 0) -> ServeFaultPlan:
-    """Parse ``crash:0.002,reset:0.01[,slow_s:0.05][,shard:0]`` into a
-    plan.
-
-    Tokens are ``kind:value`` with kinds from :data:`SERVE_FAULT_KINDS`
-    plus the pseudo-keys ``seed``, ``slow_s``, ``limit`` and ``shard``
-    (confine the plan to one shard id).
-    """
-    rates: dict[str, float] = {}
-    slow_s = ServeFaultPlan.slow_s
-    limit = ServeFaultPlan.limit
-    only_shard: int | None = None
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, value = token.partition(":")
-        name = name.strip()
-        if not sep:
-            raise ValueError(
-                f"malformed serve fault token {token!r}: expected kind:rate"
-            )
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(f"malformed serve fault rate in {token!r}") from None
-        if name == "seed":
-            seed = int(number)
-        elif name == "slow_s":
-            slow_s = number
-        elif name == "limit":
-            limit = int(number)
-        elif name == "shard":
-            only_shard = int(number)
-        else:
-            rates[name] = number
-    return ServeFaultPlan(
-        seed=seed, rates=tuple(sorted(rates.items())),
-        slow_s=slow_s, limit=limit, only_shard=only_shard,
-    )
-
-
-def serve_fault_plan_from_env(
-    environ: Mapping[str, str] = os.environ,
-) -> ServeFaultPlan | None:
-    """The ambient serve fault plan, if chaos was requested via the
-    environment.
-
-    Shard processes inherit the parent's environment at spawn time, so
-    an armed tier re-arms every *respawned* shard too — which is what
-    lets the drill rehearse a crash loop rather than a single crash.
-    """
-    spec = environ.get(ENV_SERVE_FAULTS)
-    if not spec:
-        return None
-    seed = int(environ.get(ENV_SERVE_SEED, "0"))
-    return parse_serve_fault_plan(spec, seed=seed)
+#: The plan armed by ``REPRO_SERVE_INJECT_FAULTS`` /
+#: ``REPRO_SERVE_FAULT_SEED``.  Shard processes inherit the parent's
+#: environment at spawn time, so an armed tier re-arms every
+#: *respawned* shard too — which is what lets the drill rehearse a
+#: crash loop rather than a single crash.
+serve_fault_plan_from_env = ServeFaultPlan.from_env
 
 
 class ServeChaos:

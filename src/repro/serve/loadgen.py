@@ -1,8 +1,10 @@
 """Closed- and open-loop load generation for the prediction service.
 
 ``repro loadtest`` drives a live server with raw keep-alive HTTP/1.1
-over asyncio streams (no client library, so the generator is never
-the bottleneck) and reports throughput plus p50/p95/p99 latency.
+over asyncio streams (one connection per worker, framed by
+:mod:`repro.serve.http`; no client library, so the generator is never
+the bottleneck, and no client-side retry, so every transport error is
+counted) and reports throughput plus p50/p95/p99 latency.
 
 Two arrival disciplines, because they answer different questions:
 
@@ -36,16 +38,11 @@ import time
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from ..exec.faults import _hash01
 from ..obs.metrics import parse_prometheus
+from .http import encode_request, read_response, retry_after_delay
 
 #: Latency percentiles reported by the harness.
 PERCENTILES = (50.0, 95.0, 99.0)
-
-#: Backstop pause when a 429 carries no (or an unparsable) Retry-After.
-DEFAULT_RETRY_AFTER_S = 0.05
-#: Longest a closed-loop worker will honor a single Retry-After for.
-MAX_RETRY_AFTER_S = 5.0
 
 
 def percentile(sorted_samples: list[float], q: float) -> float:
@@ -149,62 +146,6 @@ class LoadResult:
         ])
 
 
-def encode_request(host: str, path: str, body: dict) -> bytes:
-    payload = json.dumps(body).encode()
-    return (
-        f"POST {path} HTTP/1.1\r\n"
-        f"Host: {host}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        "Connection: keep-alive\r\n\r\n"
-    ).encode() + payload
-
-
-async def _read_response(
-    reader: asyncio.StreamReader,
-) -> tuple[int, dict[str, str], bytes]:
-    """Read one Content-Length-framed HTTP response.
-
-    Returns ``(status, headers, body)`` with header names lowercased —
-    the closed-loop worker needs ``retry-after`` back-pressure, not
-    just the status line.
-    """
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ")[1])
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or 0)
-    body = await reader.readexactly(length) if length else b""
-    return status, headers, body
-
-
-def retry_after_delay(
-    headers: dict[str, str], token: str, fallback: float = DEFAULT_RETRY_AFTER_S
-) -> float:
-    """How long to back off after a 429, from its ``Retry-After``.
-
-    The server's hint is taken as a *minimum*, stretched by a
-    deterministic 0-50% jitter keyed on ``token`` so a fleet of
-    rejected workers does not re-dogpile the server on the same tick
-    (the retry ladder's jitter trick, anchored at 1.0x instead of
-    0.5x so no worker returns earlier than asked).  Capped at
-    :data:`MAX_RETRY_AFTER_S`; an absent or unparsable header (e.g.
-    an HTTP-date, which this harness does not speak) falls back to a
-    short fixed pause.
-    """
-    value = headers.get("retry-after")
-    try:
-        hint = float(value) if value is not None else fallback
-    except ValueError:
-        hint = fallback
-    hint = max(0.0, hint)
-    return min(MAX_RETRY_AFTER_S, hint * (1.0 + 0.5 * _hash01(token)))
-
-
 class _Recorder:
     def __init__(self) -> None:
         self.samples: list[tuple[int, float, int]] = []
@@ -238,7 +179,7 @@ async def _closed_worker(
             try:
                 writer.write(data)
                 await writer.drain()
-                status, headers, _body = await _read_response(reader)
+                status, headers, _body = await read_response(reader)
             except (ConnectionError, asyncio.IncompleteReadError):
                 recorder.errors += 1
                 writer.close()
@@ -275,7 +216,7 @@ async def _open_worker(
                     reader, writer = await asyncio.open_connection(host, port)
                 writer.write(data)
                 await writer.drain()
-                status, _headers, _body = await _read_response(reader)
+                status, _headers, _body = await read_response(reader)
             except (ConnectionError, asyncio.IncompleteReadError):
                 recorder.errors += 1
                 if writer is not None:
@@ -295,7 +236,9 @@ async def _warmup(host: str, port: int, requests: list[tuple[bytes, int]]) -> No
         for data, _weight in requests:
             writer.write(data)
             await writer.drain()
-            await _read_response(reader)  # response discarded: cache priming
+            await read_response(reader)  # response discarded: cache priming
+    except (ConnectionError, asyncio.IncompleteReadError):
+        pass  # the measured window counts what the target does wrong
     finally:
         writer.close()
 
@@ -339,7 +282,12 @@ async def run_load(
         endpoints.append((split.hostname or "127.0.0.1", split.port or 80))
     requests_by_target = [
         [
-            (encode_request(f"{host}:{port}", path, body), _body_weight(body))
+            (
+                encode_request(
+                    "POST", path, f"{host}:{port}", json.dumps(body).encode()
+                ),
+                _body_weight(body),
+            )
             for body in bodies
         ]
         for host, port in endpoints
@@ -397,20 +345,6 @@ async def run_load(
     return result
 
 
-async def post_json(url: str, path: str, doc: dict) -> tuple[int, dict]:
-    """POST one JSON document over a one-shot connection."""
-    split = urlsplit(url)
-    host, port = split.hostname or "127.0.0.1", split.port or 80
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(encode_request(f"{host}:{port}", path, doc))
-        await writer.drain()
-        status, _headers, body = await _read_response(reader)
-    finally:
-        writer.close()
-    return status, json.loads(body.decode() or "null")
-
-
 # --------------------------------------------------------------------------
 # --breakdown: queue wait vs service time, from the server's own segments
 # --------------------------------------------------------------------------
@@ -419,32 +353,6 @@ async def post_json(url: str, path: str, doc: dict) -> tuple[int, dict]:
 SEGMENT_METRIC = "repro_serve_segment_seconds"
 
 _LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-async def fetch_text(url: str, path: str = "/metrics") -> str:
-    """GET a text endpoint on the server over a one-shot connection."""
-    split = urlsplit(url)
-    host, port = split.hostname or "127.0.0.1", split.port or 80
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write((
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode())
-        await writer.drain()
-        status, _headers, body = await _read_response(reader)
-    finally:
-        writer.close()
-    if status != 200:
-        raise RuntimeError(f"GET {path} returned {status}")
-    return body.decode()
-
-
-async def fetch_json(url: str, path: str) -> dict:
-    """GET a JSON endpoint (e.g. ``/v1/shards``) over a one-shot
-    connection; raises on non-200 like :func:`fetch_text`."""
-    return json.loads(await fetch_text(url, path))
 
 
 def _parse_labels(block: str) -> dict[str, str]:

@@ -1,9 +1,9 @@
 """The asyncio HTTP server: admission control, deadlines, drain.
 
-A deliberately small HTTP/1.1 implementation over ``asyncio`` streams
-(stdlib only — no framework): request line + headers + Content-Length
-body in, ``Content-Length``-framed JSON out, keep-alive connections.
-Three concerns live here, layered over the :class:`~repro.serve.batcher.Batcher`:
+HTTP/1.1 is framed by :mod:`repro.serve.http` (stdlib only, no
+framework: ``Content-Length``-framed JSON in and out, keep-alive
+connections).  Three concerns live here, layered over the
+:class:`~repro.serve.batcher.Batcher`:
 
 * **Admission control** — at most ``max_queue`` prediction requests
   are in the house at once; the rest are shed immediately with a 429
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from .. import __version__
 from ..core.metrics import speedup
 from ..engine import memo
+from ..exec.faults import HANG_SECONDS
 from ..exec.plan import RunSpec, platform_label
 from ..exec.retry import RetryPolicy
 from ..obs import logging as obs_logging
@@ -53,6 +54,13 @@ from ..obs.metrics import MetricsRegistry
 from . import faults as serve_faults
 from . import protocol, warmup
 from .batcher import BackendRunError, Batcher
+from .http import (
+    MAX_HEADER_BYTES,
+    BadRequest,
+    HttpRequest,
+    encode_response,
+    read_request,
+)
 from .store import PersistentResultCache, ResultStore
 
 #: Latency buckets for serving (seconds): log-1/2-decade from a 100 µs
@@ -69,15 +77,6 @@ SERVE_LATENCY_BUCKETS: tuple[float, ...] = (
 SEGMENT_BUCKETS: tuple[float, ...] = (
     0.00001, 0.000025, 0.00005,
 ) + SERVE_LATENCY_BUCKETS
-
-_MAX_HEADER_BYTES = 64 * 1024
-_MAX_BODY_BYTES = 1024 * 1024
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    413: "Payload Too Large", 429: "Too Many Requests", 500: "Internal Server Error",
-    502: "Bad Gateway", 503: "Service Unavailable", 504: "Gateway Timeout",
-}
 
 
 @dataclass(frozen=True)
@@ -126,81 +125,6 @@ class ServeConfig:
 
     def policy(self) -> RetryPolicy:
         return RetryPolicy(max_attempts=self.retries, run_timeout=self.run_timeout_s)
-
-
-@dataclass
-class _HttpRequest:
-    method: str
-    path: str
-    headers: dict[str, str]
-    body: bytes
-    keep_alive: bool = True
-
-
-class _BadRequest(Exception):
-    """Malformed HTTP; answered with a 400 and a closed connection."""
-
-
-async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
-    """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise _BadRequest("truncated request head")
-    except asyncio.LimitOverrunError:
-        raise _BadRequest("request head too large")
-    if len(head) > _MAX_HEADER_BYTES:
-        raise _BadRequest("request head too large")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise _BadRequest(f"malformed request line {lines[0]!r}")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise _BadRequest(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _BadRequest(f"bad Content-Length {length_text!r}")
-    if length < 0 or length > _MAX_BODY_BYTES:
-        raise _BadRequest(f"Content-Length {length} out of range")
-    body = await reader.readexactly(length) if length else b""
-    connection = headers.get("connection", "").lower()
-    keep_alive = connection != "close" and version != "HTTP/1.0"
-    return _HttpRequest(
-        method=method, path=target, headers=headers, body=body, keep_alive=keep_alive
-    )
-
-
-def _encode_response(
-    status: int,
-    payload: dict | str,
-    keep_alive: bool,
-    extra_headers: tuple[tuple[str, str], ...] = (),
-) -> bytes:
-    if isinstance(payload, str):
-        body = payload.encode()
-        content_type = "text/plain; version=0.0.4; charset=utf-8"
-    else:
-        body = (json.dumps(payload) + "\n").encode()
-        content_type = "application/json"
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in extra_headers)
-    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
 class Server:
@@ -264,7 +188,7 @@ class Server:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            limit=_MAX_HEADER_BYTES,
+            limit=MAX_HEADER_BYTES,
         )
         self.started_at = time.time()
         self.log.info(
@@ -340,10 +264,10 @@ class Server:
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
-                except _BadRequest as exc:
+                    request = await read_request(reader)
+                except BadRequest as exc:
                     started = time.perf_counter()
-                    writer.write(_encode_response(
+                    writer.write(encode_response(
                         400, protocol.error_response(400, str(exc)), keep_alive=False
                     ))
                     await writer.drain()
@@ -359,7 +283,7 @@ class Server:
                     # /healthz included — exactly like a stuck event
                     # loop would; only the supervisor's probe timeout
                     # can see it.
-                    await asyncio.sleep(serve_faults.HANG_SECONDS)
+                    await asyncio.sleep(HANG_SECONDS)
                     break
                 keep_alive = request.keep_alive and not self._draining
                 started = time.perf_counter()
@@ -395,7 +319,7 @@ class Server:
                     if root is not None:
                         self.tracer.finish_span(handle)
                     serialize_start = time.perf_counter()
-                    writer.write(_encode_response(status, payload, keep_alive, extra))
+                    writer.write(encode_response(status, payload, keep_alive, extra))
                     await writer.drain()
                     if root is not None:
                         self.tracer.record(
@@ -457,7 +381,7 @@ class Server:
             os._exit(23)
         if kind == "hang":
             self._hung = True
-            await asyncio.sleep(serve_faults.HANG_SECONDS)
+            await asyncio.sleep(HANG_SECONDS)
             return False
         if kind == "reset":
             writer.close()
@@ -497,7 +421,7 @@ class Server:
         )
 
     def _admin_chaos(
-        self, request: _HttpRequest
+        self, request: HttpRequest
     ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
         """Arm or disarm the chaos plan at runtime.
 
@@ -604,7 +528,7 @@ class Server:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(
-        self, request: _HttpRequest
+        self, request: HttpRequest
     ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
         """Return ``(route, status, payload, extra headers)``."""
         path = request.path.split("?", 1)[0]
@@ -649,7 +573,7 @@ class Server:
         ), ()
 
     async def _admitted(
-        self, route: str, request: _HttpRequest
+        self, route: str, request: HttpRequest
     ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
         """Admission control around the prediction routes.  The handler
         is awaited directly; its absolute deadline bounds only the
@@ -793,7 +717,7 @@ class Server:
         }
 
     def _trace_detail(
-        self, request: _HttpRequest, path: str
+        self, request: HttpRequest, path: str
     ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
         trace_id = path.rsplit("/", 1)[1]
         record = self.tracer.store.get(trace_id)

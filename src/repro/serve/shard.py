@@ -45,7 +45,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from urllib.parse import urlsplit
 
 from ..core.metrics import speedup
 from ..engine import memo
@@ -58,17 +57,10 @@ from ..obs.metrics import MetricsRegistry
 from . import protocol
 from .batcher import BackendRunError, peek
 from .breaker import BREAKER_STATE_VALUES, BreakerState, CircuitBreaker, RetryBudget
+from .http import BadRequest, HttpClient, HttpRequest, encode_response, read_request
+from .server import SERVE_LATENCY_BUCKETS, ServeConfig, Server
 from .store import PersistentResultCache, ResultStore
 from .supervise import ShardHealth, ShardState, SupervisionPolicy
-from .server import (
-    SERVE_LATENCY_BUCKETS,
-    ServeConfig,
-    Server,
-    _encode_response,
-    _HttpRequest,
-    _BadRequest,
-    _read_request,
-)
 
 
 def shard_for_key(key: str, shards: int) -> int:
@@ -471,99 +463,6 @@ class ShardSupervisor:
             self._shards.clear()
 
 
-# -- the router's HTTP client ------------------------------------------
-
-
-class _ShardClient:
-    """A keep-alive JSON client for one shard URL (single event loop).
-
-    Connections are pooled on a free list; a request that hits a stale
-    pooled connection retries once on a fresh one.
-    """
-
-    def __init__(self, url: str) -> None:
-        parts = urlsplit(url)
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self._free: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-
-    async def request(
-        self, method: str, path: str, body: bytes | None = None
-    ) -> tuple[int, bytes]:
-        fresh = not self._free
-        reader, writer = await self._acquire()
-        try:
-            return await self._roundtrip(reader, writer, method, path, body)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            writer.close()
-            if fresh:
-                raise
-            # The pooled connection went stale (its shard restarted, or
-            # an idle timeout): one retry on a brand-new connection.
-            reader, writer = await self._open()
-            try:
-                return await self._roundtrip(reader, writer, method, path, body)
-            except BaseException:
-                writer.close()
-                raise
-
-    async def _acquire(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._free:
-            reader, writer = self._free.pop()
-            if not writer.is_closing():
-                return reader, writer
-            writer.close()
-        return await self._open()
-
-    async def _open(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.open_connection(self.host, self.port)
-
-    async def _roundtrip(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        body: bytes | None,
-    ) -> tuple[int, bytes]:
-        payload = body or b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: keep-alive\r\n\r\n"
-        )
-        writer.write(head.encode() + payload)
-        await writer.drain()
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionResetError("shard closed the connection")
-        status = int(status_line.split()[1])
-        length = 0
-        keep_alive = True
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-            if name.strip().lower() == "connection" and "close" in value.lower():
-                keep_alive = False
-        response = await reader.readexactly(length) if length else b""
-        if keep_alive:
-            self._free.append((reader, writer))
-        else:
-            writer.close()
-        return status, response
-
-    def close(self) -> None:
-        for _reader, writer in self._free:
-            writer.close()
-        self._free.clear()
-
-
 class ShardUnavailable(Exception):
     """A shard could not answer (connect failure or malformed reply)."""
 
@@ -684,7 +583,7 @@ class ShardRouter:
         #: Shards currently (or last known) served degraded; cleared —
         #: and counted as a re-home — on their next direct success.
         self._degraded_marked: set[int] = set()
-        self._clients: dict[str, _ShardClient] = {}
+        self._clients: dict[str, HttpClient] = {}
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -707,29 +606,23 @@ class ShardRouter:
     def n_shards(self) -> int:
         return len(self.shard_urls)
 
-    def _client(self, url: str) -> _ShardClient:
+    def _client(self, url: str) -> HttpClient:
         client = self._clients.get(url)
         if client is None:
-            client = self._clients[url] = _ShardClient(url)
+            client = self._clients[url] = HttpClient(url)
         return client
-
-    async def _call_shard(
-        self, url: str, method: str, path: str, body: bytes | None = None
-    ) -> tuple[int, bytes]:
-        try:
-            return await asyncio.wait_for(
-                self._client(url).request(method, path, body),
-                timeout=self.config.deadline_s,
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError) as exc:
-            raise ShardUnavailable(f"shard at {url}: {type(exc).__name__}: {exc}")
 
     async def _call_shard_json(
         self, url: str, method: str, path: str, doc: dict | None = None
     ) -> tuple[int, dict]:
-        body = json.dumps(doc).encode() if doc is not None else None
-        status, payload = await self._call_shard(url, method, path, body)
+        body = json.dumps(doc).encode() if doc is not None else b""
+        try:
+            status, payload = await self._client(url).request(
+                method, path, body, timeout=self.config.deadline_s
+            )
+        except (ConnectionError, OSError, asyncio.TimeoutError,
+                asyncio.IncompleteReadError) as exc:
+            raise ShardUnavailable(f"shard at {url}: {type(exc).__name__}: {exc}")
         try:
             return status, json.loads(payload.decode() or "null")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -955,9 +848,9 @@ class ShardRouter:
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
-                except _BadRequest as exc:
-                    writer.write(_encode_response(
+                    request = await read_request(reader)
+                except BadRequest as exc:
+                    writer.write(encode_response(
                         400, protocol.error_response(400, str(exc)), keep_alive=False
                     ))
                     await writer.drain()
@@ -968,7 +861,7 @@ class ShardRouter:
                 keep_alive = request.keep_alive and not self._draining
                 started = time.perf_counter()
                 route, status, payload = await self._dispatch(request)
-                writer.write(_encode_response(status, payload, keep_alive))
+                writer.write(encode_response(status, payload, keep_alive))
                 await writer.drain()
                 self._observe(route, status, time.perf_counter() - started)
                 if not keep_alive:
@@ -1001,7 +894,7 @@ class ShardRouter:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(
-        self, request: _HttpRequest
+        self, request: HttpRequest
     ) -> tuple[str, int, dict | str]:
         path = request.path.split("?", 1)[0]
         if path == "/healthz":
@@ -1044,7 +937,7 @@ class ShardRouter:
         )
 
     async def _forwarded(
-        self, route: str, request: _HttpRequest
+        self, route: str, request: HttpRequest
     ) -> tuple[str, int, dict | str]:
         self._active += 1
         self._idle.clear()
@@ -1253,9 +1146,8 @@ class ShardRouter:
 
         async def probe(url: str) -> dict:
             try:
-                status, _payload = await asyncio.wait_for(
-                    self._client(url).request("GET", "/readyz"),
-                    timeout=self.config.probe_timeout_s,
+                status, _payload = await self._client(url).request(
+                    "GET", "/readyz", timeout=self.config.probe_timeout_s
                 )
                 return {"url": url, "status": status}
             except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -1302,7 +1194,7 @@ class ShardRouter:
         }
 
     async def _admin_restart(
-        self, request: _HttpRequest
+        self, request: HttpRequest
     ) -> tuple[str, int, dict]:
         """Gracefully bounce one shard (drain old, boot warm new)."""
         if self.supervisor is None:
@@ -1349,7 +1241,7 @@ class ShardRouter:
         }
 
     async def _admin_chaos(
-        self, request: _HttpRequest
+        self, request: HttpRequest
     ) -> tuple[str, int, dict]:
         """Broadcast a chaos plan (or the ``null`` disarm) to every
         serving shard — the drill's arm/disarm switch."""

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
+from repro.serve.http import fetch_text
 from repro.serve.loadgen import (
     SegmentStats,
     _bucket_quantile,
-    fetch_text,
     render_breakdown,
     segment_breakdown,
     segment_series,

@@ -12,7 +12,7 @@ from repro.serve import (
     retry_after_delay,
     run_load,
 )
-from repro.serve.loadgen import DEFAULT_RETRY_AFTER_S, MAX_RETRY_AFTER_S
+from repro.serve.http import DEFAULT_RETRY_AFTER_S, MAX_RETRY_AFTER_S
 
 BODIES = [
     {"app": "XSBench", "model": model, "platform": "apu", "precision": "single"}
