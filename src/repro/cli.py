@@ -294,11 +294,12 @@ def cmd_study(args: argparse.Namespace) -> int | None:
     print(study.stats.summary())
     if args.per_run:
         print()
-        for spec, wall, hits, misses, setup_hits, setup_misses, *_trace in sorted(
-            study.stats.per_run, key=lambda r: r[1], reverse=True
-        ):
-            print(f"  {wall:8.3f} s  kernel {hits:6d}/{misses:<6d}  "
-                  f"setup {setup_hits:3d}/{setup_misses:<3d}  {spec.label}")
+        for spec, wall, caches in sorted(study.stats.per_run, key=lambda r: r[1], reverse=True):
+            counts = "".join(
+                f"{name} {stats.hits:6d}/{stats.misses:<6d}  "
+                for name, stats in caches.items() if stats.lookups
+            )
+            print(f"  {wall:8.3f} s  {counts}{spec.label}")
     _write_telemetry(study.telemetry, args)
     if args.out:
         write_json(study_records(study), args.out)

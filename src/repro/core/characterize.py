@@ -232,10 +232,7 @@ def characterize_apps(
         stats = ExecStats()
     # The miss-rate replays run in this process, outside the executor:
     # fold their memo delta into the batch stats.
-    trace_delta = TRACE_CACHE.snapshot().since(trace_before)
-    stats = stats.merge(
-        ExecStats(trace_hits=trace_delta.hits, trace_misses=trace_delta.misses)
-    )
+    stats = stats.merge(ExecStats(caches={"trace": TRACE_CACHE.snapshot().since(trace_before)}))
     return CharacterizationResult(
         rows=tuple(rows), stats=stats, telemetry=stats.timeline, failures=tuple(failures),
     )

@@ -32,10 +32,9 @@ from .memo import (
     KERNEL_CACHE,
     SETUP_CACHE,
     TRACE_CACHE,
-    KernelMemoCache,
+    MemoCache,
     MemoStats,
     SetupMemoCache,
-    TraceMemoCache,
     cache_disabled,
     cached_simulate_kernel,
     cached_time_cpu_kernel,
@@ -73,7 +72,7 @@ __all__ = [
     "HC_APU",
     "HC_DGPU",
     "KERNEL_CACHE",
-    "KernelMemoCache",
+    "MemoCache",
     "KernelRecord",
     "KernelSpec",
     "KernelTiming",
@@ -91,7 +90,6 @@ __all__ = [
     "ScheduleResult",
     "SetupMemoCache",
     "TRACE_CACHE",
-    "TraceMemoCache",
     "TraceResult",
     "ValidationPoint",
     "cache_disabled",

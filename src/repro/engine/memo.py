@@ -14,9 +14,13 @@ equality), never from object identity.  A cache hit is therefore
 bit-identical to recomputation, and enabling the cache can never
 change a study's numbers — only how often they are recomputed.
 
-The cache is per-process.  The parallel executor
-(:mod:`repro.exec`) gives each worker its own instance and aggregates
-the hit/miss counters it reports.
+Every memo layer (kernel prices, problem setups, trace replays,
+captured schedules, projection stubs, whole-run results) is one
+:class:`MemoCache` registered by name in :data:`CACHES`; clearing, the
+cache toggle and the per-layer hit/miss counters the executor and the
+prediction service report all iterate that registry.  The caches are
+per-process: the parallel executor (:mod:`repro.exec`) gives each
+worker its own and aggregates the counters it reports.
 """
 
 from __future__ import annotations
@@ -71,16 +75,19 @@ class MemoStats:
         return MemoStats(hits=self.hits + other.hits, misses=self.misses + other.misses)
 
 
-class KernelMemoCache:
+class MemoCache:
     """A content-addressed memo table with hit/miss accounting.
 
-    ``layer`` names the cache in telemetry events ("kernel" pricing by
-    default); subclasses reuse the machinery for other layers.
+    ``layer`` names the cache in :data:`CACHES` and in telemetry events;
+    a lookup's telemetry ``kind`` is the first part of its key.
     """
 
-    layer = "kernel"
+    #: Whether the cache toggle (:func:`set_cache_enabled`,
+    #: :func:`cache_setting`) governs this layer.
+    toggled = True
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self, layer: str, enabled: bool = True) -> None:
+        self.layer = layer
         self.enabled = enabled
         self._values: dict[tuple, object] = {}
         self._hits = 0
@@ -89,24 +96,27 @@ class KernelMemoCache:
     def __len__(self) -> int:
         return len(self._values)
 
+    def _record(self, key: tuple, hit: bool) -> None:
+        if hit:
+            self._hits += 1
+        else:
+            self._misses += 1
+        rec = obs_spans.active()
+        if rec is not None:
+            rec.cache_event(self.layer, hit=hit, kind=str(key[0]))
+
     def lookup(self, key: tuple, compute: Callable[[], T]) -> T:
         """Return the cached value for ``key``, computing it on miss."""
         if not self.enabled:
             return compute()
-        rec = obs_spans.active()
         try:
             value = self._values[key]
-            self._hits += 1
-            if rec is not None:
-                rec.cache_event(self.layer, hit=True, kind=str(key[0]))
-            return value  # type: ignore[return-value]
         except KeyError:
-            self._misses += 1
-            if rec is not None:
-                rec.cache_event(self.layer, hit=False, kind=str(key[0]))
-            value = compute()
-            self._values[key] = value
-            return value
+            self._record(key, hit=False)
+            value = self._values[key] = compute()
+            return value  # type: ignore[return-value]
+        self._record(key, hit=True)
+        return value  # type: ignore[return-value]
 
     def contains(self, key: tuple) -> bool:
         """Uncounted membership probe: the follow-up :meth:`lookup`
@@ -125,53 +135,29 @@ class KernelMemoCache:
 
 
 #: The process-global cache backing every ``charge_*`` pricing call.
-KERNEL_CACHE = KernelMemoCache()
+KERNEL_CACHE = MemoCache("kernel")
+
+#: The process-global cache backing ``replay_pattern``: Table I miss
+#: rates keyed on ``(pattern kind, pattern, scaled cache spec,
+#: budget)``.  Trace generation is deterministic and both replay
+#: engines are pure functions of (trace, cache spec), so a hit is
+#: bit-identical to re-simulating.  The engine that computed a
+#: :class:`~repro.engine.trace.TraceResult` is deliberately not part of
+#: the key: the vectorized and scalar engines are asserted
+#: bit-identical, so either may serve the other's lookups.
+TRACE_CACHE = MemoCache("trace")
+
+#: The process-global cache backing schedule capture.  The columnar
+#: study engine (:mod:`repro.engine.study_vec`) replays a port once in
+#: capture mode to obtain its launch/transfer schedule, a pure function
+#: of the spec's clock-independent content
+#: (:meth:`repro.exec.plan.RunSpec.schedule_key`).  The captured
+#: program is immutable and shared by every cell that differs only in
+#: clocks, so one capture prices a whole frequency sweep.
+PLAN_CACHE = MemoCache("plan")
 
 
-class TraceMemoCache(KernelMemoCache):
-    """Content-addressed memo for trace replays (Table I miss rates).
-
-    Keys are ``(pattern kind, pattern, scaled cache spec, budget)`` —
-    the full content of a characterization replay.  Trace generation is
-    deterministic (stable per-pattern seeding) and both replay engines
-    are pure functions of (trace, cache spec), so a hit is bit-identical
-    to re-simulating: sweeps, per-device replays and repeated benchmark
-    runs pay the ~200k-access simulation once per content.
-
-    The stored value is the full :class:`~repro.engine.trace.TraceResult`;
-    the engine that computed it is deliberately *not* part of the key —
-    the vectorized and scalar engines are asserted bit-identical, so
-    either may serve the other's lookups.
-    """
-
-    layer = "trace"
-
-
-#: The process-global cache backing ``replay_pattern``.
-TRACE_CACHE = TraceMemoCache()
-
-
-class PlanMemoCache(KernelMemoCache):
-    """Content-addressed memo for captured charge schedules.
-
-    The columnar study engine (:mod:`repro.engine.study_vec`) replays a
-    port once in *capture* mode to obtain its launch/transfer schedule
-    — a pure function of the spec's clock-independent content
-    (:meth:`repro.exec.plan.RunSpec.schedule_key`), since GPU clock
-    overrides change prices but never which kernels launch.  The
-    captured program is immutable and shared by every cell of a study
-    that differs only in clocks, so one capture prices a whole
-    frequency sweep.
-    """
-
-    layer = "plan"
-
-
-#: The process-global cache backing schedule capture.
-PLAN_CACHE = PlanMemoCache()
-
-
-class SingleFlightCache(KernelMemoCache):
+class SingleFlightCache(MemoCache):
     """Thread-safe memo with single-flight coalescing of concurrent
     identical computations.
 
@@ -191,10 +177,10 @@ class SingleFlightCache(KernelMemoCache):
     coalesced or cached answer is bit-identical to a fresh run.
     """
 
-    layer = "result"
+    toggled = False
 
     def __init__(self, enabled: bool = True) -> None:
-        super().__init__(enabled)
+        super().__init__("result", enabled)
         self._lock = threading.Lock()
         self._pending: dict[tuple, threading.Event] = {}
         self._coalesced = 0
@@ -310,7 +296,33 @@ class SingleFlightCache(KernelMemoCache):
 RESULT_CACHE = SingleFlightCache()
 
 
-class SetupMemoCache:
+class LruMemoCache(MemoCache):
+    """A bounded LRU memo that hands its values out by reference.
+
+    At most ``maxsize`` entries stay resident; a hit refreshes its
+    entry's recency.
+    """
+
+    def __init__(self, layer: str, maxsize: int, enabled: bool = True) -> None:
+        super().__init__(layer, enabled)
+        self.maxsize = maxsize
+        self._values: OrderedDict[tuple, object] = OrderedDict()
+
+    def lookup(self, key: tuple, compute: Callable[[], T]) -> T:
+        if not self.enabled:
+            return compute()
+        if key in self._values:
+            self._values.move_to_end(key)
+            self._record(key, hit=True)
+            return self._values[key]  # type: ignore[return-value]
+        self._record(key, hit=False)
+        value = self._values[key] = compute()
+        while len(self._values) > self.maxsize:
+            self._values.popitem(last=False)
+        return value
+
+
+class SetupMemoCache(LruMemoCache):
     """A bounded LRU memo for problem-setup builders.
 
     Every port of one application rebuilds the identical problem data
@@ -335,52 +347,21 @@ class SetupMemoCache:
       as LULESH's ``dt``/``time`` stay private), and a miss freezes and
       stores the build itself with no copy.  A stray in-place write to
       a shared array raises instead of leaking into the next run.
-
-    The LRU bound keeps at most ``maxsize`` problem instances resident
-    per process.
     """
-
-    def __init__(self, maxsize: int = 4, enabled: bool = True) -> None:
-        self.maxsize = maxsize
-        self.enabled = enabled
-        self._values: OrderedDict[tuple, object] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def lookup(self, key: tuple, compute: Callable[[], T], shared: bool = False) -> T:
         if not self.enabled:
             return compute()
-        rec = obs_spans.active()
-        if key in self._values:
-            self._hits += 1
-            self._values.move_to_end(key)
-            if rec is not None:
-                rec.cache_event("setup", hit=True, kind=str(key[1]))
-            stored: T = self._values[key]  # type: ignore[assignment]
-            return _shallow(stored) if shared else copy.deepcopy(stored)
-        self._misses += 1
-        if rec is not None:
-            rec.cache_event("setup", hit=False, kind=str(key[1]))
-        value = compute()
         if shared:
-            self._values[key] = _freeze(value)
-            value = _shallow(value)
-        else:
-            self._values[key] = _freeze(copy.deepcopy(value))
-        while len(self._values) > self.maxsize:
-            self._values.popitem(last=False)
-        return value
+            return _shallow(super().lookup(key, lambda: _freeze(compute())))
+        built: list[T] = []
 
-    def snapshot(self) -> MemoStats:
-        return MemoStats(hits=self._hits, misses=self._misses)
+        def build() -> T:
+            built.append(compute())
+            return _freeze(copy.deepcopy(built[0]))
 
-    def clear(self) -> None:
-        self._values.clear()
-        self._hits = 0
-        self._misses = 0
+        stored = super().lookup(key, build)
+        return built[0] if built else copy.deepcopy(stored)
 
 
 def _freeze(value: T) -> T:
@@ -410,13 +391,29 @@ def _shallow(value: T) -> T:
 
 
 #: The process-global cache backing the apps' ``make_*``/``assemble``
-#: problem builders.
-SETUP_CACHE = SetupMemoCache()
+#: problem builders; at most four problem instances stay resident.
+SETUP_CACHE = SetupMemoCache("setup", maxsize=4)
 
-#: The memo layers the cache toggle governs (:func:`set_cache_enabled`,
-#: :func:`cache_setting`): engine-internal recomputation.
-#: ``RESULT_CACHE`` is deliberately not among them.
-TOGGLED_CACHES = (KERNEL_CACHE, SETUP_CACHE, TRACE_CACHE, PLAN_CACHE)
+#: Cross-capture memo for projection stub builds.  One schedule capture
+#: exists per (app, model, platform, precision) cell, but the stub
+#: build depends only on (config, precision): without sharing,
+#: capturing a whole study rebuilds the same stub state ~20 times per
+#: app.  Shared **by reference** (no copies), which is safe because
+#: stub arrays are read-only: a port's host write to one raises instead
+#: of leaking into the next capture.  Stubs that carry a checksum
+#: compute it once, at build; the only state a port can still change is
+#: a host scalar no schedule or checksum reads (LULESH's
+#: ``dt``/``time``).
+STUB_CACHE = LruMemoCache("stub", maxsize=8)
+
+#: Every memo layer of this process, by name, in report order.
+#: :func:`clear_caches` and :func:`snapshot` cover them all; the cache
+#: toggle governs the layers whose ``toggled`` is set (engine-internal
+#: recomputation; not :data:`RESULT_CACHE`).
+CACHES: dict[str, MemoCache] = {
+    cache.layer: cache
+    for cache in (KERNEL_CACHE, SETUP_CACHE, TRACE_CACHE, PLAN_CACHE, STUB_CACHE, RESULT_CACHE)
+}
 
 
 #: Registered projection stubs: (builder module, builder qualname) ->
@@ -425,21 +422,6 @@ TOGGLED_CACHES = (KERNEL_CACHE, SETUP_CACHE, TRACE_CACHE, PLAN_CACHE)
 PROJECTION_STUBS: dict[tuple[str, str], Callable[..., object]] = {}
 
 _STUB_STATE = threading.local()
-
-#: Cross-capture memo for stub builds.  One schedule capture exists per
-#: (app, model, platform, precision) cell, but the stub build depends
-#: only on (config, precision): without sharing, capturing a whole
-#: study rebuilds the same stub state ~20 times per app.  Shared **by
-#: reference** (no deep copies), which is safe because stub arrays are
-#: read-only: a port's host write to one raises instead of leaking into
-#: the next capture.  Stubs that carry a checksum compute it once, at
-#: build; the only state a port can still change is a host scalar no
-#: schedule or checksum reads (LULESH's ``dt``/``time``).  Bounded LRU;
-#: cleared by :func:`clear_caches` and bypassed whenever
-#: :data:`SETUP_CACHE` is disabled (``use_cache=False`` must recompute
-#: everything).
-_STUB_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_STUB_CACHE_MAX = 8
 
 
 def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], Callable[..., T]]:
@@ -451,7 +433,7 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
     depends on — kernel specs, buffer sizes and loop trip counts are
     all shape-derived in projection mode, where kernel bodies never
     execute — but may leave the data itself zeroed.  Its arrays must be
-    read-only, because :data:`_STUB_CACHE` shares one build between
+    read-only, because :data:`STUB_CACHE` shares one build between
     captures.
     """
 
@@ -504,7 +486,9 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
     repr every field), so equal-content calls share one build
     regardless of object identity or of how the arguments were spelled:
     ``make_state(cfg, p)``, ``make_state(cfg, p, 11)`` and
-    ``make_state(cfg, p, seed=11)`` are one entry.
+    ``make_state(cfg, p, seed=11)`` are one entry.  Inside a
+    :func:`projection_stubs` block a registered stub is built instead,
+    through :data:`STUB_CACHE` under the same key.
     """
     signature = inspect.signature(builder)
     name = (builder.__module__, builder.__qualname__)
@@ -514,20 +498,12 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         args, kwargs = bound.args, bound.kwargs
-        key = (*name, repr(args), repr(sorted(kwargs.items())))
+        # The qualname leads: it is the lookup's telemetry kind.
+        key = (builder.__qualname__, builder.__module__, repr(args), repr(sorted(kwargs.items())))
         if getattr(_STUB_STATE, "active", False):
             stub = PROJECTION_STUBS.get(name)
             if stub is not None:
-                if not SETUP_CACHE.enabled:
-                    return stub(*args, **kwargs)
-                if key in _STUB_CACHE:
-                    _STUB_CACHE.move_to_end(key)
-                    return _STUB_CACHE[key]  # type: ignore[return-value]
-                value = stub(*args, **kwargs)
-                _STUB_CACHE[key] = value
-                while len(_STUB_CACHE) > _STUB_CACHE_MAX:
-                    _STUB_CACHE.popitem(last=False)
-                return value
+                return STUB_CACHE.lookup(key, lambda: stub(*args, **kwargs))
         return SETUP_CACHE.lookup(
             key,
             lambda: builder(*args, **kwargs),
@@ -537,32 +513,39 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
     return wrapper
 
 
+def snapshot() -> dict[str, MemoStats]:
+    """Every registered layer's counters, by name."""
+    return {name: cache.snapshot() for name, cache in CACHES.items()}
+
+
+def since(before: dict[str, MemoStats]) -> dict[str, MemoStats]:
+    """Every layer's counter delta since the :func:`snapshot` ``before``."""
+    return {name: stats.since(before[name]) for name, stats in snapshot().items()}
+
+
 def set_cache_enabled(enabled: bool) -> None:
-    """Enable or disable every memo layer (pricing, setup, trace, plan)."""
-    for cache in TOGGLED_CACHES:
-        cache.enabled = enabled
+    """Enable or disable every toggled memo layer."""
+    for cache in CACHES.values():
+        if cache.toggled:
+            cache.enabled = enabled
 
 
 def clear_caches() -> None:
     """Drop all memoized values and counters in this process."""
-    KERNEL_CACHE.clear()
-    SETUP_CACHE.clear()
-    TRACE_CACHE.clear()
-    PLAN_CACHE.clear()
-    RESULT_CACHE.clear()
-    _STUB_CACHE.clear()
+    for cache in CACHES.values():
+        cache.clear()
 
 
 @contextmanager
 def cache_setting(enabled: bool) -> Iterator[None]:
     """Apply the cache toggle within the block, restoring each layer's
     prior state on exit."""
-    previous = [cache.enabled for cache in TOGGLED_CACHES]
+    previous = {cache: cache.enabled for cache in CACHES.values() if cache.toggled}
     set_cache_enabled(enabled)
     try:
         yield
     finally:
-        for cache, was_enabled in zip(TOGGLED_CACHES, previous):
+        for cache, was_enabled in previous.items():
             cache.enabled = was_enabled
 
 

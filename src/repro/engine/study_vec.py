@@ -73,13 +73,7 @@ from ..engine.counters import PerfCounters
 from ..engine.timing import KernelTiming
 from ..engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
 from ..exec.checkpoint import CheckpointJournal
-from ..exec.executor import (
-    ExecStats,
-    ExecutionInterrupted,
-    RunOutcome,
-    _limited_by_tallies,
-    execute,
-)
+from ..exec.executor import ExecStats, ExecutionInterrupted, RunOutcome, execute
 from ..exec.faults import FaultPlan, ResultValidationError, RunError, fault_plan_from_env
 from ..exec.plan import RunSpec, SpecLattice
 from ..exec.retry import RetryPolicy, run_with_retry, validate_result
@@ -519,8 +513,7 @@ def _price_outcome(
                     spec=lattice.rows[row],
                     result=result,
                     wall_seconds=wall,
-                    cache_hits=delta.hits,
-                    cache_misses=delta.misses,
+                    caches={"kernel": delta},
                 )
             except ResultValidationError:
                 pass  # left to the scalar retry ladder
@@ -620,20 +613,11 @@ def execute_vector(
     except KeyboardInterrupt:
         interrupted = True
 
-    vector_stats = ExecStats(
+    vector_stats = ExecStats.from_outcomes(
+        executed,
         requested_runs=len(runs) - len(tail_cells),
         unique_runs=len(unique) - len(tail_cells),
-        workers=1,
         wall_seconds=time.perf_counter() - started,
-        run_seconds=sum(o.wall_seconds for o in executed if o is not None),
-        cache_hits=sum(o.cache_hits for o in executed if o is not None),
-        cache_misses=sum(o.cache_misses for o in executed if o is not None),
-        per_run=[
-            (o.spec, o.wall_seconds, o.cache_hits, o.cache_misses, 0, 0, 0, 0)
-            for o in executed
-            if o is not None
-        ],
-        limited_by=_limited_by_tallies(executed),
         failures=[errors[index] for index in sorted(errors)],
         resumed_runs=resumed,
     )

@@ -12,7 +12,7 @@ results stay bit-identical to the serial path.
 from ..engine.memo import (
     KERNEL_CACHE,
     SETUP_CACHE,
-    KernelMemoCache,
+    MemoCache,
     MemoStats,
     SetupMemoCache,
     cache_disabled,
@@ -60,7 +60,7 @@ __all__ = [
     "run_with_retry",
     "validate_result",
     "KERNEL_CACHE",
-    "KernelMemoCache",
+    "MemoCache",
     "MemoStats",
     "RunOutcome",
     "RunSpec",

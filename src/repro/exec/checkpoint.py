@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from .executor import RunOutcome
 
 #: Header ``format`` value; bump on incompatible layout changes.
-CHECKPOINT_FORMAT = "repro-checkpoint/1"
+CHECKPOINT_FORMAT = "repro-checkpoint/2"
 
 
 class CheckpointError(ValueError):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..apps.base import RunResult
 from ..engine import memo
@@ -67,20 +67,16 @@ _LOG = get_logger("exec")
 class RunOutcome:
     """One executed descriptor with its observability counters.
 
-    ``wall_seconds`` and the cache counters describe the run that
-    actually computed the result; deduplicated descriptors share the
-    outcome of the first occurrence.
+    ``wall_seconds`` and ``caches`` describe the run that actually
+    computed the result; deduplicated descriptors share the outcome of
+    the first occurrence.
     """
 
     spec: RunSpec
     result: RunResult
     wall_seconds: float
-    cache_hits: int
-    cache_misses: int
-    setup_hits: int = 0
-    setup_misses: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
+    #: Memo hit/miss delta of the run, by cache layer.
+    caches: dict[str, memo.MemoStats]
     #: Full span/metric recording of the run; ``None`` unless the
     #: executor ran with telemetry enabled.
     telemetry: RunTelemetry | None = None
@@ -102,17 +98,12 @@ class ExecStats:
     #: schedule would roughly cost; ``wall_seconds`` is what this
     #: schedule actually cost.
     run_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    setup_hits: int = 0
-    setup_misses: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
-    #: Per-run (spec, wall seconds, kernel hits, kernel misses,
-    #: setup hits, setup misses, trace hits, trace misses) — one row
-    #: per executed unique run.  Rows carry the :class:`RunSpec`, not
-    #: its label: only ``repro study --per-run`` formats one.
-    per_run: list[tuple[RunSpec, float, int, int, int, int, int, int]] = field(
+    #: Memo hit/miss counts by cache layer, summed over the runs.
+    caches: dict[str, memo.MemoStats] = field(default_factory=dict)
+    #: Per-run (spec, wall seconds, memo counts by layer) — one row per
+    #: executed unique run.  Rows carry the :class:`RunSpec`, not its
+    #: label: only ``repro study --per-run`` formats one.
+    per_run: list[tuple[RunSpec, float, dict[str, memo.MemoStats]]] = field(
         default_factory=list
     )
     #: Kernel launches by dominant limiter ("compute" / "memory" /
@@ -136,21 +127,6 @@ class ExecStats:
     def deduplicated_runs(self) -> int:
         """Descriptors served by another descriptor's result."""
         return self.requested_runs - self.unique_runs
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def setup_hit_rate(self) -> float:
-        lookups = self.setup_hits + self.setup_misses
-        return self.setup_hits / lookups if lookups else 0.0
-
-    @property
-    def trace_hit_rate(self) -> float:
-        lookups = self.trace_hits + self.trace_misses
-        return self.trace_hits / lookups if lookups else 0.0
 
     @property
     def parallel_speedup(self) -> float:
@@ -182,16 +158,13 @@ class ExecStats:
             f"wall time: {self.wall_seconds:.2f} s "
             f"(sum of per-run times: {self.run_seconds:.2f} s, "
             f"executor speedup: {self.parallel_speedup:.2f}x)",
-            f"kernel-pricing memo cache: {self.cache_hits} hits / {self.cache_misses} misses "
-            f"({self.cache_hit_rate:.1%} hit rate)",
-            f"setup memo cache: {self.setup_hits} hits / {self.setup_misses} misses "
-            f"({self.setup_hit_rate:.1%} hit rate)",
         ]
-        if self.trace_hits or self.trace_misses:
-            lines.append(
-                f"trace-replay memo cache: {self.trace_hits} hits / "
-                f"{self.trace_misses} misses ({self.trace_hit_rate:.1%} hit rate)"
-            )
+        lines.extend(
+            f"{_CACHE_LABELS.get(name, name)} memo cache: {counts.hits} hits / "
+            f"{counts.misses} misses ({counts.hit_rate:.1%} hit rate)"
+            for name, counts in self.caches.items()
+            if counts.lookups
+        )
         if self.limited_by:
             tally = ", ".join(
                 f"{name} {self.limited_by[name]}"
@@ -230,12 +203,7 @@ class ExecStats:
             workers=max(self.workers, other.workers),
             wall_seconds=self.wall_seconds + other.wall_seconds,
             run_seconds=self.run_seconds + other.run_seconds,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            setup_hits=self.setup_hits + other.setup_hits,
-            setup_misses=self.setup_misses + other.setup_misses,
-            trace_hits=self.trace_hits + other.trace_hits,
-            trace_misses=self.trace_misses + other.trace_misses,
+            caches=_sum_caches((self.caches, other.caches)),
             per_run=self.per_run + other.per_run,
             limited_by=tallies,
             timeline=self.timeline if self.timeline is not None else other.timeline,
@@ -244,6 +212,34 @@ class ExecStats:
             pool_respawns=self.pool_respawns + other.pool_respawns,
             resumed_runs=self.resumed_runs + other.resumed_runs,
         )
+
+    @classmethod
+    def from_outcomes(cls, executed: Sequence[RunOutcome | None], **fields: object) -> ExecStats:
+        """Stats of one executor call: the run sums and tallies over
+        ``executed`` (``None`` slots skipped), plus the call-level
+        ``fields``."""
+        done = [outcome for outcome in executed if outcome is not None]
+        return cls(
+            run_seconds=sum(outcome.wall_seconds for outcome in done),
+            caches=_sum_caches(outcome.caches for outcome in done),
+            per_run=[(outcome.spec, outcome.wall_seconds, outcome.caches) for outcome in done],
+            limited_by=_limited_by_tallies(done),
+            **fields,  # type: ignore[arg-type]
+        )
+
+
+#: Summary names of the cache layers whose name alone is too terse.
+_CACHE_LABELS = {"kernel": "kernel-pricing", "trace": "trace-replay"}
+
+
+def _sum_caches(mappings: Iterable[dict[str, memo.MemoStats]]) -> dict[str, memo.MemoStats]:
+    """Per-layer sum of memo counts, layers in first-seen order."""
+    totals: dict[str, tuple[int, int]] = {}
+    for caches in mappings:
+        for name, counts in caches.items():
+            hits, misses = totals.get(name, (0, 0))
+            totals[name] = (hits + counts.hits, misses + counts.misses)
+    return {name: memo.MemoStats(*total) for name, total in totals.items()}
 
 
 def execute_run(
@@ -274,9 +270,7 @@ def execute_run(
     if faults is not None and faults.active:
         faults.apply(spec.content_key(), spec.label, attempt, in_pool_worker=_POOL_WORKER)
 
-    before = memo.KERNEL_CACHE.snapshot()
-    setup_before = memo.SETUP_CACHE.snapshot()
-    trace_before = memo.TRACE_CACHE.snapshot()
+    before = memo.snapshot()
     started = time.perf_counter()
     app = APPS_BY_NAME[spec.app]
     ctx = ExecutionContext(
@@ -296,9 +290,7 @@ def execute_run(
         with setups:
             result = app.ports[spec.model](ctx, spec.config)
     wall = time.perf_counter() - started
-    delta = memo.KERNEL_CACHE.snapshot().since(before)
-    setup_delta = memo.SETUP_CACHE.snapshot().since(setup_before)
-    trace_delta = memo.TRACE_CACHE.snapshot().since(trace_before)
+    caches = memo.since(before)
     trace_ctx = obs_tracing.current()
     if trace_ctx is not None:
         # This run is part of a distributed trace (a serve request's
@@ -333,12 +325,7 @@ def execute_run(
         spec=spec,
         result=result,
         wall_seconds=wall,
-        cache_hits=delta.hits,
-        cache_misses=delta.misses,
-        setup_hits=setup_delta.hits,
-        setup_misses=setup_delta.misses,
-        trace_hits=trace_delta.hits,
-        trace_misses=trace_delta.misses,
+        caches=caches,
         telemetry=recorded,
     )
 
@@ -473,11 +460,9 @@ def default_workers() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _limited_by_tallies(executed: list[RunOutcome | None]) -> dict[str, int]:
+def _limited_by_tallies(executed: list[RunOutcome]) -> dict[str, int]:
     """Kernel launches by dominant limiter, over the executed runs."""
-    records = chain.from_iterable(
-        outcome.result.counters.kernels for outcome in executed if outcome is not None
-    )
+    records = chain.from_iterable(outcome.result.counters.kernels for outcome in executed)
     return dict(Counter(map(attrgetter("limited_by"), records)))
 
 
@@ -493,15 +478,10 @@ def _executor_metrics(stats: ExecStats, worker_busy: dict[int, float]) -> Metric
     registry.counter(
         "repro_executor_runs_total", help="Run descriptors handled.", result="deduplicated"
     ).inc(stats.deduplicated_runs)
-    registry.gauge(
-        "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.", cache="kernel"
-    ).set(stats.cache_hit_rate)
-    registry.gauge(
-        "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.", cache="setup"
-    ).set(stats.setup_hit_rate)
-    registry.gauge(
-        "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.", cache="trace"
-    ).set(stats.trace_hit_rate)
+    for name in memo.CACHES:
+        registry.gauge(
+            "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.", cache=name
+        ).set(stats.caches.get(name, memo.MemoStats()).hit_rate)
     for name, count in sorted(stats.limited_by.items()):
         registry.counter(
             "repro_limited_by_total",
@@ -897,25 +877,12 @@ def execute(
         max(error.attempts[-1].attempt, len(error.attempts) - 1) if error.attempts else 0
         for error in errors.values()
     )
-    stats = ExecStats(
+    stats = ExecStats.from_outcomes(
+        executed,
         requested_runs=len(runs),
         unique_runs=len(unique),
         workers=workers,
         wall_seconds=time.perf_counter() - started,
-        run_seconds=sum(o.wall_seconds for o in executed if o is not None),
-        cache_hits=sum(o.cache_hits for o in executed if o is not None),
-        cache_misses=sum(o.cache_misses for o in executed if o is not None),
-        setup_hits=sum(o.setup_hits for o in executed if o is not None),
-        setup_misses=sum(o.setup_misses for o in executed if o is not None),
-        trace_hits=sum(o.trace_hits for o in executed if o is not None),
-        trace_misses=sum(o.trace_misses for o in executed if o is not None),
-        per_run=[
-            (o.spec, o.wall_seconds, o.cache_hits, o.cache_misses,
-             o.setup_hits, o.setup_misses, o.trace_hits, o.trace_misses)
-            for o in executed
-            if o is not None
-        ],
-        limited_by=_limited_by_tallies(executed),
         retries=worker_retries + failed_retries,
         failures=[errors[index] for index in sorted(errors)],
         pool_respawns=pool_respawns,

@@ -171,18 +171,19 @@ async def _closed_worker(
     i = offset
     try:
         while time.perf_counter() < deadline:
-            if writer is None:
-                reader, writer = await asyncio.open_connection(host, port)
             data, weight = requests[i % len(requests)]
             i += 1
             started = time.perf_counter()
             try:
+                if writer is None:
+                    reader, writer = await asyncio.open_connection(host, port)
                 writer.write(data)
                 await writer.drain()
                 status, headers, _body = await read_response(reader)
             except (ConnectionError, asyncio.IncompleteReadError):
                 recorder.errors += 1
-                writer.close()
+                if writer is not None:
+                    writer.close()
                 reader = writer = None
                 continue
             recorder.samples.append((status, time.perf_counter() - started, weight))
@@ -231,8 +232,9 @@ async def _open_worker(
 
 
 async def _warmup(host: str, port: int, requests: list[tuple[bytes, int]]) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
+    writer = None
     try:
+        reader, writer = await asyncio.open_connection(host, port)
         for data, _weight in requests:
             writer.write(data)
             await writer.drain()
@@ -240,7 +242,8 @@ async def _warmup(host: str, port: int, requests: list[tuple[bytes, int]]) -> No
     except (ConnectionError, asyncio.IncompleteReadError):
         pass  # the measured window counts what the target does wrong
     finally:
-        writer.close()
+        if writer is not None:
+            writer.close()
 
 
 def _body_weight(body: dict) -> int:

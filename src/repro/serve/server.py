@@ -752,12 +752,9 @@ class Server:
             "repro_serve_result_cache_lookups_total",
             help="Whole-run result cache lookups.", outcome="miss",
         ).inc(stats.misses)
-        for layer, cache in (
-            ("kernel", memo.KERNEL_CACHE),
-            ("setup", memo.SETUP_CACHE),
-            ("trace", memo.TRACE_CACHE),
-            ("result", self.batcher.cache),
-        ):
+        # The result layer is this server's own cache: the persistent
+        # one when a store is configured.
+        for layer, cache in {**memo.CACHES, "result": self.batcher.cache}.items():
             snapshot.gauge(
                 "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.",
                 cache=layer,

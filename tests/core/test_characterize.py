@@ -92,7 +92,7 @@ class TestCharacterizeApps:
         assert [r.app for r in result.rows] == [app.name for app in PROXY_APPS]
 
     def test_stats_include_trace_counters(self, result):
-        lookups = result.stats.trace_hits + result.stats.trace_misses
+        lookups = result.stats.caches["trace"].lookups
         assert lookups >= len(PROXY_APPS)
         assert "trace-replay memo cache" in result.stats.summary()
 
@@ -116,4 +116,4 @@ class TestCharacterizeApps:
 
         uncached = characterize_apps(PROXY_APPS, use_cache=False)
         assert uncached.rows == result.rows
-        assert uncached.stats.trace_hits == 0
+        assert uncached.stats.caches["trace"].hits == 0

@@ -47,7 +47,7 @@ def test_default_positional_and_keyword_seed_share_one_stub(precision):
     # The single-precision stub also holds the double-precision one it
     # casts its velocities from.
     expected = 1 if precision is Precision.DOUBLE else 2
-    assert len(memo._STUB_CACHE) == expected
+    assert len(memo.STUB_CACHE) == expected
 
 
 def test_distinct_seeds_stay_distinct():

@@ -328,7 +328,7 @@ def test_uncached_vector_run_identical(matrix_pair):
     """``use_cache=False`` changes wall time, never values."""
     runs, (scalar_outcomes, _), _vector = matrix_pair
     uncached_outcomes, uncached_stats = execute_vector(runs, use_cache=False)
-    assert uncached_stats.cache_hits == 0
+    assert uncached_stats.caches["kernel"].hits == 0
     for left, right in zip(scalar_outcomes, uncached_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right)
 
@@ -349,14 +349,14 @@ def test_stub_cache_lifecycle():
     enabled, and ``clear_caches`` empties it."""
     spec = RunSpec("CoMD", "OpenCL", DGPU, Precision.SINGLE, sweep_configs()["CoMD"])
     memo.clear_caches()
-    assert not memo._STUB_CACHE
+    assert not memo.STUB_CACHE
     with memo.cache_disabled():
         capture_program(spec)
-        assert not memo._STUB_CACHE
+        assert not memo.STUB_CACHE
     capture_program(spec)
-    assert memo._STUB_CACHE
+    assert memo.STUB_CACHE
     memo.clear_caches()
-    assert not memo._STUB_CACHE
+    assert not memo.STUB_CACHE
 
 
 def test_comd_rebin_early_out_is_bit_identical():
@@ -796,8 +796,10 @@ def test_per_row_cache_counts_sum_to_the_call_delta():
         before = memo.KERNEL_CACHE.snapshot()
         outcomes, stats = execute_vector(runs)
         delta = memo.KERNEL_CACHE.snapshot().since(before)
-        assert (stats.cache_hits, stats.cache_misses) == (delta.hits, delta.misses)
+        assert (stats.caches["kernel"].hits, stats.caches["kernel"].misses) == (
+            delta.hits, delta.misses
+        )
         for outcome in outcomes:
             atoms = cached_program(outcome.spec).atoms
-            assert outcome.cache_hits + outcome.cache_misses == len(atoms)
+            assert outcome.caches["kernel"].lookups == len(atoms)
     memo.clear_caches()

@@ -75,6 +75,15 @@ class TestJournal:
         with pytest.raises(CheckpointError):
             CheckpointJournal.open(path)
 
+    def test_refuses_a_previous_format(self, tmp_path):
+        # Version 1 journals pickled outcomes with per-layer counter
+        # fields; they must be refused, not unpickled into outcomes
+        # that lack the per-layer ``caches`` mapping.
+        path = tmp_path / "ck.jsonl"
+        path.write_text(json.dumps({"format": "repro-checkpoint/1"}) + "\n")
+        with pytest.raises(CheckpointError, match="repro-checkpoint/1"):
+            CheckpointJournal.open(path)
+
     def test_header_declares_format(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         with CheckpointJournal.open(path) as journal:

@@ -43,7 +43,7 @@ def test_cache_off_identical_to_cache_on(serial_study):
         APPS, configs=dict(sweep_configs()), max_workers=1, use_cache=False
     )
     assert entry_dicts(uncached) == entry_dicts(serial_study)
-    assert uncached.stats.cache_hits == 0
+    assert uncached.stats.caches["kernel"].hits == 0
 
 
 def test_parallel_uncached_identical_too(serial_study):
@@ -107,12 +107,8 @@ def test_shuffled_plan_identical_with_cache_parity(workers):
     for spec, outcome in zip(shuffled, shuffled_outcomes):
         assert vars(outcome.result) == vars(by_key[spec.content_key()]), spec.label
 
-    for field in (
-        "cache_hits", "cache_misses",
-        "setup_hits", "setup_misses",
-        "trace_hits", "trace_misses",
-    ):
-        assert getattr(shuffled_stats, field) == getattr(ordered_stats, field), field
+    for layer in ("kernel", "setup", "trace"):
+        assert shuffled_stats.caches[layer] == ordered_stats.caches[layer], layer
 
 
 def test_repeated_serial_runs_identical(serial_study):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.readmem import ReadMemConfig
 from repro.engine import memo
+from repro.engine.memo import MemoStats
 from repro.exec.executor import (
     ExecStats,
     _shard_by_affinity,
@@ -38,7 +39,7 @@ class TestExecuteRun:
         outcome = execute_run(run_spec())
         assert outcome.result.seconds > 0
         assert outcome.wall_seconds > 0
-        assert outcome.cache_misses > 0  # cold cache priced something
+        assert outcome.caches["kernel"].misses > 0  # cold cache priced something
 
     def test_applies_clock_overrides(self):
         # Big enough that the kernel is bandwidth-bound, not floor-bound.
@@ -69,14 +70,14 @@ class TestCacheToggling:
     def test_second_execution_hits_the_cache(self):
         execute([run_spec()])
         _, stats = execute([run_spec()])
-        assert stats.cache_hits > 0
-        assert stats.cache_misses == 0
+        assert stats.caches["kernel"].hits > 0
+        assert stats.caches["kernel"].misses == 0
 
     def test_no_cache_never_hits_and_restores_state(self):
         previous = memo.KERNEL_CACHE.enabled
         _, stats = execute([run_spec(), run_spec(size=2048)], use_cache=False)
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == 0  # disabled cache counts nothing
+        assert stats.caches["kernel"].hits == 0
+        assert stats.caches["kernel"].misses == 0  # disabled cache counts nothing
         assert memo.KERNEL_CACHE.enabled == previous
 
     def test_cache_does_not_change_results(self):
@@ -99,15 +100,17 @@ class TestStats:
         assert "limited by" in text
 
     def test_merge_adds_counters(self):
-        a = ExecStats(requested_runs=2, unique_runs=2, cache_hits=5, wall_seconds=1.0)
-        b = ExecStats(requested_runs=3, unique_runs=1, cache_hits=7, wall_seconds=2.0)
+        a = ExecStats(requested_runs=2, unique_runs=2, caches={"kernel": MemoStats(hits=5)},
+                      wall_seconds=1.0)
+        b = ExecStats(requested_runs=3, unique_runs=1, caches={"kernel": MemoStats(hits=7)},
+                      wall_seconds=2.0)
         merged = a.merge(b)
         assert merged.requested_runs == 5
-        assert merged.cache_hits == 12
+        assert merged.caches["kernel"].hits == 12
         assert merged.wall_seconds == pytest.approx(3.0)
 
     def test_hit_rate_handles_zero_lookups(self):
-        assert ExecStats().cache_hit_rate == 0.0
+        assert ExecStats().caches.get("kernel", MemoStats()).hit_rate == 0.0
 
     def test_default_workers_positive(self):
         assert 1 <= default_workers() <= 8
@@ -190,11 +193,11 @@ class TestTraceCounters:
     def test_trace_layer_aggregates_and_merges(self):
         from repro.exec.executor import ExecStats
 
-        a = ExecStats(trace_hits=3, trace_misses=1)
-        b = ExecStats(trace_hits=2, trace_misses=4)
+        a = ExecStats(caches={"trace": MemoStats(hits=3, misses=1)})
+        b = ExecStats(caches={"trace": MemoStats(hits=2, misses=4)})
         merged = a.merge(b)
-        assert (merged.trace_hits, merged.trace_misses) == (5, 5)
-        assert merged.trace_hit_rate == 0.5
+        assert (merged.caches["trace"].hits, merged.caches["trace"].misses) == (5, 5)
+        assert merged.caches["trace"].hit_rate == 0.5
         assert "trace-replay memo cache: 5 hits / 5 misses" in merged.summary()
 
     def test_trace_line_hidden_when_unused(self):
@@ -206,6 +209,6 @@ class TestTraceCounters:
         memo.clear_caches()
         outcomes, stats = execute([run_spec()])
         # Ports do not replay traces; the counters exist but stay zero.
-        assert outcomes[0].trace_hits == 0
-        assert outcomes[0].trace_misses == 0
-        assert (stats.trace_hits, stats.trace_misses) == (0, 0)
+        assert outcomes[0].caches["trace"].hits == 0
+        assert outcomes[0].caches["trace"].misses == 0
+        assert (stats.caches["trace"].hits, stats.caches["trace"].misses) == (0, 0)

@@ -1,6 +1,7 @@
 """The load generator: percentile math, both loops, the result record."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -44,6 +45,20 @@ def test_load_result_summary_and_json():
     assert not result.clean
     result.status_counts = {"200": 100}
     assert result.clean
+
+
+@pytest.mark.parametrize("warmup", [False, True])
+def test_refused_connection_is_counted_not_raised(warmup):
+    # A bound socket that never listens refuses every connection.
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        url = "http://127.0.0.1:%d" % closed.getsockname()[1]
+        result = asyncio.run(run_load(
+            url, [{}], concurrency=1, duration_s=0.2, warmup=warmup,
+        ))
+    assert isinstance(result, LoadResult)
+    assert result.errors > 0
+    assert result.requests == 0
 
 
 def test_closed_loop_against_live_server():

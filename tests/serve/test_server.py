@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import re
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from repro.apps import APPS_BY_NAME
 from repro.core.configs import bench_configs
 from repro.core.study import GPU_MODELS, run_study
+from repro.engine import memo
 from repro.hardware.specs import Precision
 from repro.obs.metrics import parse_prometheus
 from repro.serve import ServeConfig, Server, ServerThread
@@ -150,6 +152,12 @@ def test_metrics_exposition_is_valid_and_consistent(server):
     assert "repro_memo_singleflight_coalesced_total" in samples
     assert "repro_serve_queue_depth" in samples
     assert "repro_memo_hit_ratio" in samples
+    # Every registered memo layer exports its hit ratio, and only those.
+    layers = {
+        re.search(r'cache="([^"]+)"', labels).group(1)
+        for labels, _value in samples["repro_memo_hit_ratio"]
+    }
+    assert layers == set(memo.CACHES)
     # Histogram self-consistency: the +Inf bucket equals _count.
     inf = {
         labels: value
