@@ -15,6 +15,7 @@ clock, balanced apps with both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -123,6 +124,9 @@ def run_sweep(
     ``"scalar"`` simulates every point.  Points are bit-identical
     either way.
     """
+    # A repeated grid value would only repeat grid points: take each once.
+    core_grid = tuple(dict.fromkeys(core_grid))
+    memory_grid = tuple(dict.fromkeys(memory_grid))
     runs = sweep_runs(app.name, config, precision, core_grid, memory_grid, model)
     outcomes, stats = execute_with_engine(
         engine,
@@ -135,31 +139,27 @@ def run_sweep(
         checkpoint=checkpoint,
     )
 
-    seconds_grid: dict[tuple[float, float], float] = {}
-    for outcome in outcomes:
-        if outcome is None:  # quarantined: reported via failures
-            continue
-        spec = outcome.spec
-        # Kernel time only: Figure 7 characterizes device execution,
-        # and PCIe transfer time is frequency-invariant noise here.
-        seconds_grid[(spec.core_mhz, spec.memory_mhz)] = outcome.result.kernel_seconds
-
-    if not seconds_grid:
-        return SweepResult(
-            app=app.name,
-            points=[],
-            stats=stats,
-            telemetry=stats.timeline,
-            failures=list(stats.failures),
-        )
     # Normalize to the paper's anchor (slowest corner); if that exact
-    # point was quarantined, fall back to the slowest surviving point
-    # so the rest of the grid still normalizes meaningfully.
-    anchor = seconds_grid.get((min(core_grid), min(memory_grid)))
-    slowest = anchor if anchor is not None else max(seconds_grid.values())
+    # point was quarantined (its outcome is ``None``, reported via
+    # failures), fall back to the slowest surviving point so the rest
+    # of the grid still normalizes meaningfully.  The runs are
+    # memory-major: point (core i, memory j) is run j * cores + i.
+    # Kernel time only: Figure 7 characterizes device execution, and
+    # PCIe transfer time is frequency-invariant noise here.
+    anchor = outcomes[
+        memory_grid.index(min(memory_grid)) * len(core_grid) + core_grid.index(min(core_grid))
+    ] if outcomes else None
+    slowest = anchor.result.kernel_seconds if anchor is not None else max(
+        (o.result.kernel_seconds for o in outcomes if o is not None), default=0.0
+    )
+    # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``:
+    # a third of the cost on dense grids.
+    new = tuple.__new__
     points = [
-        SweepPoint(core, memory, seconds, slowest / seconds)
-        for (core, memory), seconds in seconds_grid.items()
+        new(SweepPoint, (core, memory, seconds, slowest / seconds))
+        for (memory, core), outcome in zip(product(memory_grid, core_grid), outcomes)
+        if outcome is not None
+        for seconds in (outcome.result.kernel_seconds,)
     ]
     return SweepResult(
         app=app.name,

@@ -6,7 +6,7 @@ compiler actually generated) on *devices* (the simulated hardware of
 counters from which every figure of the paper is regenerated.
 """
 
-from .counters import KernelRecord, PerfCounters
+from .counters import PerfCounters
 from .kernel import (
     AccessKind,
     AccessPattern,
@@ -73,7 +73,6 @@ __all__ = [
     "HC_DGPU",
     "KERNEL_CACHE",
     "MemoCache",
-    "KernelRecord",
     "KernelSpec",
     "KernelTiming",
     "LoweredKernel",

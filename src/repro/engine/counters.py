@@ -8,22 +8,15 @@ of Figures 8/9 are both derived from these counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+if TYPE_CHECKING:
+    from .timing import KernelTiming
 
-@dataclass
-class KernelRecord:
-    """Timing record of one kernel launch."""
-
-    name: str
-    seconds: float
-    cycles: float
-    instructions: float
-    dram_bytes: float
-    limited_by: str
-    device: str
-    #: Dynamic switching energy of the launch (``repro.engine.energy``).
-    joules: float = 0.0
+#: What can bound a kernel launch, in limiter-code order
+#: (:data:`repro.engine.timing_vec.FLOOR`, ``COMPUTE``, ``MEMORY``).
+LIMITERS = ("floor", "compute", "memory")
 
 
 @dataclass
@@ -48,7 +41,11 @@ class PerfCounters:
     #: result is assembled — it depends on total duration, not events.
     kernel_joules: float = 0.0
     transfer_joules: float = 0.0
-    kernels: list[KernelRecord] = field(default_factory=list)
+    #: Kernel launches by what bounded them (:data:`LIMITERS`); the
+    #: three sum to ``kernel_launches``.
+    floor_launches: int = 0
+    compute_launches: int = 0
+    memory_launches: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -72,14 +69,15 @@ class PerfCounters:
             return 0.0
         return self.instructions / self.cycles
 
-    def record_kernel(self, record: KernelRecord) -> None:
-        self.kernels.append(record)
-        self.kernel_seconds += record.seconds
-        self.cycles += record.cycles
-        self.instructions += record.instructions
-        self.dram_bytes += record.dram_bytes
+    def record_kernel(self, timing: "KernelTiming") -> None:
+        self.kernel_seconds += timing.seconds
+        self.cycles += timing.cycles
+        self.instructions += timing.instructions
+        self.dram_bytes += timing.dram_bytes
         self.kernel_launches += 1
-        self.kernel_joules += record.joules
+        self.kernel_joules += timing.joules
+        launches = f"{timing.limited_by}_launches"
+        setattr(self, launches, getattr(self, launches) + 1)
 
     def record_transfer(
         self, nbytes: int, seconds: float, direction: str, joules: float = 0.0
@@ -94,7 +92,7 @@ class PerfCounters:
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Combine counters of two runs (e.g. per-phase accounting)."""
-        merged = PerfCounters(
+        return PerfCounters(
             kernel_seconds=self.kernel_seconds + other.kernel_seconds,
             transfer_seconds=self.transfer_seconds + other.transfer_seconds,
             host_seconds=self.host_seconds + other.host_seconds,
@@ -109,6 +107,7 @@ class PerfCounters:
             transfers=self.transfers + other.transfers,
             kernel_joules=self.kernel_joules + other.kernel_joules,
             transfer_joules=self.transfer_joules + other.transfer_joules,
+            floor_launches=self.floor_launches + other.floor_launches,
+            compute_launches=self.compute_launches + other.compute_launches,
+            memory_launches=self.memory_launches + other.memory_launches,
         )
-        merged.kernels = self.kernels + other.kernels
-        return merged

@@ -17,16 +17,23 @@ the same charge timeline it prices for time:
 * **transfer** — staging copies power the link + DMA engines for the
   duration of the copy (zero on the APU: unified memory moves nothing).
 
-Every helper takes and returns plain Python floats.  Kernel pricing
-(``engine.timing_vec``) calls them on each kernel's *final* timing
-floats, and the scalar counters and the columnar engine fold the same
-helpers in the same order, which keeps joules bit-identical between
-the two engines.
+Kernel pricing (``engine.timing_vec``) calls :func:`kernel_joules`,
+which is elementwise, once on a whole grid of *final* timing values.
+The other helpers take and return plain Python floats, and the scalar
+counters and the columnar engine fold them in the same order, which
+keeps joules bit-identical between the two engines.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+import numpy as np
+
 from ..hardware.specs import PowerSpec
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Fraction of peak dynamic power a fully stalled kernel still draws
 #: (instruction fetch, schedulers, memory pipes).
@@ -49,28 +56,27 @@ def clock_power_scale(current_mhz: float, nominal_mhz: float) -> float:
 
 def kernel_joules(
     power: PowerSpec,
-    seconds: float,
-    busy_seconds: float,
-    clock_scale: float = 1.0,
+    seconds: ArrayLike,
+    busy_seconds: ArrayLike,
+    clock_scale: ArrayLike = 1.0,
     share: float = 1.0,
-) -> float:
-    """Dynamic energy of one kernel: switching power x duration.
+) -> np.ndarray:
+    """Dynamic energy of kernels: switching power x duration, elementwise.
 
     ``busy_seconds`` is the compute-side time of the roofline — the
     portion of the launch the ALUs were actually switching; the rest of
     the duration the device idles at the activity floor.  ``share`` is
     the fraction of the device the launch occupies (threads/cores for a
-    CPU loop; 1.0 for a GPU grid).
+    CPU loop; 1.0 for a GPU grid).  Arguments broadcast like NumPy
+    operands and every op is elementwise, so a cell's joules do not
+    depend on what else shares its call.
     """
-    if seconds <= 0.0:
-        return 0.0
-    utilisation = busy_seconds / seconds
-    if utilisation > 1.0:
-        utilisation = 1.0
-    elif utilisation < 0.0:
-        utilisation = 0.0
+    seconds = np.asarray(seconds, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        utilisation = np.clip(busy_seconds / seconds, 0.0, 1.0)
     activity = IDLE_ACTIVITY_FLOOR + (1.0 - IDLE_ACTIVITY_FLOOR) * utilisation
-    return power.peak_dynamic_w * share * clock_scale * activity * seconds
+    joules = power.peak_dynamic_w * share * clock_scale * activity * seconds
+    return np.where(seconds <= 0.0, 0.0, joules)
 
 
 def transfer_joules(active_w: float, seconds: float) -> float:

@@ -554,26 +554,6 @@ def cache_disabled() -> AbstractContextManager[None]:
     return cache_setting(False)
 
 
-class HashedKey(tuple):
-    """A key part that computes its hash once.
-
-    Equal to, and hashing exactly like, the plain tuple of its items,
-    so an entry stored under a key built from ``HashedKey`` parts is
-    found by the plain-tuple key and vice versa.  A cache key hashes
-    every field of the frozen dataclasses inside it on every lookup;
-    a caller that looks up many keys sharing one part (a grid of clock
-    points over the same kernels) wraps that part once.
-    """
-
-    def __new__(cls, items: tuple) -> "HashedKey":
-        self = super().__new__(cls, items)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 def gpu_state_key(gpu: GPUDevice) -> tuple:
     """Everything about a GPU the timing model reads: the (frozen)
     spec plus the two mutable clock domains the sweeps adjust."""

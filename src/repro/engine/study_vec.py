@@ -25,10 +25,12 @@ This engine lowers the matrix instead of looping it:
    per-atom coefficients once, per-clock scalars as columns, and
    elementwise roofline arithmetic with no reduction, so every cell is
    the scalar formula's exact IEEE sequence.  CPU atoms never see the
-   GPU clocks and are priced once per group.  Every (cell, atom) price
-   then goes through :data:`~repro.engine.memo.KERNEL_CACHE` under
-   exactly the key the scalar path uses, so either engine serves the
-   other's cache.
+   GPU clocks and are priced once per group.  The priced arrays are
+   scattered straight into the fold's ``(field, cells, atoms)`` tensor,
+   with each cell's launches counted by limiter from the atoms' limiter
+   codes and use counts: no per-launch object, and no
+   :data:`~repro.engine.memo.KERNEL_CACHE` traffic (that cache serves
+   the scalar engine's one-kernel calls only).
 3. **Fold** — simulated seconds and every counter are reassembled with
    ``np.add.accumulate`` along each cell's event stream: a strictly
    left-associated IEEE fold, the same addition sequence the port's
@@ -59,9 +61,10 @@ the package root would create an import cycle.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from pathlib import Path
 from typing import Sequence
 
@@ -69,9 +72,8 @@ import numpy as np
 
 from ..apps.base import RunResult
 from ..engine import energy, memo
-from ..engine.counters import PerfCounters
-from ..engine.timing import KernelTiming
-from ..engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
+from ..engine.counters import LIMITERS, PerfCounters
+from ..engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
 from ..exec.checkpoint import CheckpointJournal
 from ..exec.executor import ExecStats, ExecutionInterrupted, RunOutcome, execute
 from ..exec.faults import FaultPlan, ResultValidationError, RunError, fault_plan_from_env
@@ -259,13 +261,11 @@ def _makespan_rows(
     return np.maximum(copy, compute)
 
 
-#: The :class:`KernelTiming` fields the counters fold, in fold order.
-_FOLDED = operator.attrgetter("seconds", "cycles", "instructions", "dram_bytes", "joules")
+#: The priced-kernel arrays the counters fold, in fold order.
+_FOLDED = ("seconds", "cycles", "instructions", "dram_bytes", "joules")
 
 
-def price_cell(
-    program: ChargeProgram, specs: Sequence[RunSpec]
-) -> list[tuple[RunResult, memo.MemoStats]]:
+def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResult]:
     """Price one schedule group: every cell of ``specs`` from ``program``.
 
     The rows share ``program``'s schedule and differ at most in clock
@@ -273,65 +273,42 @@ def price_cell(
     single cell is a one-row group.  GPU atoms are priced in one
     broadcast call over (rows x atoms)
     (:func:`~repro.engine.timing_vec.time_gpu_kernel_grid`); CPU atoms
-    are clock-independent and priced once for the group.  Every
-    ``(row, atom)`` price then goes through one
-    ``KERNEL_CACHE.lookup`` under the key the scalar engine uses, so
-    hits, misses and stored values are interchangeable with scalar
-    runs.  The folds run over the served prices, one strict left fold
-    per row.
-
-    Returns one ``(result, cache delta)`` pair per row, in order; the
-    delta counts the ``KERNEL_CACHE`` lookups made for that row alone.
+    are clock-independent and priced once for the group.  Their arrays
+    are scattered into one ``(field, rows, atoms)`` tensor and folded,
+    one strict left fold per row: no per-launch object is built and no
+    memo cache is consulted.  Returns one result per row, in order.
     """
     platforms = [spec.make_platform() for spec in specs]
     precision = specs[0].precision
     platform = platforms[0]
-    host = platform.host
     atoms = program.atoms
 
+    # (field, rows, atoms + 1) with a zero trailing atom, so the -1
+    # atom index of a transfer event gathers 0.0; and the limiter code
+    # of every (row, atom).
+    fields = np.zeros((len(_FOLDED), len(specs), len(atoms) + 1))
+    limiter = np.empty((len(specs), len(atoms)), dtype=np.int64)
+
+    def scatter(indices: list[int], prices: KernelPrices) -> None:
+        for plane, name in zip(fields, _FOLDED):
+            plane[:, indices] = getattr(prices, name)
+        limiter[:, indices] = prices.limiter
+
     gpu_atoms = [i for i, atom in enumerate(atoms) if atom[0] == "gpu"]
-    gpu_grid = time_gpu_kernel_grid(
-        [atoms[i][1] for i in gpu_atoms], [p.gpu for p in platforms], precision
-    )
-    # One cache key part per atom, hashed once for the whole group:
-    # the lowering's content for a GPU atom (the clock state joins per
-    # row), the whole key for a CPU one.
-    cpu_key = memo.cpu_state_key(host)
-    atom_keys = [
-        memo.HashedKey(
-            atom[1].cache_key() if atom[0] == "gpu"
-            else ("cpu-timing", atom[1], cpu_key, precision, atom[2])
-        )
-        for atom in atoms
-    ]
-    # CPU atoms do not see the GPU clocks: one batch per thread count.
-    cpu_timings: dict[int, KernelTiming] = {}
+    if gpu_atoms:
+        scatter(gpu_atoms, time_gpu_kernel_grid(
+            [atoms[i][1] for i in gpu_atoms], [p.gpu for p in platforms], precision
+        ))
+    # CPU atoms do not see the GPU clocks: one batch per thread count,
+    # broadcast over the rows.
     by_threads: dict[int, list[int]] = {}
     for i, atom in enumerate(atoms):
         if atom[0] == "cpu":
             by_threads.setdefault(atom[2], []).append(i)
     for threads, indices in by_threads.items():
-        batch = time_cpu_kernel_batch(
-            [atoms[i][1] for i in indices], host, precision, threads=threads
-        )
-        cpu_timings.update(zip(indices, batch))
-
-    # Serve every (row, atom) price through the cache, row by row.
-    column = {i: j for j, i in enumerate(gpu_atoms)}
-    lookup = memo.KERNEL_CACHE.lookup
-    served: list[list[KernelTiming]] = []
-    deltas: list[memo.MemoStats] = []
-    for p, grid_row in zip(platforms, gpu_grid):
-        before = memo.KERNEL_CACHE.snapshot()
-        gpu_key = memo.HashedKey(memo.gpu_state_key(p.gpu))
-        served.append([
-            lookup(key, lambda t=cpu_timings[i]: t) if i in cpu_timings
-            else lookup(
-                ("gpu-timing", key, gpu_key, precision), lambda t=grid_row[column[i]]: t
-            )
-            for i, key in enumerate(atom_keys)
-        ])
-        deltas.append(memo.KERNEL_CACHE.snapshot().since(before))
+        scatter(indices, time_cpu_kernel_batch(
+            [atoms[i][1] for i in indices], platform.host, precision, threads=threads
+        ))
 
     # --- clock-independent terms, once per group ----------------------
     xfer_seconds = [
@@ -360,38 +337,34 @@ def price_cell(
     launch_overhead = _accumulate(program.kernel_overheads)
     transfer_total = _accumulate(transfer_seconds[program.transfer_events])
     transfer_joules = _accumulate(xfer_joules[program.transfer_events])
+    # Launches by limiter: each atom's code against its launch count,
+    # in exact integer arithmetic.
+    uses = np.bincount(katoms, minlength=len(atoms))
+    launches = [
+        np.where(limiter == code, uses, 0).sum(axis=1).tolist()
+        for code in range(len(LIMITERS))
+    ]
 
-    # --- per-row folds over the served prices (bit-identical) ---------
-    # (rows, atoms + 1, field) with a zero trailing atom, so the -1
-    # atom index of a transfer event gathers 0.0.
-    fields = np.zeros((len(served), len(atoms) + 1, 5))
-    fields[:, :-1, :] = np.array(
-        [value for row in served for timing in row for value in _FOLDED(timing)]
-    ).reshape(len(served), len(atoms), 5)
+    # --- per-row folds over the priced arrays (bit-identical) ---------
     # The port's clock: each counted charge contributes its return
     # value (kernel seconds + overhead as one add, then the fold add —
     # the same two-IEEE-add sequence the scalar accumulator performs),
     # or, for a two-stream program, the replayed makespan over the same
     # returns.
-    kernel_contrib = fields[:, program.ev_atom, 0] + program.ev_overhead
+    kernel_contrib = fields[0][:, program.ev_atom] + program.ev_overhead
     contrib = np.where(program.ev_atom >= 0, kernel_contrib, transfer_contrib)
     folds = np.stack(
         [
             _accumulate_rows(contrib) if program.streams is None
             else _makespan_rows(program.streams, contrib),
-            *(_accumulate_rows(fields[:, katoms, k]) for k in range(5)),
+            *(_accumulate_rows(plane[:, katoms]) for plane in fields),
         ],
         axis=1,
     )
-    priced: list[tuple[RunResult, memo.MemoStats]] = []
-    for spec, p, row, delta, (
+    results: list[RunResult] = []
+    for spec, p, floor, compute, memory, (
         seconds, kernel_seconds, cycles, instructions, dram_bytes, kernel_joules,
-    ) in zip(specs, platforms, served, deltas, folds.tolist()):
-        gpu_name, host_name = p.gpu.name, p.host.name
-        records = [
-            timing.record(gpu_name if atom[0] == "gpu" else host_name)
-            for atom, timing in zip(atoms, row)
-        ]
+    ) in zip(specs, platforms, *launches, folds.tolist()):
         counters = PerfCounters(
             kernel_seconds=kernel_seconds,
             transfer_seconds=transfer_total,
@@ -407,7 +380,9 @@ def price_cell(
             transfers=len(program.transfer_events),
             kernel_joules=kernel_joules,
             transfer_joules=transfer_joules,
-            kernels=[records[i] for i in katoms],
+            floor_launches=floor,
+            compute_launches=compute,
+            memory_launches=memory,
         )
         # Same three-term addition sequence as ``apps.base.make_result``.
         joules = (
@@ -415,21 +390,18 @@ def price_cell(
             + counters.kernel_joules
             + counters.transfer_joules
         )
-        priced.append((
-            RunResult(
-                app=program.app,
-                model=program.model,
-                platform=p.name,
-                precision=spec.precision,
-                seconds=seconds,
-                kernel_seconds=kernel_seconds,
-                checksum=program.checksum,
-                counters=counters,
-                joules=joules,
-            ),
-            delta,
+        results.append(RunResult(
+            app=program.app,
+            model=program.model,
+            platform=p.name,
+            precision=spec.precision,
+            seconds=seconds,
+            kernel_seconds=kernel_seconds,
+            checksum=program.checksum,
+            counters=counters,
+            joules=joules,
         ))
-    return priced
+    return results
 
 
 def price_specs(specs: Sequence[RunSpec]) -> list[RunResult | None]:
@@ -450,16 +422,13 @@ def price_specs(specs: Sequence[RunSpec]) -> list[RunResult | None]:
     lattice = SpecLattice.from_specs(list(specs))
     results: list[RunResult | None] = [None] * len(lattice.rows)
     for _key, rows in lattice.groups:
-        for index, priced in _price_group(lattice, rows):
-            if priced is not None:
-                results[index] = priced[0]
+        for index, result in zip(rows, _price_group(lattice, rows)):
+            results[index] = result
     return results
 
 
-def _price_group(
-    lattice: SpecLattice, rows: Sequence[int]
-) -> list[tuple[int, tuple[RunResult, memo.MemoStats] | None]]:
-    """``(row, priced)`` for one lattice group, ``None`` where it failed.
+def _price_group(lattice: SpecLattice, rows: Sequence[int]) -> list[RunResult | None]:
+    """One result per row of a lattice group, ``None`` where it failed.
 
     The group is priced in one broadcast call; if that raises, each row
     is re-priced as a one-row group, so one bad cell (an out-of-range
@@ -470,54 +439,53 @@ def _price_group(
     try:
         program = cached_program(specs[0])
     except Exception:
-        return [(row, None) for row in rows]
+        return [None] * len(specs)
     try:
-        return list(zip(rows, price_cell(program, specs)))
+        return price_cell(program, specs)
     except Exception:
-        if len(rows) == 1:
-            return [(rows[0], None)]
-    isolated: list[tuple[int, tuple[RunResult, memo.MemoStats] | None]] = []
-    for row, spec in zip(rows, specs):
+        if len(specs) == 1:
+            return [None]
+    isolated: list[RunResult | None] = []
+    for spec in specs:
         try:
-            (priced,) = price_cell(program, [spec])
+            (result,) = price_cell(program, [spec])
         except Exception:
-            priced = None
-        isolated.append((row, priced))
+            result = None
+        isolated.append(result)
     return isolated
 
 
-def _price_outcome(
-    lattice: SpecLattice, rows: Sequence[int]
-) -> list[tuple[int, RunOutcome | None]]:
+#: The memo counts every columnar outcome carries: no row makes a
+#: lookup of its own (shared, never mutated).
+_NO_LOOKUPS: dict[str, memo.MemoStats] = {}
+
+
+def _price_outcome(lattice: SpecLattice, rows: Sequence[int]) -> list[RunOutcome | None]:
     """One lattice group priced with the scalar path's observability
-    envelope: ``(row, outcome)``, ``None`` where pricing or result
+    envelope: one outcome per row, ``None`` where pricing or result
     validation failed.
 
-    Each outcome's cache counters are the lookups made for its own
-    row, so the per-row counts sum to the cache delta over the group.
     ``wall_seconds`` is the group's wall time (its capture included)
     divided by its row count: the rows are priced together, so that
-    even share is the only per-row wall time there is.
+    even share is the only per-row wall time there is.  The caller
+    reports the call's memo delta as a whole.
     """
     started = time.perf_counter()
     priced = _price_group(lattice, rows)
     wall = (time.perf_counter() - started) / len(rows)
-    outcomes: list[tuple[int, RunOutcome | None]] = []
-    for row, pair in priced:
+    outcomes: list[RunOutcome | None] = []
+    for row, result in zip(rows, priced):
         outcome = None
-        if pair is not None:
-            result, delta = pair
+        if result is not None:
             try:
                 validate_result(result)
                 outcome = RunOutcome(
-                    spec=lattice.rows[row],
-                    result=result,
-                    wall_seconds=wall,
-                    caches={"kernel": delta},
+                    spec=lattice.rows[row], result=result, wall_seconds=wall,
+                    caches=_NO_LOOKUPS,
                 )
             except ResultValidationError:
                 pass  # left to the scalar retry ladder
-        outcomes.append((row, outcome))
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -567,47 +535,64 @@ def execute_vector(
         )
 
     # Content-address the descriptors: first occurrence wins the slot.
-    unique: list[RunSpec] = []
-    slot_of: dict[str, int] = {}
-    placement: list[int] = []
-    for spec in runs:
-        key = spec.content_key()
-        if key not in slot_of:
-            slot_of[key] = len(unique)
-            unique.append(spec)
-        placement.append(slot_of[key])
+    # Without duplicates (the common case) every spec is its own slot.
+    unique = list(runs)
+    placement: list[int] | None = None
+    if len(set(map(RunSpec.content_key, unique))) < len(unique):
+        unique, placement = [], []
+        slot_of: dict[str, int] = {}
+        for spec in runs:
+            key = spec.content_key()
+            if key not in slot_of:
+                slot_of[key] = len(unique)
+                unique.append(spec)
+            placement.append(slot_of[key])
 
     executed: list[RunOutcome | None] = [None] * len(unique)
     errors: dict[int, RunError] = {}
     resumed = 0
-    pending: dict[int, RunSpec] = {}
-    for index, spec in enumerate(unique):
-        restored = journal.restore(spec.content_key()) if journal is not None else None
-        if restored is not None:
-            executed[index] = restored
-            resumed += 1
+    pending: Sequence[int] = range(len(unique))
+    if journal is not None:
+        for index, spec in enumerate(unique):
+            executed[index] = journal.restore(spec.content_key())
+        pending = [index for index in pending if executed[index] is None]
+        resumed = len(unique) - len(pending)
+
+    # Eligibility reads only schedule-key fields (model, projection), so
+    # it is decided once per lattice group; the rest is the scalar tail.
+    lattice = SpecLattice.from_specs(
+        unique if resumed == 0 else [unique[index] for index in pending]
+    )
+    vector_groups: list[tuple[int, ...]] = []
+    tail: list[int] = []
+    for _key, rows in lattice.groups:
+        if vector_eligible(lattice.rows[rows[0]]):
+            vector_groups.append(rows)
         else:
-            pending[index] = spec
+            tail.extend(pending[row] for row in rows)
+    tail.sort()
 
-    vector_cells = {i: s for i, s in pending.items() if vector_eligible(s)}
-    tail_cells = {i: s for i, s in pending.items() if i not in vector_cells}
-
+    before = memo.snapshot()
     interrupted = False
     try:
         with memo.cache_setting(use_cache):
-            indices = sorted(vector_cells)
-            lattice = SpecLattice.from_specs([vector_cells[i] for i in indices])
-            for _key, rows in lattice.groups:
-                for row, outcome in _price_outcome(lattice, rows):
-                    index, spec = indices[row], lattice.rows[row]
-                    payload = (
-                        outcome if outcome is not None
-                        else run_with_retry(spec, policy, faults=faults)
-                    )
+            for rows in vector_groups:
+                outcomes = _price_outcome(lattice, rows)
+                if len(rows) == len(executed):
+                    executed[:] = outcomes  # one group holds every cell, in order
+                else:
+                    for row, outcome in zip(rows, outcomes):
+                        executed[pending[row]] = outcome
+                if journal is not None:
+                    for outcome in filter(None, outcomes):
+                        journal.record(outcome)
+                # Rows the columnar path could not price take the ladder.
+                for row in compress(rows, map(is_, outcomes, repeat(None))):
+                    payload = run_with_retry(lattice.rows[row], policy, faults=faults)
                     if isinstance(payload, RunError):
-                        errors[index] = payload
+                        errors[pending[row]] = payload
                     else:
-                        executed[index] = payload
+                        executed[pending[row]] = payload
                         if journal is not None:
                             journal.record(payload)
     except KeyboardInterrupt:
@@ -615,8 +600,9 @@ def execute_vector(
 
     vector_stats = ExecStats.from_outcomes(
         executed,
-        requested_runs=len(runs) - len(tail_cells),
-        unique_runs=len(unique) - len(tail_cells),
+        caches=memo.since(before),
+        requested_runs=len(runs) - len(tail),
+        unique_runs=len(unique) - len(tail),
         wall_seconds=time.perf_counter() - started,
         failures=[errors[index] for index in sorted(errors)],
         resumed_runs=resumed,
@@ -630,11 +616,10 @@ def execute_vector(
             checkpoint=journal.path if journal is not None else None,
         )
 
-    if tail_cells:
-        tail_indices = sorted(tail_cells)
+    if tail:
         try:
             tail_outcomes, tail_stats = execute(
-                [tail_cells[i] for i in tail_indices],
+                [unique[index] for index in tail],
                 max_workers=max_workers,
                 use_cache=use_cache,
                 telemetry=False,
@@ -649,7 +634,7 @@ def execute_vector(
                 completed=sum(1 for o in executed if o is not None) + exc.completed,
                 checkpoint=exc.checkpoint,
             ) from None
-        for index, outcome in zip(tail_indices, tail_outcomes):
+        for index, outcome in zip(tail, tail_outcomes):
             executed[index] = outcome
         stats = vector_stats.merge(tail_stats)
     else:
@@ -657,5 +642,6 @@ def execute_vector(
             journal.close()
         stats = vector_stats
 
-    outcomes = [executed[slot] for slot in placement]
-    return outcomes, stats
+    if placement is None:
+        return executed, stats
+    return [executed[slot] for slot in placement], stats

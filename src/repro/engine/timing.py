@@ -20,17 +20,21 @@ The formulas are written once, over arrays, in
 constants, :class:`KernelTiming`, the CPU rate helpers and the
 one-kernel entry points :func:`time_gpu_kernel` and
 :func:`time_cpu_kernel`, which are one-cell calls into the array
-formulas.
+formulas and the only places a :class:`KernelTiming` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..hardware.device import CPUDevice, GPUDevice
 from ..hardware.specs import Precision
-from .counters import KernelRecord
+from .counters import LIMITERS
 from .kernel import AccessKind, KernelSpec, LoweredKernel
+
+if TYPE_CHECKING:
+    from .timing_vec import KernelPrices
 
 #: Floor on any kernel execution: pipeline ramp, drain and bookkeeping.
 GPU_KERNEL_FLOOR_S = 3e-6
@@ -69,23 +73,29 @@ class KernelTiming:
     cycles: float
     instructions: float
     dram_bytes: float
-    limited_by: str  # "compute" | "memory" | "floor"
+    limited_by: str  # one of LIMITERS
     compute_seconds: float
     memory_seconds: float
     occupancy_waves: int
     #: Dynamic switching energy of the launch (``repro.engine.energy``).
     joules: float = 0.0
 
-    def record(self, device: str) -> KernelRecord:
-        return KernelRecord(
-            name=self.name,
-            seconds=self.seconds,
-            cycles=self.cycles,
-            instructions=self.instructions,
-            dram_bytes=self.dram_bytes,
-            limited_by=self.limited_by,
-            device=device,
-            joules=self.joules,
+    @classmethod
+    def from_prices(
+        cls, prices: "KernelPrices", cell: tuple[int, ...], name: str
+    ) -> "KernelTiming":
+        """Cell ``cell`` of a priced batch, every number a Python scalar."""
+        return cls(
+            name=name,
+            seconds=float(prices.seconds[cell]),
+            cycles=float(prices.cycles[cell]),
+            instructions=float(prices.instructions[cell]),
+            dram_bytes=float(prices.dram_bytes[cell]),
+            limited_by=LIMITERS[prices.limiter[cell]],
+            compute_seconds=float(prices.compute_seconds[cell]),
+            memory_seconds=float(prices.memory_seconds[cell]),
+            occupancy_waves=prices.waves[cell[-1]],
+            joules=float(prices.joules[cell]),
         )
 
 
@@ -98,7 +108,8 @@ def time_gpu_kernel(
     the one-cell case of :func:`~repro.engine.timing_vec.time_gpu_kernel_grid`."""
     from .timing_vec import time_gpu_kernel_grid
 
-    return time_gpu_kernel_grid([lowered], [gpu], precision)[0][0]
+    prices = time_gpu_kernel_grid([lowered], [gpu], precision)
+    return KernelTiming.from_prices(prices, (0, 0), lowered.spec.name)
 
 
 def cpu_vector_rate(cpu: CPUDevice, spec: KernelSpec, precision: Precision, threads: int) -> float:
@@ -135,4 +146,5 @@ def time_cpu_kernel(
     the one-spec case of :func:`~repro.engine.timing_vec.time_cpu_kernel_batch`."""
     from .timing_vec import time_cpu_kernel_batch
 
-    return time_cpu_kernel_batch([spec], cpu, precision, threads=threads)[0]
+    prices = time_cpu_kernel_batch([spec], cpu, precision, threads=threads)
+    return KernelTiming.from_prices(prices, (0,), spec.name)

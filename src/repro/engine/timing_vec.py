@@ -24,15 +24,15 @@ Three kinds of quantities appear:
   device state.  No formula may use a reduction: ``np.sum`` and
   friends reassociate (``tests/engine/test_timing_vec.py`` checks).
 
-Every field of the returned :class:`~repro.engine.timing.KernelTiming`
-objects is a Python ``float``: values flow into the shared memo cache
-and ultimately into ``json.dumps`` (goldens, exports), which rejects
-``np.float64``.
+Both return a :class:`KernelPrices` of parallel arrays, no per-cell
+objects: the columnar engine scatters them straight into its folds.
+The one-kernel entry points wrap their single cell in a
+:class:`~repro.engine.timing.KernelTiming`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,46 +48,53 @@ from .timing import (
     SCATTER_DRAM_LATENCY_S,
     SCATTER_MLP,
     SCATTER_PIPELINE_CYCLES,
-    KernelTiming,
     cpu_stream_efficiency,
     cpu_vector_rate,
 )
 
 
-def _row(
-    floor: float, names: list[str], seconds: list[float], cycles: list[float],
-    instructions: list[float], dram_bytes: list[float], compute: list[float],
-    memory: list[float], waves: list[int], joules: list[float],
-) -> list[KernelTiming]:
-    """One row of priced cells, each labelled by what bounds it: the
-    launch floor, else the slower of the compute and memory sides.
+#: Limiter codes of :attr:`KernelPrices.limiter`, indexing
+#: :data:`~repro.engine.timing.LIMITERS`.
+FLOOR, COMPUTE, MEMORY = range(3)
 
-    Every argument but ``floor`` is a per-kernel list of Python values.
+
+class KernelPrices(NamedTuple):
+    """Priced kernel launches as parallel arrays.
+
+    Every array has one shape: ``(rows, kernels)`` from
+    :func:`time_gpu_kernel_grid`, ``(kernels,)`` from
+    :func:`time_cpu_kernel_batch`.  All are float64 but ``limiter``.
     """
-    return [
-        KernelTiming(
-            name=name,
-            seconds=s,
-            cycles=c,
-            instructions=i,
-            dram_bytes=d,
-            limited_by="floor" if s == floor else "compute" if cs >= ms else "memory",
-            compute_seconds=cs,
-            memory_seconds=ms,
-            occupancy_waves=w,
-            joules=j,
-        )
-        for name, s, c, i, d, cs, ms, w, j in zip(
-            names, seconds, cycles, instructions, dram_bytes, compute, memory, waves, joules
-        )
-    ]
+
+    seconds: np.ndarray
+    cycles: np.ndarray
+    instructions: np.ndarray
+    dram_bytes: np.ndarray
+    #: Dynamic switching energy (:func:`repro.engine.energy.kernel_joules`).
+    joules: np.ndarray
+    compute_seconds: np.ndarray
+    memory_seconds: np.ndarray
+    #: What bounds each launch: :data:`FLOOR`, :data:`COMPUTE` or
+    #: :data:`MEMORY` (int64).
+    limiter: np.ndarray
+    #: Occupancy per kernel: resident wavefronts per CU on a GPU,
+    #: threads on a CPU.
+    waves: tuple[int, ...]
+
+
+def _limiter(
+    seconds: np.ndarray, floor: float, compute: np.ndarray, memory: np.ndarray
+) -> np.ndarray:
+    """The launch floor where it binds, else the slower of the compute
+    and memory sides (compute on a tie)."""
+    return np.where(seconds == floor, FLOOR, np.where(compute >= memory, COMPUTE, MEMORY))
 
 
 def time_gpu_kernel_grid(
     lowereds: Sequence[LoweredKernel],
     gpus: Sequence[GPUDevice],
     precision: Precision,
-) -> list[list[KernelTiming]]:
+) -> KernelPrices:
     """Price a batch of lowered kernels on several clock states of one GPU.
 
     ``gpus`` are the rows (one device per clock point, all of one
@@ -97,10 +104,9 @@ def time_gpu_kernel_grid(
     column.  The roofline is then elementwise over the
     ``(rows, kernels)`` grid, with no reduction anywhere, so each cell
     is bit-identical to the one-cell call ``time_gpu_kernel(lowered,
-    gpus[row], precision)``.  Returns ``timings[row][kernel]``.
+    gpus[row], precision)``.  Every array of the result is
+    ``(rows, kernels)``.
     """
-    if not lowereds:
-        return [[] for _ in gpus]
     spec0 = gpus[0].spec
     if any(gpu.spec != spec0 for gpu in gpus):
         raise ValueError("time_gpu_kernel_grid prices clock states of one GPU spec")
@@ -170,7 +176,7 @@ def time_gpu_kernel_grid(
     # sustain.  Poorly generated code (low memory efficiency) issues
     # proportionally more requests.
     mlp_values = [SCATTER_MLP.get(spec.access.kind) for spec in specs]
-    scatter = np.array([value is not None for value in mlp_values]) & (dram != 0.0)
+    scatter = np.array([value is not None for value in mlp_values], dtype=bool) & (dram != 0.0)
     if scatter.any():
         mlp = np.array([value if value is not None else 1.0 for value in mlp_values])
         requests = dram / spec0.l2_cache.line_bytes
@@ -192,27 +198,25 @@ def time_gpu_kernel_grid(
     seconds = np.maximum(np.maximum(compute_seconds, memory_seconds), GPU_KERNEL_FLOOR_S)
     cycles = seconds * hz
 
-    # Energy is scalar-helper arithmetic on the *final* per-cell floats.
-    names = [spec.name for spec in specs]
-    kernel_instructions = [float(lowered.instructions) for lowered in lowereds]
-    kernel_dram = dram.tolist()
-    kernel_waves = [occ.wavefronts_per_cu for occ in occs]
-    power = spec0.power
-    grid: list[list[KernelTiming]] = []
-    for gpu, row_seconds, row_cycles, row_compute, row_memory in zip(
-        gpus, seconds.tolist(), cycles.tolist(),
-        compute_seconds.tolist(), memory_seconds.tolist(),
-    ):
-        power_scale = clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz)
-        joules = [
-            kernel_joules(power, cell_seconds, cell_compute, power_scale)
-            for cell_seconds, cell_compute in zip(row_seconds, row_compute)
-        ]
-        grid.append(_row(
-            GPU_KERNEL_FLOOR_S, names, row_seconds, row_cycles, kernel_instructions,
-            kernel_dram, row_compute, row_memory, kernel_waves, joules,
-        ))
-    return grid
+    # Energy is elementwise arithmetic on the *final* per-cell values.
+    power_scale = column([
+        clock_power_scale(gpu.core_clock.current_mhz, gpu.core_clock.default_mhz)
+        for gpu in gpus
+    ])
+    shape = seconds.shape
+    return KernelPrices(
+        seconds=seconds,
+        cycles=cycles,
+        instructions=np.broadcast_to(
+            np.array([lowered.instructions for lowered in lowereds], dtype=np.float64), shape
+        ),
+        dram_bytes=np.broadcast_to(dram, shape),
+        joules=kernel_joules(spec0.power, seconds, compute_seconds, power_scale),
+        compute_seconds=compute_seconds,
+        memory_seconds=memory_seconds,
+        limiter=_limiter(seconds, GPU_KERNEL_FLOOR_S, compute_seconds, memory_seconds),
+        waves=tuple(occ.wavefronts_per_cu for occ in occs),
+    )
 
 
 #: Access kinds whose predictable streams CPU prefetchers cover.  They
@@ -227,18 +231,16 @@ def time_cpu_kernel_batch(
     cpu: CPUDevice,
     precision: Precision,
     threads: int = 1,
-) -> list[KernelTiming]:
+) -> KernelPrices:
     """Price a batch of parallel loops on the host CPU.
 
-    Returns one :class:`KernelTiming` per spec, each bit-identical to
-    the one-spec call ``time_cpu_kernel(spec, cpu, precision,
-    threads=threads)``.
+    Every array of the result is ``(kernels,)``; each cell is
+    bit-identical to the one-spec call ``time_cpu_kernel(spec, cpu,
+    precision, threads=threads)``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     threads = min(threads, cpu.spec.cores)
-    if not specs:
-        return []
 
     flops = np.array([spec.ops.flops for spec in specs])
     rates = np.array([cpu_vector_rate(cpu, spec, precision, threads) for spec in specs])
@@ -273,7 +275,9 @@ def time_cpu_kernel_batch(
     # out-of-order window sustains only a few misses per core, and a
     # dependent descent (binary search) keeps barely one in flight.
     mlp_values = [SCATTER_MLP.get(spec.access.kind) for spec in specs]
-    scatter = np.array([value is not None for value in mlp_values]) & (traffic != 0.0)
+    scatter = np.array([value is not None for value in mlp_values], dtype=bool) & (
+        traffic != 0.0
+    )
     if scatter.any():
         requests = traffic / cpu.spec.llc.line_bytes
         per_core_mlp = np.array(
@@ -292,14 +296,14 @@ def time_cpu_kernel_batch(
     cycles = (seconds * cpu.spec.clock_mhz) * 1e6
     thread_share = threads / cpu.spec.cores
 
-    seconds_list = seconds.tolist()
-    compute_list = compute_seconds.tolist()
-    joules = [
-        kernel_joules(cpu.spec.power, cell_seconds, cell_compute, share=thread_share)
-        for cell_seconds, cell_compute in zip(seconds_list, compute_list)
-    ]
-    return _row(
-        CPU_LOOP_FLOOR_S, [spec.name for spec in specs], seconds_list, cycles.tolist(),
-        [float(spec.instructions) for spec in specs], traffic.tolist(), compute_list,
-        memory_seconds.tolist(), [threads] * len(specs), joules,
+    return KernelPrices(
+        seconds=seconds,
+        cycles=cycles,
+        instructions=np.array([spec.instructions for spec in specs], dtype=np.float64),
+        dram_bytes=traffic,
+        joules=kernel_joules(cpu.spec.power, seconds, compute_seconds, share=thread_share),
+        compute_seconds=compute_seconds,
+        memory_seconds=memory_seconds,
+        limiter=_limiter(seconds, CPU_LOOP_FLOOR_S, compute_seconds, memory_seconds),
+        waves=(threads,) * len(specs),
     )

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from .executor import RunOutcome
 
 #: Header ``format`` value; bump on incompatible layout changes.
-CHECKPOINT_FORMAT = "repro-checkpoint/2"
+CHECKPOINT_FORMAT = "repro-checkpoint/3"
 
 
 class CheckpointError(ValueError):

@@ -32,19 +32,18 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..apps.base import RunResult
 from ..engine import memo
+from ..engine.counters import LIMITERS
 from ..obs import spans as obs_spans
 from ..obs import tracing as obs_tracing
 from ..obs.export import Timeline, merge_run_telemetry
@@ -75,7 +74,8 @@ class RunOutcome:
     spec: RunSpec
     result: RunResult
     wall_seconds: float
-    #: Memo hit/miss delta of the run, by cache layer.
+    #: Memo hit/miss delta of the run, by cache layer (empty for a
+    #: columnar row, which makes no lookup of its own).
     caches: dict[str, memo.MemoStats]
     #: Full span/metric recording of the run; ``None`` unless the
     #: executor ran with telemetry enabled.
@@ -98,7 +98,8 @@ class ExecStats:
     #: schedule would roughly cost; ``wall_seconds`` is what this
     #: schedule actually cost.
     run_seconds: float = 0.0
-    #: Memo hit/miss counts by cache layer, summed over the runs.
+    #: Memo hit/miss counts by cache layer, summed over the runs (the
+    #: columnar engine measures its whole call instead).
     caches: dict[str, memo.MemoStats] = field(default_factory=dict)
     #: Per-run (spec, wall seconds, memo counts by layer) — one row per
     #: executed unique run.  Rows carry the :class:`RunSpec`, not its
@@ -214,15 +215,20 @@ class ExecStats:
         )
 
     @classmethod
-    def from_outcomes(cls, executed: Sequence[RunOutcome | None], **fields: object) -> ExecStats:
+    def from_outcomes(
+        cls,
+        executed: Sequence[RunOutcome | None],
+        caches: dict[str, memo.MemoStats] | None = None,
+        **fields: object,
+    ) -> ExecStats:
         """Stats of one executor call: the run sums and tallies over
         ``executed`` (``None`` slots skipped), plus the call-level
-        ``fields``."""
-        done = [outcome for outcome in executed if outcome is not None]
+        ``fields``; ``caches`` defaults to the outcomes' summed counts."""
+        done = list(filter(None, executed))
         return cls(
-            run_seconds=sum(outcome.wall_seconds for outcome in done),
-            caches=_sum_caches(outcome.caches for outcome in done),
-            per_run=[(outcome.spec, outcome.wall_seconds, outcome.caches) for outcome in done],
+            run_seconds=sum(map(attrgetter("wall_seconds"), done)),
+            caches=_sum_caches(map(attrgetter("caches"), done)) if caches is None else caches,
+            per_run=list(map(attrgetter("spec", "wall_seconds", "caches"), done)),
             limited_by=_limited_by_tallies(done),
             **fields,  # type: ignore[arg-type]
         )
@@ -461,9 +467,13 @@ def default_workers() -> int:
 
 
 def _limited_by_tallies(executed: list[RunOutcome]) -> dict[str, int]:
-    """Kernel launches by dominant limiter, over the executed runs."""
-    records = chain.from_iterable(outcome.result.counters.kernels for outcome in executed)
-    return dict(Counter(map(attrgetter("limited_by"), records)))
+    """Kernel launches by dominant limiter, over the executed runs
+    (limiters no launch hit are left out)."""
+    counters = [outcome.result.counters for outcome in executed]
+    tallies = {
+        name: sum(map(attrgetter(f"{name}_launches"), counters)) for name in LIMITERS
+    }
+    return {name: count for name, count in tallies.items() if count}
 
 
 def _executor_metrics(stats: ExecStats, worker_busy: dict[int, float]) -> MetricsRegistry:

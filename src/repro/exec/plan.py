@@ -194,26 +194,18 @@ class SpecLattice:
 
     @classmethod
     def from_specs(cls, specs: Sequence[RunSpec]) -> "SpecLattice":
+        rows = tuple(specs)
+        keys = list(map(RunSpec.schedule_key, rows))
+        if keys and keys.count(keys[0]) == len(keys):
+            # One schedule signature (a frequency sweep): one group.
+            return cls(rows=rows, groups=((keys[0], tuple(range(len(rows)))),))
         grouped: dict[tuple, list[int]] = {}
-        for index, spec in enumerate(specs):
-            grouped.setdefault(spec.schedule_key(), []).append(index)
+        for index, key in enumerate(keys):
+            grouped.setdefault(key, []).append(index)
         return cls(
-            rows=tuple(specs),
-            groups=tuple((key, tuple(rows)) for key, rows in grouped.items()),
+            rows=rows,
+            groups=tuple((key, tuple(indices)) for key, indices in grouped.items()),
         )
-
-    def axes(self) -> dict[str, tuple]:
-        """Distinct values per lattice axis, in first-appearance order."""
-        seen: dict[str, dict] = {
-            "app": {}, "model": {}, "platform": {}, "precision": {}, "clock": {},
-        }
-        for spec in self.rows:
-            seen["app"].setdefault(spec.app)
-            seen["model"].setdefault(spec.model)
-            seen["platform"].setdefault(spec.platform)
-            seen["precision"].setdefault(spec.precision.value)
-            seen["clock"].setdefault((spec.core_mhz, spec.memory_mhz))
-        return {axis: tuple(values) for axis, values in seen.items()}
 
 
 def study_runs(

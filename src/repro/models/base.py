@@ -399,7 +399,7 @@ class Toolchain:
         retargeted = self.profile.retarget_penalty > 0 and ctx.platform.is_apu
         lowered = self.lower(spec, retargeted=retargeted)
         timing = cached_time_gpu_kernel(lowered, ctx.platform.gpu, ctx.precision)
-        ctx.counters.record_kernel(timing.record(ctx.platform.gpu.name))
+        ctx.counters.record_kernel(timing)
         ctx.counters.flops += spec.ops.flops
         overhead = self.overheads.launch_cost(n_buffers, mapped_bytes)
         ctx.counters.launch_overhead_seconds += overhead
@@ -477,7 +477,7 @@ class CPUToolchain:
         if ctx.charge_log is not None:
             return ctx.charge_log.cpu_loop(self, spec)
         timing = cached_time_cpu_kernel(spec, ctx.platform.host, ctx.precision, threads=self.threads)
-        ctx.counters.record_kernel(timing.record(ctx.platform.host.name))
+        ctx.counters.record_kernel(timing)
         ctx.counters.flops += spec.ops.flops
         ctx.counters.launch_overhead_seconds += self.region_overhead_s
         rec = obs_spans.active()

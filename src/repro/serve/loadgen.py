@@ -44,6 +44,10 @@ from .http import encode_request, read_response, retry_after_delay
 #: Latency percentiles reported by the harness.
 PERCENTILES = (50.0, 95.0, 99.0)
 
+#: Pause of a closed-loop worker after a refused connect: a dead
+#: target costs one counted error per pause, not one per event-loop turn.
+RECONNECT_PAUSE_S = 0.05
+
 
 def percentile(sorted_samples: list[float], q: float) -> float:
     """Nearest-rank percentile of pre-sorted samples (0 when empty)."""
@@ -184,6 +188,12 @@ async def _closed_worker(
                 recorder.errors += 1
                 if writer is not None:
                     writer.close()
+                else:
+                    # The connect itself failed: the target is down, so
+                    # back off before redialing, never past the deadline.
+                    remaining = deadline - time.perf_counter()
+                    if remaining > 0:
+                        await asyncio.sleep(min(RECONNECT_PAUSE_S, remaining))
                 reader = writer = None
                 continue
             recorder.samples.append((status, time.perf_counter() - started, weight))

@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 
 #: Entry ``format`` value; bump on incompatible layout changes.
-STORE_FORMAT = "repro-result-store/1"
+STORE_FORMAT = "repro-result-store/2"
 
 #: Provenance label for results served from the persistent store.
 STORED = "store"

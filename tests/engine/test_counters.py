@@ -2,24 +2,39 @@
 
 import pytest
 
-from repro.engine.counters import KernelRecord, PerfCounters
+from repro.engine.counters import LIMITERS, PerfCounters
+from repro.engine.timing import KernelTiming
 
 
-def record(name="k", seconds=1e-3, cycles=1e6, instructions=5e5, dram=1e6):
-    return KernelRecord(
-        name=name, seconds=seconds, cycles=cycles, instructions=instructions,
-        dram_bytes=dram, limited_by="compute", device="test",
+def timing(seconds=1e-3, cycles=1e6, instructions=5e5, dram=1e6, limited_by="compute",
+           joules=0.25):
+    return KernelTiming(
+        name="k", seconds=seconds, cycles=cycles, instructions=instructions,
+        dram_bytes=dram, limited_by=limited_by, compute_seconds=seconds,
+        memory_seconds=seconds / 2, occupancy_waves=4, joules=joules,
     )
+
+
+def launches(counters):
+    return {name: getattr(counters, f"{name}_launches") for name in LIMITERS}
 
 
 class TestRecording:
     def test_kernel_accumulation(self):
         counters = PerfCounters()
-        counters.record_kernel(record())
-        counters.record_kernel(record(seconds=2e-3))
+        counters.record_kernel(timing())
+        counters.record_kernel(timing(seconds=2e-3))
         assert counters.kernel_launches == 2
         assert counters.kernel_seconds == pytest.approx(3e-3)
-        assert len(counters.kernels) == 2
+        assert counters.kernel_joules == 0.5
+        assert launches(counters) == {"floor": 0, "compute": 2, "memory": 0}
+
+    def test_each_limiter_counts_its_own_launches(self):
+        counters = PerfCounters()
+        for limited_by in ("memory", "floor", "memory", "compute", "memory"):
+            counters.record_kernel(timing(limited_by=limited_by))
+        assert launches(counters) == {"floor": 1, "compute": 1, "memory": 3}
+        assert sum(launches(counters).values()) == counters.kernel_launches
 
     def test_transfer_accumulation(self):
         counters = PerfCounters()
@@ -32,7 +47,7 @@ class TestRecording:
 
     def test_total_seconds_sums_components(self):
         counters = PerfCounters()
-        counters.record_kernel(record())
+        counters.record_kernel(timing())
         counters.record_transfer(1000, 1e-4, "h2d")
         counters.host_seconds = 2e-4
         counters.launch_overhead_seconds = 1e-5
@@ -40,7 +55,7 @@ class TestRecording:
 
     def test_ipc(self):
         counters = PerfCounters()
-        counters.record_kernel(record(cycles=1e6, instructions=5e5))
+        counters.record_kernel(timing(cycles=1e6, instructions=5e5))
         assert counters.ipc == pytest.approx(0.5)
 
     def test_ipc_empty_is_zero(self):
@@ -50,7 +65,7 @@ class TestRecording:
 class TestMerge:
     def test_merge_sums_everything(self):
         a = PerfCounters()
-        a.record_kernel(record())
+        a.record_kernel(timing())
         b = PerfCounters()
         b.record_transfer(100, 1e-5, "h2d")
         merged = a.merge(b)
@@ -58,10 +73,13 @@ class TestMerge:
         assert merged.transfers == 1
         assert merged.total_seconds == pytest.approx(a.total_seconds + b.total_seconds)
 
-    def test_merge_keeps_kernel_records(self):
+    def test_merge_sums_launch_counters(self):
         a = PerfCounters()
-        a.record_kernel(record(name="x"))
+        a.record_kernel(timing(limited_by="memory"))
+        a.record_kernel(timing(limited_by="floor"))
         b = PerfCounters()
-        b.record_kernel(record(name="y"))
+        b.record_kernel(timing(limited_by="memory"))
+        b.record_kernel(timing(limited_by="compute"))
         merged = a.merge(b)
-        assert [k.name for k in merged.kernels] == ["x", "y"]
+        assert launches(merged) == {"floor": 1, "compute": 1, "memory": 2}
+        assert merged.kernel_launches == 4

@@ -106,8 +106,8 @@ def test_group_replay_equals_rows_one_at_a_time(app_name):
     memo.clear_caches()
     program = cached_program(runs[0])
     assert program.streams is not None
-    together = [result for result, _delta in price_cell(program, runs)]
-    alone = [price_cell(program, [spec])[0][0] for spec in runs]
+    together = price_cell(program, runs)
+    alone = [price_cell(program, [spec])[0] for spec in runs]
     memo.clear_caches()
     for spec, left, right in zip(runs, together, alone):
         assert result_fingerprint(left) == result_fingerprint(right), spec.label

@@ -2,8 +2,8 @@
 
 The acceptance property of :mod:`repro.engine.study_vec` is *bit*
 identity: the lowered spec-lattice pricing must reproduce the scalar
-executor's results exactly — seconds, every counter, every kernel
-record — with ``==``, no tolerance.  These tests run the full study
+executor's results exactly — seconds, joules, every counter, the
+launch counts by limiter — with ``==``, no tolerance.  These tests run the full study
 matrix (every model, Heterogeneous Compute's two-stream makespan
 included, plus functional cells the columnar engine must delegate)
 through both engines from cold caches and compare everything
@@ -26,14 +26,13 @@ from repro.engine.study_vec import (
     VECTOR_MODELS,
     _accumulate,
     _accumulate_rows,
-    cached_program,
     capture_program,
     execute_vector,
     price_specs,
     vector_eligible,
 )
-from repro.engine.timing import time_cpu_kernel, time_gpu_kernel
-from repro.engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
+from repro.engine.timing import KernelTiming, time_cpu_kernel, time_gpu_kernel
+from repro.engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
 from repro.exec.executor import execute, execute_with_engine
 from repro.exec.plan import DGPU, RunSpec, study_runs, sweep_runs
 from repro.exec.retry import RetryPolicy
@@ -59,7 +58,17 @@ COUNTER_FIELDS = (
     "bytes_to_host",
     "kernel_launches",
     "transfers",
+    "kernel_joules",
+    "transfer_joules",
+    "floor_launches",
+    "compute_launches",
+    "memory_launches",
 )
+
+#: ``ExecStats.limited_by`` over :func:`full_matrix` plus
+#: :func:`functional_cells`, as the per-launch records tallied it
+#: before the counters replaced them (either engine).
+FULL_MATRIX_LIMITED_BY = {"compute": 222, "floor": 705, "memory": 4315}
 
 
 def full_matrix():
@@ -86,10 +95,10 @@ def result_fingerprint(result):
         "seconds": result.seconds,
         "kernel_seconds": result.kernel_seconds,
         "checksum": result.checksum,
+        "joules": result.joules,
         "counters": {
             name: getattr(result.counters, name) for name in COUNTER_FIELDS
         },
-        "kernels": [vars(record) for record in result.counters.kernels],
     }
 
 
@@ -128,6 +137,7 @@ def test_full_matrix_bit_identical(matrix_pair):
     assert not scalar_stats.failures and not vector_stats.failures
     for spec, left, right in zip(runs, scalar_outcomes, vector_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right), spec.label
+    assert scalar_stats.limited_by == vector_stats.limited_by == FULL_MATRIX_LIMITED_BY
 
 
 def test_matrix_covers_both_engine_paths(matrix_pair):
@@ -166,22 +176,6 @@ def test_one_capture_per_schedule_signature():
     assert memo.PLAN_CACHE.snapshot().misses == len(
         {spec.schedule_key() for spec in runs}
     )
-
-
-def test_scalar_engine_served_by_vector_cache():
-    """Columnar pricing stores under the scalar keys: a scalar rerun
-    over a vector-warmed cache misses nothing and agrees exactly."""
-    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
-    memo.clear_caches()
-    vector_outcomes, _ = execute_vector(runs)
-    before = memo.KERNEL_CACHE.snapshot()
-    scalar_outcomes, _ = execute(runs)
-    delta = memo.KERNEL_CACHE.snapshot().since(before)
-    assert delta.misses == 0
-    assert delta.hits > 0
-    for left, right in zip(vector_outcomes, scalar_outcomes):
-        assert outcome_fingerprint(left) == outcome_fingerprint(right)
-    memo.clear_caches()
 
 
 def test_sweep_clock_overrides_share_one_capture():
@@ -252,10 +246,11 @@ def test_batched_gpu_pricer_matches_scalar(app_name):
     lowereds = [atom[1] for atom in program.atoms if atom[0] == "gpu"]
     assert lowereds
     gpu = make_platform(apu=False).gpu
-    batch = time_gpu_kernel_grid(lowereds, [gpu], Precision.SINGLE)[0]
-    assert batch == [
-        time_gpu_kernel(lowered, gpu, Precision.SINGLE) for lowered in lowereds
-    ]
+    batch = time_gpu_kernel_grid(lowereds, [gpu], Precision.SINGLE)
+    assert [
+        KernelTiming.from_prices(batch, (0, j), lowered.spec.name)
+        for j, lowered in enumerate(lowereds)
+    ] == [time_gpu_kernel(lowered, gpu, Precision.SINGLE) for lowered in lowereds]
 
 
 @pytest.mark.parametrize("app_name", ["read-benchmark", "LULESH", "CoMD", "XSBench", "miniFE"])
@@ -272,9 +267,9 @@ def test_batched_cpu_pricer_matches_scalar(app_name):
     host = make_platform(apu=False).host
     for threads, specs in by_threads.items():
         batch = time_cpu_kernel_batch(specs, host, Precision.DOUBLE, threads=threads)
-        assert batch == [
-            time_cpu_kernel(s, host, Precision.DOUBLE, threads=threads) for s in specs
-        ]
+        assert [
+            KernelTiming.from_prices(batch, (j,), s.name) for j, s in enumerate(specs)
+        ] == [time_cpu_kernel(s, host, Precision.DOUBLE, threads=threads) for s in specs]
 
 
 def test_price_specs_rejects_ineligible():
@@ -674,11 +669,15 @@ def test_broadcast_grid_equals_per_row_batches(app_name, precision, platform):
     assert lowereds
     rows = _clock_rows(platform)
     grid = time_gpu_kernel_grid(lowereds, rows, precision)
-    assert len(grid) == len(rows)
-    for gpu, row in zip(rows, grid):
-        assert row == time_gpu_kernel_grid(lowereds, [gpu], precision)[0]
+    assert grid.seconds.shape == (len(rows), len(lowereds))
+    for r, gpu in enumerate(rows):
+        alone = time_gpu_kernel_grid(lowereds, [gpu], precision)
+        for name in KernelPrices._fields[:-1]:  # every array; ``waves`` is per kernel
+            cells, expected = getattr(grid, name)[r], getattr(alone, name)[0]
+            assert cells.dtype == expected.dtype and cells.tobytes() == expected.tobytes(), name
+        assert grid.waves == alone.waves
     # The edges genuinely price differently (the clocks reached the grid).
-    assert len({tuple(t.seconds for t in row) for row in grid}) > 1
+    assert len({row.tobytes() for row in grid.seconds}) > 1
 
 
 def test_broadcast_grid_rejects_mixed_gpu_specs():
@@ -786,20 +785,37 @@ def test_price_specs_isolates_a_failing_group(monkeypatch):
     memo.clear_caches()
 
 
-def test_per_row_cache_counts_sum_to_the_call_delta():
-    """Each outcome counts the lookups made for its own row, so the
-    stats totals equal the cache delta over the whole call."""
-    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
-    runs += _xsbench_grid()
+def test_columnar_sweep_builds_no_timings_and_makes_no_kernel_lookups(monkeypatch):
+    """Columnar pricing folds straight from the roofline arrays: a sweep
+    builds no per-launch ``KernelTiming``, makes no ``KERNEL_CACHE``
+    lookup, and still counts every launch under exactly one limiter."""
+    runs = _xsbench_grid() + sweep_runs(
+        "LULESH", sweep_configs()["LULESH"], Precision.DOUBLE, (300.0, 1000.0), (600.0,),
+        "Heterogeneous Compute",
+    )
+    built, lookups = [], []
+    real_init = KernelTiming.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelTiming, "__init__", counted_init)
+    monkeypatch.setattr(memo.KERNEL_CACHE, "lookup", lambda *a, **k: lookups.append(a))
+    monkeypatch.setattr(memo.KERNEL_CACHE, "contains", lambda *a, **k: lookups.append(a))
     memo.clear_caches()
-    for _ in range(2):  # cold, then warm
-        before = memo.KERNEL_CACHE.snapshot()
-        outcomes, stats = execute_vector(runs)
-        delta = memo.KERNEL_CACHE.snapshot().since(before)
-        assert (stats.caches["kernel"].hits, stats.caches["kernel"].misses) == (
-            delta.hits, delta.misses
+    outcomes, stats = execute_vector(runs)
+    assert built == [] and lookups == []
+    assert stats.caches["kernel"].lookups == 0
+    for outcome in outcomes:
+        counters = outcome.result.counters
+        launches = (
+            counters.compute_launches + counters.memory_launches + counters.floor_launches
         )
-        for outcome in outcomes:
-            atoms = cached_program(outcome.spec).atoms
-            assert outcome.caches["kernel"].lookups == len(atoms)
+        assert launches == counters.kernel_launches > 0, outcome.spec.label
+    # The guard can fail: one scalar run builds a timing per launch.
+    monkeypatch.undo()
+    monkeypatch.setattr(KernelTiming, "__init__", counted_init)
+    execute([runs[0]], use_cache=False)
+    assert len(built) >= outcomes[0].result.counters.kernel_launches
     memo.clear_caches()

@@ -5,23 +5,36 @@ into the array formulas.  Two properties make a batched call equal to
 those one-cell calls:
 
 * the formulas contain no reduction (a sum or product over kernels
-  would reassociate), which is checked on the source;
+  would reassociate), which is checked on the source of
+  ``timing_vec.py`` and of the elementwise
+  :func:`~repro.engine.energy.kernel_joules`;
 * a seeded fuzz over random kernels and clock rows finds every cell of
-  a batched call equal, field for field, to the one-cell call.
+  a batched call, its limiter code and joules included, equal to the
+  one-cell call.
 """
 
 import ast
 import dataclasses
+import inspect
 import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.engine import timing_vec
+from repro.engine import energy, timing_vec
+from repro.engine.counters import LIMITERS
 from repro.engine.kernel import AccessKind, OpCount
 from repro.engine.timing import KernelTiming, time_cpu_kernel, time_gpu_kernel
-from repro.engine.timing_vec import time_cpu_kernel_batch, time_gpu_kernel_grid
+from repro.engine.timing_vec import (
+    COMPUTE,
+    FLOOR,
+    MEMORY,
+    KernelPrices,
+    time_cpu_kernel_batch,
+    time_gpu_kernel_grid,
+)
 from repro.hardware.device import platform_for
 from repro.hardware.specs import Precision
 
@@ -61,6 +74,16 @@ def reductions_in(source: str) -> list[str]:
 
 def test_formulas_contain_no_reduction():
     assert reductions_in(Path(timing_vec.__file__).read_text()) == []
+
+
+def test_kernel_joules_contains_no_reduction():
+    assert reductions_in(inspect.getsource(energy.kernel_joules)) == []
+
+
+def test_limiter_codes_index_the_limiter_names():
+    assert [LIMITERS[code] for code in (FLOOR, COMPUTE, MEMORY)] == [
+        "floor", "compute", "memory"
+    ]
 
 
 @pytest.mark.parametrize("snippet", [
@@ -113,13 +136,17 @@ def clock_rows(rng: random.Random, platform: str, n: int) -> list:
     return rows
 
 
-def assert_same_cell(cell: KernelTiming, one: KernelTiming) -> None:
-    for field in dataclasses.fields(KernelTiming):
-        a, b = getattr(cell, field.name), getattr(one, field.name)
-        assert repr(a) == repr(b), (cell.name, field.name, a, b)
+def assert_same_cell(prices: KernelPrices, cell: tuple, one: KernelTiming) -> None:
+    """Cell ``cell`` of a batched call equals the one-cell call, bit for
+    bit, its limiter code and occupancy included; the one-cell timing
+    holds Python scalars that ``json.dumps`` takes."""
     for name in FLOAT_FIELDS:
-        assert type(getattr(cell, name)) is float, (cell.name, name)
-    json.dumps(dataclasses.asdict(cell))
+        a, b = getattr(prices, name)[cell], getattr(one, name)
+        assert type(b) is float, (one.name, name)
+        assert repr(float(a)) == repr(b), (one.name, name, a, b)
+    assert LIMITERS[prices.limiter[cell]] == one.limited_by, one.name
+    assert prices.waves[cell[-1]] == one.occupancy_waves, one.name
+    json.dumps(dataclasses.asdict(one))
 
 
 @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
@@ -129,14 +156,12 @@ def test_grid_cells_equal_one_cell_calls(platform, precision):
     lowereds = [random_lowering(rng, spec) for spec in random_specs(rng)]
     rows = clock_rows(rng, platform, 6)
     grid = time_gpu_kernel_grid(lowereds, rows, precision)
-    assert len(grid) == len(rows)
-    labels = set()
-    for gpu, row in zip(rows, grid):
-        assert len(row) == len(lowereds)
-        for lowered, cell in zip(lowereds, row):
-            assert_same_cell(cell, time_gpu_kernel(lowered, gpu, precision))
-            labels.add(cell.limited_by)
-    assert labels == {"floor", "compute", "memory"}
+    for name in KernelPrices._fields[:-1]:
+        assert getattr(grid, name).shape == (len(rows), len(lowereds)), name
+    for r, gpu in enumerate(rows):
+        for k, lowered in enumerate(lowereds):
+            assert_same_cell(grid, (r, k), time_gpu_kernel(lowered, gpu, precision))
+    assert set(grid.limiter.ravel().tolist()) == {FLOOR, COMPUTE, MEMORY}
 
 
 @pytest.mark.parametrize("threads", [1, 4, 16])
@@ -150,7 +175,41 @@ def test_cpu_batch_equals_one_spec_calls(platform, precision, threads):
     ]
     cpu = platform_for(platform).host
     batch = time_cpu_kernel_batch(specs, cpu, precision, threads=threads)
-    assert len(batch) == len(specs)
-    for spec, cell in zip(specs, batch):
-        assert_same_cell(cell, time_cpu_kernel(spec, cpu, precision, threads=threads))
-    assert {cell.limited_by for cell in batch} == {"floor", "compute", "memory"}
+    for name in KernelPrices._fields[:-1]:
+        assert getattr(batch, name).shape == (len(specs),), name
+    for k, spec in enumerate(specs):
+        assert_same_cell(batch, (k,), time_cpu_kernel(spec, cpu, precision, threads=threads))
+    assert set(batch.limiter.tolist()) == {FLOOR, COMPUTE, MEMORY}
+
+
+def scalar_kernel_joules(power, seconds, busy_seconds, clock_scale=1.0, share=1.0):
+    """The one-launch energy formula on Python floats, branch by branch."""
+    if seconds <= 0.0:
+        return 0.0
+    utilisation = busy_seconds / seconds
+    if utilisation > 1.0:
+        utilisation = 1.0
+    elif utilisation < 0.0:
+        utilisation = 0.0
+    activity = energy.IDLE_ACTIVITY_FLOOR + (1.0 - energy.IDLE_ACTIVITY_FLOOR) * utilisation
+    return power.peak_dynamic_w * share * clock_scale * activity * seconds
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_kernel_joules_is_elementwise(platform):
+    """Over a broadcast ``(rows, 1) x (kernels,)`` grid, every cell of
+    ``kernel_joules`` equals the formula on that cell's Python floats:
+    zero-length launches, clamped utilisation and clock scaling
+    included."""
+    rng = random.Random(f"joules-{platform}")
+    power = platform_for(platform).gpu.spec.power
+    seconds = np.array([0.0, 3e-6] + [10.0 ** rng.uniform(-7, 0) for _ in range(30)])
+    busy = seconds * np.array([0.0, 2.0] + [rng.uniform(-0.5, 1.5) for _ in range(30)])
+    scales = np.array([[rng.uniform(0.1, 1.5)] for _ in range(5)])
+    share = rng.uniform(0.1, 1.0)
+    grid = energy.kernel_joules(power, seconds, busy, scales, share=share)
+    assert grid.shape == (len(scales), len(seconds))
+    for r, scale in enumerate(scales[:, 0].tolist()):
+        for k, (s_, b) in enumerate(zip(seconds.tolist(), busy.tolist())):
+            expected = scalar_kernel_joules(power, s_, b, scale, share)
+            assert repr(float(grid[r, k])) == repr(expected), (r, k)

@@ -84,6 +84,17 @@ class TestJournal:
         with pytest.raises(CheckpointError, match="repro-checkpoint/1"):
             CheckpointJournal.open(path)
 
+    def test_refuses_a_journal_of_launch_records(self, tmp_path):
+        # Version 2 journals pickled results whose counters carried a
+        # per-launch record list instead of the launch counts by
+        # limiter; unpickled, they would read 0 launches per limiter.
+        path = tmp_path / "ck.jsonl"
+        path.write_text(json.dumps({"format": "repro-checkpoint/2"}) + "\n")
+        with pytest.raises(CheckpointError) as info:
+            CheckpointJournal.open(path)
+        assert "repro-checkpoint/2" in str(info.value)
+        assert CHECKPOINT_FORMAT in str(info.value)
+
     def test_header_declares_format(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         with CheckpointJournal.open(path) as journal:

@@ -2,6 +2,7 @@
 
 import asyncio
 import socket
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.http import DEFAULT_RETRY_AFTER_S, MAX_RETRY_AFTER_S
+from repro.serve.loadgen import RECONNECT_PAUSE_S
 
 BODIES = [
     {"app": "XSBench", "model": model, "platform": "apu", "precision": "single"}
@@ -59,6 +61,23 @@ def test_refused_connection_is_counted_not_raised(warmup):
     assert isinstance(result, LoadResult)
     assert result.errors > 0
     assert result.requests == 0
+
+
+def test_refused_connect_pauses_before_redialing():
+    # One worker against a dead target for 0.2 s: each refused connect
+    # is followed by a pause, so the errors stay few (a tight redial
+    # loop counted thousands) and the run still ends on time.
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        url = "http://127.0.0.1:%d" % closed.getsockname()[1]
+        started = time.perf_counter()
+        result = asyncio.run(run_load(
+            url, [{}], concurrency=1, duration_s=0.2, warmup=False,
+        ))
+        elapsed = time.perf_counter() - started
+    assert 1 <= result.errors <= 0.2 / RECONNECT_PAUSE_S + 1
+    assert result.requests == 0
+    assert elapsed < 0.2 + 2 * RECONNECT_PAUSE_S
 
 
 def test_closed_loop_against_live_server():

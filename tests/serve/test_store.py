@@ -127,6 +127,28 @@ def test_entry_filed_under_the_wrong_key_is_rejected(tmp_path):
     assert store.get(wrong) is None  # key field mismatch == corrupt
 
 
+def test_previous_format_entry_is_repriced_and_rewritten(tmp_path, xsbench_cell):
+    # A version 1 entry pickled a result whose counters carried
+    # per-launch records: it reads as a miss, is priced afresh and
+    # rewritten in the current format.
+    from repro.serve.store import STORE_FORMAT
+
+    _body, spec, _baseline, result = xsbench_cell
+    store = ResultStore(tmp_path)
+    key = spec.content_key()
+    store.put(key, result, label=spec.label)
+    path = store.path_for(key)
+    doc = json.loads(path.read_text())
+    doc["format"] = "repro-result-store/1"
+    path.write_text(json.dumps(doc))
+    assert store.get(key) is None
+    calls = []
+    value, source = store.fetch_or_compute(key, lambda: calls.append(1) or result)
+    assert (source, calls, value) == ("computed", [1], result)
+    assert json.loads(path.read_text())["format"] == STORE_FORMAT == "repro-result-store/2"
+    assert store.get(key) == result
+
+
 # -- single-flight ------------------------------------------------------
 
 
