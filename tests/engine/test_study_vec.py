@@ -785,6 +785,40 @@ def test_price_specs_isolates_a_failing_group(monkeypatch):
     memo.clear_caches()
 
 
+def test_per_row_cache_counts_sum_to_the_call_delta():
+    """Each scalar outcome counts the lookups made for its own row, so
+    the stats totals equal the cache delta over the whole call; a
+    columnar row makes no lookup of its own, and its call reports the
+    cache delta it caused directly."""
+    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
+    runs += _xsbench_grid()
+    memo.clear_caches()
+    for _ in range(2):  # cold, then warm
+        before = memo.snapshot()
+        outcomes, stats = execute(runs)
+        delta = memo.since(before)
+        assert delta["kernel"].lookups > 0
+        for name, counts in delta.items():
+            rows = [outcome.caches.get(name, memo.MemoStats()) for outcome in outcomes]
+            assert (sum(r.hits for r in rows), sum(r.misses for r in rows)) == (
+                counts.hits, counts.misses
+            ), name
+            got = stats.caches.get(name, memo.MemoStats())
+            assert (got.hits, got.misses) == (counts.hits, counts.misses), name
+    memo.clear_caches()
+    for _ in range(2):
+        before = memo.snapshot()
+        outcomes, stats = execute_vector(runs)
+        delta = memo.since(before)
+        assert delta["kernel"].lookups == 0
+        for name, counts in delta.items():
+            got = stats.caches.get(name, memo.MemoStats())
+            assert (got.hits, got.misses) == (counts.hits, counts.misses), name
+        for outcome in outcomes:
+            assert outcome.caches.get("kernel", memo.MemoStats()).lookups == 0
+    memo.clear_caches()
+
+
 def test_columnar_sweep_builds_no_timings_and_makes_no_kernel_lookups(monkeypatch):
     """Columnar pricing folds straight from the roofline arrays: a sweep
     builds no per-launch ``KernelTiming``, makes no ``KERNEL_CACHE``
