@@ -20,6 +20,7 @@ import numpy as np
 from repro import ExecutionContext, Precision, make_dgpu_platform
 from repro.apps.xsbench import XSBenchConfig, lookup_kernel_spec, make_data, xs_lookup
 from repro.apps.xsbench.reference import N_XS
+from repro.engine.study_vec import price_context
 from repro.models import cppamp as amp
 from repro.models.hc import HCRuntime
 
@@ -67,7 +68,7 @@ for e_chunk, m_chunk, out_chunk in chunks_of(data, macro):
                          views=[e_view, m_view, *table_views, out_view],
                          writes=[out_view])
     out_view.synchronize()
-amp_seconds = rt.simulated_seconds
+amp_seconds = price_context(ctx).seconds
 
 # --- 2. HC, synchronous copies -----------------------------------------
 ctx, data, macro = fresh()
@@ -82,7 +83,8 @@ for e_chunk, m_chunk, out_chunk in chunks_of(data, macro):
     spec = lookup_kernel_spec(config, precision, n_lookups=len(e_chunk))
     hc.launch(xs_lookup, spec, arrays=[e_chunk, m_chunk, *table, out_chunk])
     hc.copy_to_host(out_chunk)
-hc_sync_seconds = hc.finish()
+hc.finish()
+hc_sync_seconds = price_context(ctx).seconds
 
 # --- 3. HC, double-buffered async prefetch ----------------------------
 ctx, data, macro = fresh()
@@ -103,7 +105,8 @@ for i, (e_chunk, m_chunk, out_chunk) in enumerate(parts):
     spec = lookup_kernel_spec(config, precision, n_lookups=len(e_chunk))
     hc.launch(xs_lookup, spec, arrays=[e_chunk, m_chunk, *table, out_chunk])
     hc.copy_to_host(out_chunk)
-hc_async_seconds = hc.finish()
+hc.finish()
+hc_async_seconds = price_context(ctx).seconds
 
 print(f"C++ AMP (runtime-managed transfers): {amp_seconds * 1e3:8.1f} ms")
 print(f"HC, synchronous explicit copies:     {hc_sync_seconds * 1e3:8.1f} ms"

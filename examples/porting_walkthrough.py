@@ -4,8 +4,9 @@
 Section III of the paper introduces each programming model by porting
 the same micro-benchmark.  This example does the same against the
 simulated runtimes, showing exactly the API shapes the paper's
-pseudocode figures show — and then measures what Table IV measures:
-how many lines each port took.
+pseudocode figures show, prices each run from the charges it logged
+(``price_context``) — and then measures what Table IV measures: how
+many lines each port took.
 
 Run:
     python examples/porting_walkthrough.py
@@ -15,6 +16,7 @@ import numpy as np
 
 from repro import ExecutionContext, Precision, make_dgpu_platform
 from repro.apps.readmem import BLOCK_SIZE, ReadMemConfig, make_input, read_gpu_kernel, read_kernel_spec
+from repro.engine.study_vec import price_context
 from repro.models import cppamp as amp
 from repro.models import opencl as cl
 from repro.models.openacc import OpenACC
@@ -37,7 +39,7 @@ def fresh():
 ctx, data, out = fresh()
 omp = OpenMP(ctx, num_threads=4)
 omp.parallel_for(read_gpu_kernel, spec, arrays=[data, out], scalars=[BLOCK_SIZE])
-print(f"OpenMP    {omp.simulated_seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
+print(f"OpenMP    {price_context(ctx).seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
 
 # --- OpenCL (Figure 4): the full host-side ceremony -------------------
 ctx, data, out = fresh()
@@ -53,7 +55,8 @@ kernel = program.create_kernel("read", read_gpu_kernel, spec)
 kernel.set_args(in_cl, out_cl, BLOCK_SIZE)
 queue.enqueue_nd_range_kernel(kernel, config.n_blocks, 256)
 queue.enqueue_read_buffer(out_cl, out)
-print(f"OpenCL    {queue.finish() * 1e6:9.1f} us   sum={out.sum():.2f}")
+queue.finish()
+print(f"OpenCL    {price_context(ctx).seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
 
 # --- C++ AMP (Figure 6): array_view + parallel_for_each ---------------
 ctx, data, out = fresh()
@@ -66,7 +69,7 @@ rt.parallel_for_each(
     views=[in_view, out_view], scalars=[BLOCK_SIZE], writes=[out_view],
 )
 out_view.synchronize()
-print(f"C++ AMP   {rt.simulated_seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
+print(f"C++ AMP   {price_context(ctx).seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
 
 # --- OpenACC (Figure 5): one annotated loop ---------------------------
 ctx, data, out = fresh()
@@ -75,7 +78,7 @@ acc.kernels_loop(
     read_gpu_kernel, spec, arrays=[data, out], scalars=[BLOCK_SIZE],
     writes=[out], gang=config.n_blocks // BLOCK_SIZE, vector=BLOCK_SIZE,
 )
-print(f"OpenACC   {acc.simulated_seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
+print(f"OpenACC   {price_context(ctx).seconds * 1e6:9.1f} us   sum={out.sum():.2f}")
 
 # --- what each port cost, in lines (Table IV's measurement) -----------
 print("\nLines added to port the serial code (SLOCCount-equivalent):")

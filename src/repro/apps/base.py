@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from ..engine import energy
 from ..engine.counters import PerfCounters
 from ..hardware.device import Platform
 from ..hardware.specs import Precision
@@ -92,7 +91,10 @@ class ProxyApp:
         precision: Precision,
         config: object | None = None,
     ) -> RunResult:
-        """Run one port of this app on a fresh execution context."""
+        """Run one port of this app on a fresh execution context, priced."""
+        # Imported lazily: the pricer builds on this module.
+        from ..engine.study_vec import priced_run
+
         try:
             port = self.ports[model]
         except KeyError:
@@ -102,7 +104,7 @@ class ProxyApp:
             ) from None
         ctx = ExecutionContext(platform=platform, precision=precision)
         cfg = config if config is not None else self.default_config()
-        return port(ctx, cfg)
+        return priced_run(port, ctx, cfg)
 
 
 def make_result(
@@ -112,27 +114,20 @@ def make_result(
     seconds: float,
     checksum: float,
 ) -> RunResult:
-    """Assemble a :class:`RunResult` from a finished context.
+    """A port's own, unpriced result: who ran where, and its checksum.
 
-    Energy closes here: the counters carry the event-by-event dynamic
-    energy (kernels, staging copies); the static platform draw is a
-    function of the run's total duration, so it is integrated at
-    assembly — identically in the columnar engine's reassembly
-    (``repro.engine.study_vec``).
+    Every charge a port makes returns 0.0, so ``seconds`` is 0.0 and
+    the counters are empty: the prices come from the context's charge
+    log (:func:`repro.engine.study_vec.priced_run`), which keeps only
+    this result's identity and checksum.  Energy is composed there too.
     """
-    joules = (
-        energy.static_joules(ctx.platform.idle_watts, seconds)
-        + ctx.counters.kernel_joules
-        + ctx.counters.transfer_joules
-    )
     return RunResult(
         app=app,
         model=model,
         platform=ctx.platform.name,
         precision=ctx.precision,
         seconds=seconds,
-        kernel_seconds=ctx.counters.kernel_seconds,
+        kernel_seconds=0.0,
         checksum=float(checksum),
-        counters=ctx.counters,
-        joules=joules,
+        counters=PerfCounters(),
     )

@@ -867,8 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--engine", choices=("vector", "scalar"), default="vector",
                        help="pricing engine: 'vector' lowers the matrix into a "
                             "spec lattice and prices all cells columnar; "
-                            "'scalar' simulates each cell (bit-identical, "
-                            "slower — the differential oracle)")
+                            "'scalar' prices each cell on its own "
+                            "(bit-identical, slower)")
     _add_executor_flags(study)
     _add_telemetry_flags(study)
     _add_fault_flags(study)
@@ -889,8 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--app", choices=FIGURE_APPS, default=None)
     sweep.add_argument("--engine", choices=("vector", "scalar"), default="vector",
                        help="pricing engine: 'vector' prices the whole grid "
-                            "from one captured schedule; 'scalar' simulates "
-                            "every point (bit-identical)")
+                            "from one captured schedule; 'scalar' prices "
+                            "every point on its own (bit-identical)")
     _add_executor_flags(sweep)
     _add_telemetry_flags(sweep)
     _add_fault_flags(sweep)

@@ -92,6 +92,7 @@ def lulesh_compiler_bug_ablation(
     the compiler bug were repaired.
     """
     from ..apps.lulesh import APP as LULESH
+    from ..engine.study_vec import priced_run
 
     def run(workaround: bool) -> RunResult:
         original = cppamp.AmpRuntime.__init__
@@ -104,7 +105,7 @@ def lulesh_compiler_bug_ablation(
             ctx = ExecutionContext(
                 platform=make_dgpu_platform(), precision=precision, execute_kernels=False
             )
-            return LULESH.ports["C++ AMP"](ctx, config)
+            return priced_run(LULESH.ports["C++ AMP"], ctx, config)
         finally:
             cppamp.AmpRuntime.__init__ = original
 

@@ -74,11 +74,11 @@ def measure_miss_rate(spec: KernelSpec, engine: str = DEFAULT_REPLAY_ENGINE) -> 
 
 def measure_ipc(app: ProxyApp, config: object, precision: Precision = Precision.SINGLE, threads: int = 4) -> float:
     """Per-core IPC of the 4-thread OpenMP run on the host CPU."""
+    from ..engine.study_vec import priced_run  # loaded on first use, like the executor's
     ctx = ExecutionContext(
         platform=make_dgpu_platform(), precision=precision, execute_kernels=False
     )
-    app.ports["OpenMP"](ctx, config)
-    counters = ctx.counters
+    counters = priced_run(app.ports["OpenMP"], ctx, config).counters
     if counters.cycles == 0:
         raise RuntimeError(f"{app.name}: no CPU cycles recorded")
     return counters.instructions / (counters.cycles * threads)
@@ -184,7 +184,7 @@ def characterize_apps(
     (``max_workers``); miss-rate replays go through the selected
     ``engine`` and the trace memo cache, whose hit/miss delta for the
     whole batch is folded into the returned stats.  ``run_engine``
-    selects the sweep pricing engine (scalar oracle or columnar).
+    selects the sweep pricing engine (per cell or columnar).
     Results are bit-identical for every worker count, engine and
     cache setting.
 

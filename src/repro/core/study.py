@@ -129,13 +129,14 @@ def run_port(
     config: object,
     projection: bool,
 ) -> RunResult:
-    """Run one port on a fresh platform/context."""
+    """Run one port on a fresh platform/context, priced from its charge log."""
+    from ..engine.study_vec import priced_run  # loaded on first use, like the executor's
     ctx = ExecutionContext(
         platform=make_platform(apu=apu),
         precision=precision,
         execute_kernels=not projection,
     )
-    return app.ports[model](ctx, config)
+    return priced_run(app.ports[model], ctx, config)
 
 
 def run_study(
@@ -176,9 +177,9 @@ def run_study(
     surviving entries with the losses in ``.failures`` instead of
     raising.
 
-    ``engine`` selects how cells are priced: ``"scalar"`` simulates
-    one port per cell (the differential oracle), ``"vector"`` lowers
-    the matrix into a spec lattice and prices all cells columnar
+    ``engine`` selects how cells are priced: ``"scalar"`` prices one
+    cell per call, ``"vector"`` lowers the matrix into a spec lattice
+    and prices each schedule group in one call
     (:mod:`repro.engine.study_vec`).  Entries are bit-identical either
     way.
 

@@ -121,8 +121,8 @@ def run_sweep(
 
     ``engine="vector"`` prices the whole grid from one captured
     schedule (clock overrides never change which kernels launch);
-    ``"scalar"`` simulates every point.  Points are bit-identical
-    either way.
+    ``"scalar"`` prices every point on its own.  Points are
+    bit-identical either way.
     """
     # A repeated grid value would only repeat grid points: take each once.
     core_grid = tuple(dict.fromkeys(core_grid))

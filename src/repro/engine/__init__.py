@@ -37,7 +37,6 @@ from .memo import (
     SetupMemoCache,
     cache_disabled,
     cached_simulate_kernel,
-    cached_time_cpu_kernel,
     cached_time_gpu_kernel,
     clear_caches,
     memoized_setup,
@@ -93,7 +92,6 @@ __all__ = [
     "ValidationPoint",
     "cache_disabled",
     "cached_simulate_kernel",
-    "cached_time_cpu_kernel",
     "cached_time_gpu_kernel",
     "clear_caches",
     "cpu_stream_efficiency",

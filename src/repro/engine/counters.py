@@ -1,18 +1,15 @@
 """Performance counters.
 
-A single :class:`PerfCounters` instance accumulates everything one
-application run produces: kernel time, transfer time, instruction and
-byte counts, and launch counts.  Table I's IPC column and the speedups
-of Figures 8/9 are both derived from these counters.
+A :class:`PerfCounters` holds everything one priced application run
+produces: kernel time, transfer time, instruction and byte counts, and
+launch counts, folded from the run's charge log by
+:func:`repro.engine.study_vec.price_cell`.  Table I's IPC column and
+the speedups of Figures 8/9 are both derived from these counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .timing import KernelTiming
 
 #: What can bound a kernel launch, in limiter-code order
 #: (:data:`repro.engine.timing_vec.FLOOR`, ``COMPUTE``, ``MEMORY``).
@@ -38,7 +35,7 @@ class PerfCounters:
     #: Dynamic energy integrated over the charge timeline
     #: (``repro.engine.energy``): kernel switching energy and staging
     #: link energy.  Static (idle) energy is added per run when the
-    #: result is assembled — it depends on total duration, not events.
+    #: result is priced — it depends on total duration, not events.
     kernel_joules: float = 0.0
     transfer_joules: float = 0.0
     #: Kernel launches by what bounded them (:data:`LIMITERS`); the
@@ -68,27 +65,6 @@ class PerfCounters:
         if self.cycles == 0:
             return 0.0
         return self.instructions / self.cycles
-
-    def record_kernel(self, timing: "KernelTiming") -> None:
-        self.kernel_seconds += timing.seconds
-        self.cycles += timing.cycles
-        self.instructions += timing.instructions
-        self.dram_bytes += timing.dram_bytes
-        self.kernel_launches += 1
-        self.kernel_joules += timing.joules
-        launches = f"{timing.limited_by}_launches"
-        setattr(self, launches, getattr(self, launches) + 1)
-
-    def record_transfer(
-        self, nbytes: int, seconds: float, direction: str, joules: float = 0.0
-    ) -> None:
-        self.transfer_seconds += seconds
-        self.transfers += 1
-        self.transfer_joules += joules
-        if direction == "h2d":
-            self.bytes_to_device += nbytes
-        else:
-            self.bytes_to_host += nbytes
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Combine counters of two runs (e.g. per-phase accounting)."""

@@ -38,13 +38,13 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from ..hardware.device import CPUDevice, GPUDevice
+from ..hardware.device import GPUDevice
 from ..hardware.specs import Precision
 from ..obs import spans as obs_spans
 from ..obs import tracing as obs_tracing
-from .kernel import KernelSpec, LoweredKernel
+from .kernel import LoweredKernel
 from .scheduler import ScheduleResult, simulate_kernel
-from .timing import KernelTiming, time_cpu_kernel, time_gpu_kernel
+from .timing import KernelTiming, time_gpu_kernel
 
 T = TypeVar("T")
 
@@ -134,7 +134,10 @@ class MemoCache:
         self._misses = 0
 
 
-#: The process-global cache backing every ``charge_*`` pricing call.
+#: The process-global cache backing the one-kernel pricing calls
+#: (:func:`cached_time_gpu_kernel`, :func:`cached_simulate_kernel`)
+#: that model validation and the ablations make; runs are priced
+#: columnar from their charge logs and never look it up.
 KERNEL_CACHE = MemoCache("kernel")
 
 #: The process-global cache backing ``replay_pattern``: Table I miss
@@ -147,9 +150,9 @@ KERNEL_CACHE = MemoCache("kernel")
 #: bit-identical, so either may serve the other's lookups.
 TRACE_CACHE = MemoCache("trace")
 
-#: The process-global cache backing schedule capture.  The columnar
-#: study engine (:mod:`repro.engine.study_vec`) replays a port once in
-#: capture mode to obtain its launch/transfer schedule, a pure function
+#: The process-global cache backing schedule capture.  The study
+#: engines (:mod:`repro.engine.study_vec`) run a port once in
+#: projection mode to obtain its launch/transfer schedule, a pure function
 #: of the spec's clock-independent content
 #: (:meth:`repro.exec.plan.RunSpec.schedule_key`).  The captured
 #: program is immutable and shared by every cell that differs only in
@@ -327,33 +330,23 @@ class SetupMemoCache(LruMemoCache):
 
     Every port of one application rebuilds the identical problem data
     (the CoMD lattice, the XSBench grids, the miniFE matrix) for each
-    (model, platform, precision) cell of a study — by far the
-    dominant per-run cost at paper scale.  The builders are
-    deterministic functions of ``(config, precision[, seed])``, so
-    their outputs are memoized here.
+    (model, platform, precision) cell a functional study runs.  The
+    builders are deterministic functions of ``(config, precision[,
+    seed])``, so their outputs are memoized here.
 
-    Every stored value is **frozen**: each array reachable through its
-    dataclass fields and tuples is read-only.  How a value is handed
-    out depends on the caller:
-
-    * functional runs (the default) get a **deep copy**, writable and
-      private: their kernels mutate the state they receive, and a copy
-      of a deterministic build is bit-identical to a fresh build.  A
-      miss stores a frozen deep copy and returns the build itself.
-    * scalar projection runs (inside :func:`shared_setups`) skip
-      kernel bodies, so they read setup arrays but never write them.
-      They get the stored arrays **by reference**: a hit returns a
-      shallow copy of the top-level state (so host-scalar writes such
-      as LULESH's ``dt``/``time`` stay private), and a miss freezes and
-      stores the build itself with no copy.  A stray in-place write to
-      a shared array raises instead of leaking into the next run.
+    Every stored value is **frozen** (each array reachable through its
+    dataclass fields and tuples is read-only) and handed out as a
+    **deep copy**, writable and private: functional kernels mutate the
+    state they receive, and a copy of a deterministic build is
+    bit-identical to a fresh build.  A miss stores a frozen deep copy
+    and returns the build itself.  Projection runs never get here:
+    they capture their schedule with projection stubs
+    (:data:`STUB_CACHE`).
     """
 
-    def lookup(self, key: tuple, compute: Callable[[], T], shared: bool = False) -> T:
+    def lookup(self, key: tuple, compute: Callable[[], T]) -> T:
         if not self.enabled:
             return compute()
-        if shared:
-            return _shallow(super().lookup(key, lambda: _freeze(compute())))
         built: list[T] = []
 
         def build() -> T:
@@ -380,14 +373,6 @@ def _freeze(value: T) -> T:
         for item in vars(value).values():
             _freeze(item)
     return value
-
-
-def _shallow(value: T) -> T:
-    """A private top level over shared (read-only) arrays: a view of a
-    bare array, a shallow copy of anything else."""
-    if isinstance(value, np.ndarray):
-        return value.view()  # type: ignore[return-value]
-    return copy.copy(value)
 
 
 #: The process-global cache backing the apps' ``make_*``/``assemble``
@@ -444,25 +429,6 @@ def projection_stub(builder: Callable[..., T]) -> Callable[[Callable[..., T]], C
     return register
 
 
-_SHARE_STATE = threading.local()
-
-
-@contextmanager
-def shared_setups() -> Iterator[None]:
-    """Hand out :data:`SETUP_CACHE` values by reference within the block.
-
-    Only for projection runs, which never execute kernel bodies and so
-    never write their setup arrays (see :class:`SetupMemoCache`).
-    Functional runs must receive private copies.
-    """
-    previous = getattr(_SHARE_STATE, "active", False)
-    _SHARE_STATE.active = True
-    try:
-        yield
-    finally:
-        _SHARE_STATE.active = previous
-
-
 @contextmanager
 def projection_stubs() -> Iterator[None]:
     """Serve registered stubs instead of real problem builds.
@@ -504,11 +470,7 @@ def memoized_setup(builder: Callable[..., T]) -> Callable[..., T]:
             stub = PROJECTION_STUBS.get(name)
             if stub is not None:
                 return STUB_CACHE.lookup(key, lambda: stub(*args, **kwargs))
-        return SETUP_CACHE.lookup(
-            key,
-            lambda: builder(*args, **kwargs),
-            shared=getattr(_SHARE_STATE, "active", False),
-        )
+        return SETUP_CACHE.lookup(key, lambda: builder(*args, **kwargs))
 
     return wrapper
 
@@ -560,24 +522,12 @@ def gpu_state_key(gpu: GPUDevice) -> tuple:
     return (gpu.spec, gpu.core_clock.current_mhz, gpu.memory_clock.current_mhz)
 
 
-def cpu_state_key(cpu: CPUDevice) -> tuple:
-    return (cpu.spec,)
-
-
 def cached_time_gpu_kernel(
     lowered: LoweredKernel, gpu: GPUDevice, precision: Precision
 ) -> KernelTiming:
     """Memoized :func:`repro.engine.timing.time_gpu_kernel`."""
     key = ("gpu-timing", lowered.cache_key(), gpu_state_key(gpu), precision)
     return KERNEL_CACHE.lookup(key, lambda: time_gpu_kernel(lowered, gpu, precision))
-
-
-def cached_time_cpu_kernel(
-    spec: KernelSpec, cpu: CPUDevice, precision: Precision, threads: int = 1
-) -> KernelTiming:
-    """Memoized :func:`repro.engine.timing.time_cpu_kernel`."""
-    key = ("cpu-timing", spec, cpu_state_key(cpu), precision, threads)
-    return KERNEL_CACHE.lookup(key, lambda: time_cpu_kernel(spec, cpu, precision, threads=threads))
 
 
 def cached_simulate_kernel(

@@ -1,21 +1,19 @@
-"""Columnar whole-study pricing engine.
+"""Columnar whole-study pricing engine, and the one pricer of every run.
 
-The scalar engine (:mod:`repro.exec.executor`) prices a study cell by
-*running* its port: the port re-executes its host logic, re-builds (or
-deep-copies) its problem setup, and issues tens of thousands of
-``charge_*`` calls, each a Python-level price-and-record round trip.
-At paper scale that costs minutes for a matrix whose actual pricing
-content is a few hundred unique kernels.
-
-This engine lowers the matrix instead of looping it:
+A port run never prices as it goes: every ``charge_*`` call appends an
+event to the :class:`~repro.models.base.ChargeLog` its context carries
+and returns 0.0.  Pricing happens afterwards, from the log, here.  A
+paper-scale study's ports issue tens of thousands of charges, but the
+matrix's actual pricing content is a few hundred unique kernels, so
+this engine lowers the matrix instead of looping it:
 
 1. **Capture** — each distinct schedule signature
    (:meth:`~repro.exec.plan.RunSpec.schedule_key`) runs its port once
-   in capture mode: a :class:`~repro.models.base.ChargeLog` on the
-   context turns every ``charge_*`` call into an event append over a
-   deduplicated atom table.  Problem setups are served by registered
-   projection stubs (shape-faithful, no data, no deep copies).  The
-   captured :class:`ChargeProgram` is clock-independent and memoized in
+   in projection mode, and :func:`lift` turns its log into a flat
+   event stream over a deduplicated atom table.  Problem setups are
+   served by registered projection stubs (shape-faithful, no data, no
+   deep copies).  The captured :class:`ChargeProgram` is
+   clock-independent and memoized in
    :data:`~repro.engine.memo.PLAN_CACHE`, so an entire frequency sweep
    shares one capture.
 2. **Broadcast pricing** — per schedule group (the cells of a
@@ -24,34 +22,42 @@ This engine lowers the matrix instead of looping it:
    atoms) grid (:func:`~repro.engine.timing_vec.time_gpu_kernel_grid`):
    per-atom coefficients once, per-clock scalars as columns, and
    elementwise roofline arithmetic with no reduction, so every cell is
-   the scalar formula's exact IEEE sequence.  CPU atoms never see the
-   GPU clocks and are priced once per group.  The priced arrays are
+   the one-kernel formula's exact IEEE sequence.  CPU atoms never see
+   the GPU clocks and are priced once per group.  The priced arrays are
    scattered straight into the fold's ``(field, cells, atoms)`` tensor,
    with each cell's launches counted by limiter from the atoms' limiter
    codes and use counts: no per-launch object, and no
    :data:`~repro.engine.memo.KERNEL_CACHE` traffic (that cache serves
-   the scalar engine's one-kernel calls only).
+   the one-kernel calls of validation and the ablations only).
 3. **Fold** — simulated seconds and every counter are reassembled with
    ``np.add.accumulate`` along each cell's event stream: a strictly
-   left-associated IEEE fold, the same addition sequence the port's
-   accumulator and :class:`~repro.engine.counters.PerfCounters`
-   performed — bit-identical, not merely close.  (``np.sum`` would use
-   pairwise summation and drift in the last ulps.)  A group folds all
-   its cells in one ``(cells x events)`` accumulate; the adds of each
-   row are still that row's left fold.  Heterogeneous Compute's clock
-   is not one accumulator but the makespan of a copy and a compute
-   stream: its capture also records the runtime's stream steps, and
-   the group replays them once over ``(cells,)`` columns of the same
-   per-event charge returns (``np.maximum`` and adds in the runtime's
-   order, no reduction), so each row is again the scalar sequence.
+   left-associated IEEE fold, the addition sequence of a ``+=``
+   accumulator over the charges.  (``np.sum`` would use pairwise
+   summation and drift in the last ulps.)  A group folds all its cells
+   in one ``(cells x events)`` accumulate; the adds of each row are
+   still that row's left fold, so a row priced in a group is
+   bit-identical to the same row priced alone.  Heterogeneous
+   Compute's clock is not one accumulator but the makespan of a copy
+   and a compute stream: the runtime records its stream steps into the
+   log, and the group replays them once over ``(cells,)`` columns of
+   the per-event charge prices (``np.maximum`` and adds in the
+   runtime's order, no reduction).
 
-Cells the columnar engine cannot express run through the scalar engine
-unchanged: functional (non-projection) runs, telemetry recordings
-(spans are per-charge by construction), and fault-injection campaigns
-(the chaos harness drives the scalar retry ladder).  The scalar path
-is also the per-cell fallback if anything in the columnar path raises:
-a group whose broadcast call raises is re-priced one cell at a time,
-and only a cell that still raises falls back.
+Every priced run goes through :func:`price_cell`.  The scalar executor
+(:func:`repro.exec.executor.execute_run`) prices a projection cell as
+the same :func:`cached_program` plus a one-row :func:`price_cell` a
+columnar group makes, and every other port call — functional runs,
+``ProxyApp.run``, ``core.study.run_port`` — goes through
+:func:`priced_run`: run the port, :func:`lift` the charge log its
+context holds, price it as one row.  Scalar and columnar results are
+therefore equal by construction.  What the scalar executor keeps is
+its envelope: per-run telemetry (with a recorder active,
+:func:`price_cell` replays each row's charges into it in charge
+order), fault injection and the retry ladder.  Functional cells, runs
+with telemetry and fault-injection campaigns take that envelope;
+within a columnar call, a group whose broadcast call raises is
+re-priced one cell at a time, and only a cell that still raises falls
+back to it.
 
 Deliberately *not* imported from ``repro.engine.__init__``:
 ``repro.models`` imports ``repro.engine.memo`` at import time, so
@@ -70,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..apps.base import RunResult
+from ..apps.base import Port, RunResult
 from ..engine import energy, memo
 from ..engine.counters import LIMITERS, PerfCounters
 from ..engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
@@ -79,26 +85,17 @@ from ..exec.executor import ExecStats, ExecutionInterrupted, RunOutcome, execute
 from ..exec.faults import FaultPlan, ResultValidationError, RunError, fault_plan_from_env
 from ..exec.plan import RunSpec, SpecLattice
 from ..exec.retry import RetryPolicy, run_with_retry, validate_result
+from ..hardware.device import Platform
+from ..hardware.specs import Precision
 from ..models.base import ChargeLog, ExecutionContext
-
-#: Models whose captured schedule the columnar engine prices: the
-#: simulated clock is a single left fold of ``charge_*`` returns, or,
-#: for Heterogeneous Compute, the makespan of its copy and compute
-#: streams, replayed from the captured stream program.
-VECTOR_MODELS = frozenset({
-    "OpenMP", "Serial", "OpenCL", "C++ AMP", "OpenACC", "OpenMP Offload",
-    "Heterogeneous Compute",
-})
+from ..obs import spans as obs_spans
 
 
 def vector_eligible(spec: RunSpec) -> bool:
-    """Whether the columnar engine can price this cell.
-
-    Projection mode only (functional runs execute kernel bodies, which
-    capture skips by construction), for the models of
-    :data:`VECTOR_MODELS`.
-    """
-    return spec.projection and spec.model in VECTOR_MODELS
+    """Whether the columnar engine can price this cell: projection mode
+    only (functional runs execute kernel bodies, which capture skips by
+    construction)."""
+    return spec.projection
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,11 @@ class ChargeProgram:
     #: Exact byte totals by direction (Python ints, like the counters).
     bytes_to_device: int
     bytes_to_host: int
+    #: (E,) event-table index of every charge, and the table's
+    #: :attr:`~repro.models.base.ChargeLog.event_meta`: what the
+    #: telemetry replay names each charge.
+    event_ids: np.ndarray
+    event_meta: tuple[tuple, ...]
     #: The two-stream program of a Heterogeneous Compute capture
     #: (:attr:`~repro.models.base.ChargeLog.streams`), whose makespan is
     #: the run's clock; ``None`` for the single-accumulator models,
@@ -140,7 +142,7 @@ class ChargeProgram:
 
 
 def capture_program(spec: RunSpec) -> ChargeProgram:
-    """Run ``spec``'s port once in capture mode and lift its schedule.
+    """Run ``spec``'s port once in projection mode and lift its log.
 
     The capture platform uses default clocks — legitimate because the
     schedule is clock-independent — and projection stubs serve the
@@ -149,18 +151,19 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
     from ..apps import APPS_BY_NAME
     from ..hardware.device import platform_for
 
-    app = APPS_BY_NAME[spec.app]
-    log = ChargeLog()
     ctx = ExecutionContext(
         platform=platform_for(spec.platform),
         precision=spec.precision,
         execute_kernels=False,
-        charge_log=log,
     )
     with memo.projection_stubs():
-        result = app.ports[spec.model](ctx, spec.config)
+        result = APPS_BY_NAME[spec.app].ports[spec.model](ctx, spec.config)
+    return lift(ctx.charge_log, spec.app, spec.model, result.checksum)
 
-    # Lift by gathering the unique events' columns along the id stream.
+
+def lift(log: ChargeLog, app: str, model: str, checksum: float) -> ChargeProgram:
+    """Lower a finished charge log to its :class:`ChargeProgram`."""
+    # Gather the unique events' columns along the id stream.
     table = log.event_table
     ids = np.array(log.event_ids, dtype=np.int64)
     ev_atom = np.array([e[0] for e in table], dtype=np.int64)[ids]
@@ -181,9 +184,9 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
             bytes_to_host += nbytes * count
 
     return ChargeProgram(
-        app=spec.app,
-        model=spec.model,
-        checksum=result.checksum,
+        app=app,
+        model=model,
+        checksum=checksum,
         atoms=tuple(log.atoms),
         transfers=tuple(log.transfers),
         ev_atom=ev_atom,
@@ -195,6 +198,8 @@ def capture_program(spec: RunSpec) -> ChargeProgram:
         transfer_events=transfer_events,
         bytes_to_device=bytes_to_device,
         bytes_to_host=bytes_to_host,
+        event_ids=ids,
+        event_meta=tuple(log.event_meta),
         streams=tuple(log.streams) if log.streams else None,
     )
 
@@ -265,34 +270,40 @@ def _makespan_rows(
 _FOLDED = ("seconds", "cycles", "instructions", "dram_bytes", "joules")
 
 
-def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResult]:
-    """Price one schedule group: every cell of ``specs`` from ``program``.
+def price_cell(
+    program: ChargeProgram, platforms: Sequence[Platform], precision: Precision
+) -> list[RunResult]:
+    """Price one schedule group: ``program`` on every platform of
+    ``platforms``, at ``precision``.
 
     The rows share ``program``'s schedule and differ at most in clock
     overrides (one :class:`~repro.exec.plan.SpecLattice` group); a
-    single cell is a one-row group.  GPU atoms are priced in one
+    single run is a one-row group.  GPU atoms are priced in one
     broadcast call over (rows x atoms)
     (:func:`~repro.engine.timing_vec.time_gpu_kernel_grid`); CPU atoms
     are clock-independent and priced once for the group.  Their arrays
     are scattered into one ``(field, rows, atoms)`` tensor and folded,
     one strict left fold per row: no per-launch object is built and no
-    memo cache is consulted.  Returns one result per row, in order.
+    memo cache is consulted.  With a span recorder active, each row's
+    charges are replayed into it (:func:`_replay`).  Returns one result
+    per row, in order.
     """
-    platforms = [spec.make_platform() for spec in specs]
-    precision = specs[0].precision
     platform = platforms[0]
     atoms = program.atoms
 
     # (field, rows, atoms + 1) with a zero trailing atom, so the -1
-    # atom index of a transfer event gathers 0.0; and the limiter code
-    # of every (row, atom).
-    fields = np.zeros((len(_FOLDED), len(specs), len(atoms) + 1))
-    limiter = np.empty((len(specs), len(atoms)), dtype=np.int64)
+    # atom index of a transfer event gathers 0.0; the limiter code of
+    # every (row, atom); and every atom's occupancy.
+    fields = np.zeros((len(_FOLDED), len(platforms), len(atoms) + 1))
+    limiter = np.empty((len(platforms), len(atoms)), dtype=np.int64)
+    waves = [0] * len(atoms)
 
     def scatter(indices: list[int], prices: KernelPrices) -> None:
         for plane, name in zip(fields, _FOLDED):
             plane[:, indices] = getattr(prices, name)
         limiter[:, indices] = prices.limiter
+        for index, occupancy in zip(indices, prices.waves):
+            waves[index] = occupancy
 
     gpu_atoms = [i for i, atom in enumerate(atoms) if atom[0] == "gpu"]
     if gpu_atoms:
@@ -316,8 +327,7 @@ def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResu
         for nbytes, direction in program.transfers
     ]
     transfer_seconds = np.array(xfer_seconds + [0.0])
-    # Per-transfer energy through the same scalar helper, on the same
-    # Python floats, as ``Toolchain.charge_transfer``.
+    # Per-transfer energy through the scalar helper, per unique copy.
     link_w = platform.interconnect.spec.active_w
     xfer_joules = np.array(
         [energy.transfer_joules(link_w, s) for s in xfer_seconds] + [0.0]
@@ -362,9 +372,9 @@ def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResu
         axis=1,
     )
     results: list[RunResult] = []
-    for spec, p, floor, compute, memory, (
+    for p, floor, compute, memory, (
         seconds, kernel_seconds, cycles, instructions, dram_bytes, kernel_joules,
-    ) in zip(specs, platforms, *launches, folds.tolist()):
+    ) in zip(platforms, *launches, folds.tolist()):
         counters = PerfCounters(
             kernel_seconds=kernel_seconds,
             transfer_seconds=transfer_total,
@@ -384,7 +394,7 @@ def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResu
             compute_launches=compute,
             memory_launches=memory,
         )
-        # Same three-term addition sequence as ``apps.base.make_result``.
+        # Static draw over the run's duration, then dynamic energy.
         joules = (
             energy.static_joules(p.idle_watts, seconds)
             + counters.kernel_joules
@@ -394,14 +404,119 @@ def price_cell(program: ChargeProgram, specs: Sequence[RunSpec]) -> list[RunResu
             app=program.app,
             model=program.model,
             platform=p.name,
-            precision=spec.precision,
+            precision=precision,
             seconds=seconds,
             kernel_seconds=kernel_seconds,
             checksum=program.checksum,
             counters=counters,
             joules=joules,
         ))
+    rec = obs_spans.active()
+    if rec is not None:
+        for row, p in enumerate(platforms):
+            _replay(
+                rec, program, p, fields[:, row].tolist(), limiter[row].tolist(), waves,
+                xfer_seconds,
+            )
     return results
+
+
+def _replay(
+    rec: obs_spans.SpanRecorder,
+    program: ChargeProgram,
+    platform: Platform,
+    prices: list[list[float]],
+    limiter: list[int],
+    waves: list[int],
+    xfer_seconds: list[float],
+) -> None:
+    """Record one priced row's charges into ``rec``, in charge order.
+
+    ``prices`` are the row's :data:`_FOLDED` planes by atom, ``limiter``
+    and ``waves`` its limiter codes and occupancies by atom.  Each
+    kernel becomes a kernel span plus its launch (GPU) or region (CPU,
+    when it has an overhead) span; each copy, counted or not, a
+    transfer span.  Kernel time, limiter and copied-byte metrics are
+    labelled by app, model and device.
+    """
+    seconds, _cycles, instructions, dram_bytes, _joules = prices
+    device = platform.key or ("apu" if platform.is_apu else "dgpu")
+    app = rec.meta.get("app", "")
+    for atom, overhead, xfer, event in zip(
+        program.ev_atom.tolist(), program.ev_overhead.tolist(),
+        program.ev_xfer.tolist(), program.event_ids.tolist(),
+    ):
+        meta = program.event_meta[event]
+        model = meta[0]
+        if atom < 0:
+            nbytes, direction = program.transfers[xfer]
+            rec.add(
+                f"{device}/interconnect", direction, "transfer", xfer_seconds[xfer],
+                bytes=nbytes, model=model,
+            )
+            rec.metrics.counter(
+                "repro_transfer_bytes_total",
+                help="Host<->device bytes moved.",
+                app=app, model=model, device=device, direction=direction,
+            ).inc(nbytes)
+            continue
+        name = meta[1]
+        limited_by = LIMITERS[limiter[atom]]
+        if program.atoms[atom][0] == "gpu":
+            n_buffers, mapped_bytes, overheads = meta[2:]
+            track = f"{device}/gpu"
+            rec.add(
+                track, name, "kernel", seconds[atom],
+                limited_by=limited_by,
+                instructions=instructions[atom],
+                dram_bytes=dram_bytes[atom],
+                occupancy_waves=waves[atom],
+                model=model,
+            )
+            rec.add(
+                track, f"launch:{name}", "launch", overhead,
+                n_buffers=n_buffers, mapped_bytes=mapped_bytes,
+                **overheads.cost_components(n_buffers, mapped_bytes),
+            )
+        else:
+            track = f"{device}/host"
+            rec.add(
+                track, name, "kernel", seconds[atom],
+                limited_by=limited_by, threads=program.atoms[atom][2], model=model,
+            )
+            if overhead:
+                rec.add(track, f"region:{name}", "launch", overhead)
+        rec.metrics.histogram(
+            "repro_kernel_seconds",
+            help="Simulated per-launch kernel time.",
+            app=app, model=model, device=device,
+        ).observe(seconds[atom])
+        rec.metrics.counter(
+            "repro_kernel_limited_by_total",
+            help="Kernel launches by dominant limiter.",
+            app=app, model=model, device=device, limited_by=limited_by,
+        ).inc()
+
+
+def price_context(
+    ctx: ExecutionContext, app: str = "", model: str = "", checksum: float = 0.0
+) -> RunResult:
+    """Price the charge log ``ctx`` holds, as a one-row
+    :func:`price_cell` on the context's own platform."""
+    program = lift(ctx.charge_log, app, model, checksum)
+    (result,) = price_cell(program, [ctx.platform], ctx.precision)
+    return result
+
+
+def priced_run(port: Port, ctx: ExecutionContext, config: object) -> RunResult:
+    """Run ``port`` on ``ctx`` and price the charge log it leaves.
+
+    The pricing entry point of every port call outside the columnar
+    engine; the port's own result contributes its identity and its
+    checksum.
+    """
+    ran = port(ctx, config)
+    return price_context(ctx, ran.app, ran.model, ran.checksum)
 
 
 def price_specs(specs: Sequence[RunSpec]) -> list[RunResult | None]:
@@ -441,14 +556,14 @@ def _price_group(lattice: SpecLattice, rows: Sequence[int]) -> list[RunResult | 
     except Exception:
         return [None] * len(specs)
     try:
-        return price_cell(program, specs)
+        return price_cell(program, [spec.make_platform() for spec in specs], specs[0].precision)
     except Exception:
         if len(specs) == 1:
             return [None]
     isolated: list[RunResult | None] = []
     for spec in specs:
         try:
-            (result,) = price_cell(program, [spec])
+            (result,) = price_cell(program, [spec.make_platform()], spec.precision)
         except Exception:
             result = None
         isolated.append(result)
@@ -503,13 +618,14 @@ def execute_vector(
     Same contract: outcomes in submission order, content-equal specs
     share one outcome, failures come back as ``None`` slots plus
     :class:`~repro.exec.faults.RunError` rows, checkpoint journals are
-    honoured.  Eligible cells are priced columnar in-process (the whole
-    point is that this is fast); ineligible cells are delegated to the
-    scalar executor, which may fan them out over ``max_workers``.
+    honoured.  Projection cells are priced columnar in-process (the
+    whole point is that this is fast); functional cells are delegated
+    to the scalar executor, which may fan them out over
+    ``max_workers``.
 
     Telemetry and active fault plans delegate the entire call: spans
-    are recorded per charge and the chaos harness drives the scalar
-    retry ladder, so both are scalar-engine semantics by definition.
+    are recorded per run and the chaos harness drives the scalar retry
+    ladder, so both are scalar-engine semantics by definition.
     """
     policy = policy if policy is not None else RetryPolicy()
     if faults is None:
@@ -558,8 +674,8 @@ def execute_vector(
         pending = [index for index in pending if executed[index] is None]
         resumed = len(unique) - len(pending)
 
-    # Eligibility reads only schedule-key fields (model, projection), so
-    # it is decided once per lattice group; the rest is the scalar tail.
+    # Eligibility reads only a schedule-key field (projection), so it is
+    # decided once per lattice group; the rest is the scalar tail.
     lattice = SpecLattice.from_specs(
         unique if resumed == 0 else [unique[index] for index in pending]
     )

@@ -17,7 +17,6 @@ from ..engine.memo import (
     SetupMemoCache,
     cache_disabled,
     cached_simulate_kernel,
-    cached_time_cpu_kernel,
     cached_time_gpu_kernel,
     clear_caches,
     memoized_setup,
@@ -68,7 +67,6 @@ __all__ = [
     "SetupMemoCache",
     "cache_disabled",
     "cached_simulate_kernel",
-    "cached_time_cpu_kernel",
     "cached_time_gpu_kernel",
     "clear_caches",
     "default_workers",

@@ -256,11 +256,18 @@ def execute_run(
 ) -> RunOutcome:
     """Execute one descriptor in this process.
 
-    Builds a fresh platform (with the spec's clock overrides), runs
-    the port, and measures wall time plus the memo-cache delta.  With
-    ``telemetry`` a fresh :class:`~repro.obs.spans.SpanRecorder` is
-    active for the duration of the run; recording is observational
-    only, so the result is bit-identical either way.
+    A projection descriptor is priced as one row of its schedule
+    group: the memoized capture
+    (:func:`~repro.engine.study_vec.cached_program`) plus a one-row
+    :func:`~repro.engine.study_vec.price_cell`, the two calls a
+    columnar group makes.  A functional descriptor runs its port with
+    the numerics on a fresh platform (with the spec's clock overrides)
+    and prices the charge log it leaves
+    (:func:`~repro.engine.study_vec.priced_run`).  Wall time and the
+    memo-cache delta are measured around either.  With ``telemetry``
+    a fresh :class:`~repro.obs.spans.SpanRecorder` is active for the
+    duration of the run and receives the priced charges; recording is
+    observational only, so the result is bit-identical either way.
 
     ``faults``/``attempt`` drive the deterministic chaos harness: a
     drawn fault fires on the run's early attempts, after which the run
@@ -271,6 +278,7 @@ def execute_run(
     # Lazy imports keep the exec package importable from low layers
     # and let pool workers pay the heavy app imports exactly once.
     from ..apps import APPS_BY_NAME
+    from ..engine.study_vec import cached_program, price_cell, priced_run
     from ..models.base import ExecutionContext
 
     if faults is not None and faults.active:
@@ -278,23 +286,16 @@ def execute_run(
 
     before = memo.snapshot()
     started = time.perf_counter()
-    app = APPS_BY_NAME[spec.app]
-    ctx = ExecutionContext(
-        platform=spec.make_platform(),
-        precision=spec.precision,
-        execute_kernels=not spec.projection,
-    )
-    recorded: RunTelemetry | None = None
-    # Projection runs never write their setup arrays: share them.
-    setups = memo.shared_setups() if spec.projection else nullcontext()
-    if telemetry:
-        recorder = SpanRecorder(meta=spec.telemetry_meta())
-        with obs_spans.recording(recorder), setups:
-            result = app.ports[spec.model](ctx, spec.config)
-        recorded = recorder.finish(spec.label)
-    else:
-        with setups:
-            result = app.ports[spec.model](ctx, spec.config)
+    recorder = SpanRecorder(meta=spec.telemetry_meta()) if telemetry else None
+    with obs_spans.recording(recorder) if recorder is not None else nullcontext():
+        if spec.projection:
+            (result,) = price_cell(
+                cached_program(spec), [spec.make_platform()], spec.precision
+            )
+        else:
+            ctx = ExecutionContext(platform=spec.make_platform(), precision=spec.precision)
+            result = priced_run(APPS_BY_NAME[spec.app].ports[spec.model], ctx, spec.config)
+    recorded = recorder.finish(spec.label) if recorder is not None else None
     wall = time.perf_counter() - started
     caches = memo.since(before)
     trace_ctx = obs_tracing.current()
@@ -949,10 +950,11 @@ def execute_with_engine(
 ) -> tuple[list[RunOutcome | None], ExecStats]:
     """Dispatch a run matrix to the scalar or the columnar engine.
 
-    ``"scalar"`` is :func:`execute` (one port simulation per cell — the
-    differential oracle); ``"vector"`` is
+    ``"scalar"`` is :func:`execute` (one pricing call per cell, through
+    the retry ladder); ``"vector"`` is
     :func:`repro.engine.study_vec.execute_vector` (one schedule capture
     per lattice group, all cells priced as batched array ops).  Both
+    price through :func:`repro.engine.study_vec.price_cell`, so they
     return bit-identical outcomes; the engine choice only changes how
     fast they are produced.
     """

@@ -27,21 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine import energy
-from ..engine.counters import PerfCounters
 from ..engine.kernel import KernelSpec, LoweredKernel
 from ..engine.launch import RuntimeOverheads
-from ..engine.memo import cached_time_cpu_kernel, cached_time_gpu_kernel
 from ..hardware.device import Platform
 from ..hardware.specs import Precision
-from ..obs import spans as obs_spans
-
-
-def _platform_track(ctx: "ExecutionContext") -> str:
-    """Track-name prefix of the context's platform ("apu"/"dgpu"/"v100")."""
-    if ctx.platform.key:
-        return ctx.platform.key
-    return "apu" if ctx.platform.is_apu else "dgpu"
 
 
 class Capability(enum.Flag):
@@ -179,31 +168,31 @@ def placeholder(shape: int | tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 
 @dataclass
 class ExecutionContext:
-    """One application run: a platform, a precision, and its counters.
+    """One application run: a platform, a precision, and its charge log.
 
-    Model runtimes charge simulated time here while executing the
-    application's NumPy kernels functionally.
+    Model runtimes append every launch and copy to :attr:`charge_log`
+    while executing the application's NumPy kernels functionally; each
+    ``charge_*`` call returns 0.0 simulated seconds.  The run is priced
+    afterwards, from the finished log
+    (:func:`repro.engine.study_vec.priced_run`), so every run, whatever
+    its size or mode, goes through one pricing path.
 
     ``execute_kernels=False`` selects *projection mode*: ports build
-    the exact same launch/transfer schedule and every simulated cost is
-    charged identically, but the NumPy kernel bodies and host<->device
-    copies are skipped.  This prices paper-sized problems (e.g. CoMD's
-    864k atoms, XSBench's 240 MB table) that would be impractically
-    slow to execute functionally.  Output buffers from :meth:`output`
-    are read-only placeholders in this mode, so projection checksums
-    are defined rather than computed: 0.0 for the output-buffer apps
+    the exact same launch/transfer schedule and log every charge
+    identically, but the NumPy kernel bodies and host<->device copies
+    are skipped.  This prices paper-sized problems (e.g. CoMD's 864k
+    atoms, XSBench's 240 MB table) that would be impractically slow to
+    execute functionally.  Output buffers from :meth:`output` are
+    read-only placeholders in this mode, so projection checksums are
+    defined rather than computed: 0.0 for the output-buffer apps
     (XSBench, miniFE, read-benchmark), the initial-state value for
     LULESH and CoMD.  Correctness is validated at functional sizes.
     """
 
     platform: Platform
     precision: Precision
-    counters: PerfCounters = field(default_factory=PerfCounters)
     execute_kernels: bool = True
-    #: When set (a :class:`ChargeLog`), every ``charge_*`` call records
-    #: its arguments instead of pricing — *capture mode*, used by the
-    #: columnar study engine to lift a port's schedule into arrays.
-    charge_log: "ChargeLog | None" = None
+    charge_log: "ChargeLog" = field(default_factory=lambda: ChargeLog())
 
     @property
     def dtype(self) -> np.dtype:
@@ -234,25 +223,30 @@ class ExecutionContext:
 
 
 class ChargeLog:
-    """A port's launch/transfer schedule, captured instead of priced.
+    """A port's launch/transfer schedule, recorded for pricing.
 
-    Attached to an :class:`ExecutionContext` as ``charge_log``, it turns
-    every ``charge_*`` call into an append (each returns 0.0 simulated
-    seconds, so the port's accumulators stay at zero): a run becomes a
-    flat stream of event ids over a deduplicated event table.  The
-    schedule is clock-independent — clocks change prices, never which
-    kernels launch — so one capture serves every clock override of the
-    cell.
+    Every :class:`ExecutionContext` carries one as ``charge_log``, and
+    every ``charge_*`` call is an append to it (each returns 0.0
+    simulated seconds, so the port's accumulators stay at zero): a run
+    becomes a flat stream of event ids over a deduplicated event table.
+    The schedule is clock-independent — clocks change prices, never
+    which kernels launch — so one log serves every clock override of
+    the cell.
 
     * ``atoms`` — unique priceable units: ``("gpu", LoweredKernel)``
       after lowering, or ``("cpu", KernelSpec, threads)``.
     * ``transfers`` — unique ``(nbytes, direction)`` copies.
-    * ``event_table`` — unique finished events:
+    * ``event_table`` — one entry per distinct charge (one toolchain,
+      spec object and launch arguments):
       ``(atom_index, overhead_seconds, transfer_index, counted)`` with
       ``-1`` marking the unused index.  ``counted`` is False only where
       the port discards the charge's return value (a copy whose cost is
       recorded in the counters but never reaches the port's simulated
       clock).
+    * ``event_meta`` — parallel to ``event_table``, what telemetry
+      names each charge: ``(model, kernel name, n_buffers,
+      mapped_bytes, RuntimeOverheads)`` for a GPU launch, ``(model,
+      loop name)`` for a CPU loop and ``(model,)`` for a copy.
     * ``event_ids`` — the schedule, in charge order: one
       ``event_table`` index per charge.
     * ``streams`` — the two-stream program of a Heterogeneous Compute
@@ -263,10 +257,9 @@ class ChargeLog:
       (an array usable at time 0) or ``"launch"``; ``event`` is the
       ``event_ids`` position of the charge the step made (``-1`` for
       ``"ready0"``); ``slots`` number the ready-table entries the step
-      writes (copies) or reads (launches).  Slots are keyed by
-      ``id(host)`` exactly as the runtime's ready table is.
+      writes (copies) or reads (launches), keyed by ``id(host)``.
 
-    A log belongs to one capture context: its platform (which decides
+    A log belongs to one context: its platform (which decides
     hand-tuned retargeting) is fixed for the log's lifetime.
     """
 
@@ -274,18 +267,18 @@ class ChargeLog:
         self.atoms: list[tuple] = []
         self.transfers: list[tuple[int, str]] = []
         self.event_table: list[tuple[int, float, int, bool]] = []
+        self.event_meta: list[tuple] = []
         self.event_ids: list[int] = []
         self._atom_index: dict[tuple, int] = {}
         self._xfer_index: dict[tuple[int, str], int] = {}
-        self._event_index: dict[tuple[int, float, int, bool], int] = {}
-        # Event caches over the value-keyed tables: ports re-launch the
-        # same (toolchain, spec) objects with the same arguments
-        # thousands of times, so each charge is one lookup and one
-        # append of an event id.  GPU and CPU values hold the keyed
-        # objects, so their ids cannot be recycled while the log lives.
+        # Event caches keyed by identity: ports re-launch the same
+        # (toolchain, spec) objects with the same arguments thousands of
+        # times, so each charge is one lookup and one append of an event
+        # id.  Values hold the keyed objects, so their ids cannot be
+        # recycled while the log lives.
         self._gpu_events: dict[tuple[int, int, int, int], tuple] = {}
         self._cpu_events: dict[tuple[int, int], tuple] = {}
-        self._xfer_events: dict[tuple[int, str, bool], int] = {}
+        self._xfer_events: dict[tuple[int, int, str, bool], tuple] = {}
         self.streams: list[tuple[str, int, tuple[int, ...]]] = []
         self._slots: dict[int, int] = {}
 
@@ -302,12 +295,10 @@ class ChargeLog:
             self.atoms.append(atom)
         return index
 
-    def _event_id(self, event: tuple[int, float, int, bool]) -> int:
-        index = self._event_index.get(event)
-        if index is None:
-            index = self._event_index[event] = len(self.event_table)
-            self.event_table.append(event)
-        return index
+    def _new_event(self, event: tuple[int, float, int, bool], meta: tuple) -> int:
+        self.event_table.append(event)
+        self.event_meta.append(meta)
+        return len(self.event_table) - 1
 
     def gpu_kernel(
         self,
@@ -321,11 +312,17 @@ class ChargeLog:
         hit = self._gpu_events.get(key)
         if hit is None:
             profile = toolchain.profile
+            # Hand-tuned toolchains (retarget_penalty > 0) are tuned for
+            # the discrete GPU; running the same kernels on the APU pays
+            # the performance-portability penalty.
             retargeted = profile.retarget_penalty > 0 and ctx.platform.is_apu
             lowered = profile.lower(spec, retargeted=retargeted)
             index = self._intern(("gpu", lowered.cache_key()), ("gpu", lowered))
-            overhead = toolchain.overheads.launch_cost(n_buffers, mapped_bytes)
-            event = self._event_id((index, overhead, -1, True))
+            overheads = toolchain.overheads
+            event = self._new_event(
+                (index, overheads.launch_cost(n_buffers, mapped_bytes), -1, True),
+                (toolchain.name, spec.name, n_buffers, mapped_bytes, overheads),
+            )
             hit = self._gpu_events[key] = (event, toolchain, spec)
         self.event_ids.append(hit[0])
         return 0.0
@@ -335,24 +332,28 @@ class ChargeLog:
         hit = self._cpu_events.get(key)
         if hit is None:
             atom = ("cpu", spec, toolchain.threads)
-            event = self._event_id(
-                (self._intern(atom, atom), toolchain.region_overhead_s, -1, True)
+            event = self._new_event(
+                (self._intern(atom, atom), toolchain.region_overhead_s, -1, True),
+                (toolchain.name, spec.name),
             )
             hit = self._cpu_events[key] = (event, toolchain, spec)
         self.event_ids.append(hit[0])
         return 0.0
 
-    def transfer(self, nbytes: int, direction: str, counted: bool) -> float:
-        key = (nbytes, direction, counted)
-        event = self._xfer_events.get(key)
-        if event is None:
+    def transfer(
+        self, toolchain: "Toolchain", nbytes: int, direction: str, counted: bool
+    ) -> float:
+        key = (id(toolchain), nbytes, direction, counted)
+        hit = self._xfer_events.get(key)
+        if hit is None:
             xfer = (int(nbytes), direction)
             index = self._xfer_index.get(xfer)
             if index is None:
                 index = self._xfer_index[xfer] = len(self.transfers)
                 self.transfers.append(xfer)
-            event = self._xfer_events[key] = self._event_id((-1, 0.0, index, counted))
-        self.event_ids.append(event)
+            event = self._new_event((-1, 0.0, index, counted), (toolchain.name,))
+            hit = self._xfer_events[key] = (event, toolchain)
+        self.event_ids.append(hit[0])
         return 0.0
 
     def stream_step(self, kind: str, arrays: tuple = ()) -> None:
@@ -368,8 +369,8 @@ class Toolchain:
     """A programming model bound to a platform: profile + runtime costs.
 
     Concrete models (OpenCL, C++ AMP, OpenACC, HC) supply the profile
-    and per-platform overheads; the shared methods here charge kernel
-    time and transfers to an :class:`ExecutionContext`.
+    and per-platform overheads; the shared methods here log kernel
+    launches and transfers to an :class:`ExecutionContext`'s charge log.
     """
 
     def __init__(self, profile: CompilerProfile, overheads: RuntimeOverheads) -> None:
@@ -380,9 +381,6 @@ class Toolchain:
     def name(self) -> str:
         return self.profile.name
 
-    def lower(self, spec: KernelSpec, retargeted: bool = False) -> LoweredKernel:
-        return self.profile.lower(spec, retargeted=retargeted)
-
     def charge_gpu_kernel(
         self,
         ctx: ExecutionContext,
@@ -390,78 +388,20 @@ class Toolchain:
         n_buffers: int,
         mapped_bytes: int = 0,
     ) -> float:
-        """Price one GPU kernel launch and record it; returns seconds."""
-        if ctx.charge_log is not None:
-            return ctx.charge_log.gpu_kernel(self, ctx, spec, n_buffers, mapped_bytes)
-        # Hand-tuned toolchains (retarget_penalty > 0) are tuned for the
-        # discrete GPU; running the same kernels on the APU pays the
-        # performance-portability penalty.
-        retargeted = self.profile.retarget_penalty > 0 and ctx.platform.is_apu
-        lowered = self.lower(spec, retargeted=retargeted)
-        timing = cached_time_gpu_kernel(lowered, ctx.platform.gpu, ctx.precision)
-        ctx.counters.record_kernel(timing)
-        ctx.counters.flops += spec.ops.flops
-        overhead = self.overheads.launch_cost(n_buffers, mapped_bytes)
-        ctx.counters.launch_overhead_seconds += overhead
-        rec = obs_spans.active()
-        if rec is not None:
-            plat = _platform_track(ctx)
-            track = f"{plat}/gpu"
-            rec.add(
-                track, spec.name, "kernel", timing.seconds,
-                limited_by=timing.limited_by,
-                instructions=timing.instructions,
-                dram_bytes=timing.dram_bytes,
-                occupancy_waves=timing.occupancy_waves,
-                model=self.name,
-            )
-            rec.add(
-                track, f"launch:{spec.name}", "launch", overhead,
-                n_buffers=n_buffers, mapped_bytes=mapped_bytes,
-                **self.overheads.cost_components(n_buffers, mapped_bytes),
-            )
-            app = rec.meta.get("app", "")
-            rec.metrics.histogram(
-                "repro_kernel_seconds",
-                help="Simulated per-launch kernel time.",
-                app=app, model=self.name, device=plat,
-            ).observe(timing.seconds)
-            rec.metrics.counter(
-                "repro_kernel_limited_by_total",
-                help="Kernel launches by dominant limiter.",
-                app=app, model=self.name, device=plat,
-                limited_by=timing.limited_by,
-            ).inc()
-        return timing.seconds + overhead
+        """Log one GPU kernel launch; returns 0.0 (priced from the log)."""
+        return ctx.charge_log.gpu_kernel(self, ctx, spec, n_buffers, mapped_bytes)
 
     def charge_transfer(
         self, ctx: ExecutionContext, nbytes: int, direction: str, counted: bool = True
     ) -> float:
-        """Price one host<->device copy; free on unified memory.
+        """Log one host<->device copy; returns 0.0 (priced from the log,
+        free on unified memory).
 
         ``counted=False`` flags call sites that discard the returned
-        seconds (the cost is recorded in the counters either way); only
-        schedule capture reads it.
+        seconds: the copy is priced into the counters but not into the
+        run's simulated clock.
         """
-        if ctx.charge_log is not None:
-            return ctx.charge_log.transfer(nbytes, direction, counted)
-        seconds = ctx.platform.interconnect.transfer(nbytes, direction)
-        joules = energy.transfer_joules(ctx.platform.interconnect.spec.active_w, seconds)
-        ctx.counters.record_transfer(nbytes, seconds, direction, joules=joules)
-        rec = obs_spans.active()
-        if rec is not None:
-            plat = _platform_track(ctx)
-            rec.add(
-                f"{plat}/interconnect", direction, "transfer", seconds,
-                bytes=nbytes, model=self.name,
-            )
-            rec.metrics.counter(
-                "repro_transfer_bytes_total",
-                help="Host<->device bytes moved.",
-                app=rec.meta.get("app", ""), model=self.name,
-                device=plat, direction=direction,
-            ).inc(nbytes)
-        return seconds
+        return ctx.charge_log.transfer(self, nbytes, direction, counted)
 
 
 class CPUToolchain:
@@ -473,33 +413,5 @@ class CPUToolchain:
         self.region_overhead_s = region_overhead_s
 
     def charge_loop(self, ctx: ExecutionContext, spec: KernelSpec) -> float:
-        """Price one parallel loop on the host; returns seconds."""
-        if ctx.charge_log is not None:
-            return ctx.charge_log.cpu_loop(self, spec)
-        timing = cached_time_cpu_kernel(spec, ctx.platform.host, ctx.precision, threads=self.threads)
-        ctx.counters.record_kernel(timing)
-        ctx.counters.flops += spec.ops.flops
-        ctx.counters.launch_overhead_seconds += self.region_overhead_s
-        rec = obs_spans.active()
-        if rec is not None:
-            plat = _platform_track(ctx)
-            track = f"{plat}/host"
-            rec.add(
-                track, spec.name, "kernel", timing.seconds,
-                limited_by=timing.limited_by, threads=self.threads, model=self.name,
-            )
-            if self.region_overhead_s:
-                rec.add(track, f"region:{spec.name}", "launch", self.region_overhead_s)
-            app = rec.meta.get("app", "")
-            rec.metrics.histogram(
-                "repro_kernel_seconds",
-                help="Simulated per-launch kernel time.",
-                app=app, model=self.name, device=plat,
-            ).observe(timing.seconds)
-            rec.metrics.counter(
-                "repro_kernel_limited_by_total",
-                help="Kernel launches by dominant limiter.",
-                app=app, model=self.name, device=plat,
-                limited_by=timing.limited_by,
-            ).inc()
-        return timing.seconds + self.region_overhead_s
+        """Log one parallel loop on the host; returns 0.0 (priced from the log)."""
+        return ctx.charge_log.cpu_loop(self, spec)

@@ -17,13 +17,14 @@ overlapping kernel execution with data-transfers, resulting in further
 speedup") are modeled with two timelines: a copy stream and a compute
 stream.  ``async_copy_to_device`` advances only the copy stream; a
 ``launch`` whose inputs are still in flight waits for them, otherwise
-it overlaps with outstanding copies.  ``finish()`` (and
-``simulated_seconds``) report the makespan of the two streams.
+it overlaps with outstanding copies.  The run's clock is the makespan
+of the two streams.
 
-In capture mode (a :class:`~repro.models.base.ChargeLog` on the
-context) every charge returns 0.0, so the runtime also records each
-stream step into the log; the columnar engine replays those steps over
-per-clock price columns to recover the makespan.
+Like every charge, the streams are priced after the run: the runtime
+records each stream step into the context's
+:class:`~repro.models.base.ChargeLog`, and the pricer
+(:func:`repro.engine.study_vec._makespan_rows`) replays those steps
+over the priced charges to recover the makespan.
 """
 
 from __future__ import annotations
@@ -62,23 +63,18 @@ class HCRuntime:
         self.unified = ctx.platform.is_apu
         self.toolchain = Toolchain(HC_PROFILE, HC_APU if self.unified else HC_DGPU)
         self._device: dict[int, np.ndarray] = {}
-        self._copy_time = 0.0
-        self._compute_time = 0.0
-        #: When each staged array's device copy becomes usable.
-        self._ready: dict[int, float] = {}
-        #: Capture mode: the log that records the stream steps.
+        #: The log that records the stream steps.
         self._log = ctx.charge_log
 
     @property
     def simulated_seconds(self) -> float:
-        """Makespan of the copy and compute streams."""
-        return max(self._copy_time, self._compute_time)
+        """0.0: the makespan is priced from the charge log after the run."""
+        return 0.0
 
     def finish(self) -> float:
-        """Drain both streams; returns the total simulated seconds."""
-        drained = self.simulated_seconds
-        self._copy_time = self._compute_time = drained
-        return drained
+        """Drain both streams; returns 0.0, like every charge (the
+        makespan is priced from the charge log after the run)."""
+        return 0.0
 
     # -- staging -------------------------------------------------------
 
@@ -99,12 +95,8 @@ class HCRuntime:
         if self.unified:
             return self._ready_at_zero(host, host)
         device = self._stage(host)
-        seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
-        if self._log is not None:
-            self._log.stream_step("sync", (host,))
-        done = max(self._copy_time, self._compute_time) + seconds
-        self._copy_time = self._compute_time = done
-        self._ready[id(host)] = done
+        self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
+        self._log.stream_step("sync", (host,))
         return device
 
     def async_copy_to_device(self, host: np.ndarray) -> np.ndarray:
@@ -116,11 +108,8 @@ class HCRuntime:
         if self.unified:
             return self._ready_at_zero(host, host)
         device = self._stage(host)
-        seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
-        if self._log is not None:
-            self._log.stream_step("async", (host,))
-        self._copy_time += seconds
-        self._ready[id(host)] = self._copy_time
+        self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
+        self._log.stream_step("async", (host,))
         return device
 
     def device_alloc(self, host: np.ndarray) -> np.ndarray:
@@ -139,9 +128,7 @@ class HCRuntime:
 
     def _ready_at_zero(self, host: np.ndarray, device: np.ndarray) -> np.ndarray:
         """Mark ``host``'s device copy usable from time 0; returns ``device``."""
-        self._ready[id(host)] = 0.0
-        if self._log is not None:
-            self._log.stream_step("ready0", (host,))
+        self._log.stream_step("ready0", (host,))
         return device
 
     def copy_to_host(self, host: np.ndarray) -> None:
@@ -153,11 +140,8 @@ class HCRuntime:
             raise RuntimeError("copy_to_host of an array never staged to the device")
         if self.ctx.execute_kernels and device is not host:
             np.copyto(host, device)
-        seconds = self.toolchain.charge_transfer(self.ctx, host.nbytes, "d2h")
-        if self._log is not None:
-            self._log.stream_step("sync")
-        done = max(self._copy_time, self._compute_time) + seconds
-        self._copy_time = self._compute_time = done
+        self.toolchain.charge_transfer(self.ctx, host.nbytes, "d2h")
+        self._log.stream_step("sync")
 
     def device_view(self, host: np.ndarray) -> np.ndarray:
         """The device-side array for a staged host array."""
@@ -189,10 +173,5 @@ class HCRuntime:
         if self.ctx.execute_kernels:
             device_arrays = [self.device_view(a) for a in arrays]
             func(*device_arrays, *scalars)
-        seconds = self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(arrays))
-        if self._log is not None:
-            self._log.stream_step("launch", tuple(arrays))
-        start = self._compute_time
-        for a in arrays:
-            start = max(start, self._ready.get(id(a), 0.0))
-        self._compute_time = start + seconds
+        self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(arrays))
+        self._log.stream_step("launch", tuple(arrays))

@@ -104,11 +104,10 @@ class Batcher:
     the loop keeps serving cache hits.
 
     ``engine`` picks how a flushed batch's cold specs are priced:
-    ``"vector"`` gathers the columnar-eligible ones
-    (:func:`repro.engine.study_vec.vector_eligible`) into one
-    whole-batch pricing call, with the scalar retry ladder as the
-    per-spec fallback; ``"scalar"`` runs every spec through the retry
-    ladder individually.  Results are bit-identical either way.
+    ``"vector"`` gathers them into one whole-batch pricing call, with
+    the scalar retry ladder as the per-spec fallback; ``"scalar"`` runs
+    every spec through the retry ladder individually.  Results are
+    bit-identical either way.
     """
 
     def __init__(
@@ -292,11 +291,11 @@ class Batcher:
     ) -> list[tuple[str, RunResult | None, Exception | None]]:
         """Backend thread: run each unique spec through cache + retry.
 
-        With the vector engine, the batch's columnar-eligible cold
-        specs are priced first as one whole-batch call; their results
-        enter the single-flight cache under the same keys, and any
-        spec the columnar path could not serve (ineligible, failed, or
-        invalid) falls through to the scalar retry ladder.
+        With the vector engine, the batch's cold specs are priced first
+        as one whole-batch call; their results enter the single-flight
+        cache under the same keys, and any spec the columnar path could
+        not serve (failed or invalid) falls through to the scalar retry
+        ladder.
         """
         tracer = tracing.TRACER
         if self.engine == "vector":
@@ -354,7 +353,7 @@ class Batcher:
     def _price_columnar(
         self, batch: list[_BatchItem]
     ) -> tuple[dict[str, RunResult], tuple[float, float] | None]:
-        """Columnar-price the batch's eligible cold specs in one call.
+        """Columnar-price the batch's cold specs in one call.
 
         Best-effort: any failure (capture, pricing, validation) simply
         leaves the affected specs to the scalar fallback — the batcher
@@ -365,13 +364,9 @@ class Batcher:
         served request's trace carries an ``engine`` segment covering
         the shared computation that produced its answer.
         """
-        from ..engine.study_vec import price_specs, vector_eligible
+        from ..engine.study_vec import price_specs
 
-        cold = [
-            (item.key, item.spec)
-            for item in batch
-            if vector_eligible(item.spec) and not self.cache.contains(item.key)
-        ]
+        cold = [(item.key, item.spec) for item in batch if not self.cache.contains(item.key)]
         if not cold:
             return {}, None
         window_start = time.perf_counter()

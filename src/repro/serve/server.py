@@ -99,7 +99,7 @@ class ServeConfig:
     #: How long a drain waits for in-flight requests before giving up.
     drain_timeout_s: float = 10.0
     #: Cold-batch pricing engine: ``"vector"`` prices each dispatched
-    #: batch's eligible specs as one columnar call, ``"scalar"`` runs
+    #: batch's cold specs as one columnar call, ``"scalar"`` runs
     #: them through the retry ladder one by one (bit-identical).
     engine: str = "vector"
     #: Record a distributed trace per prediction request.  Purely

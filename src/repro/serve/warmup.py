@@ -14,7 +14,7 @@ wants a tier that restarts *warm*.  Two mechanisms, composed:
   both precisions x the requested scale presets, no clock overrides)
   and price the ones the store does not hold yet, columnar through
   :func:`repro.engine.study_vec.price_specs` with the scalar retry
-  ladder for the few ineligible ports.  This is the first boot's
+  ladder for any spec that fails there.  This is the first boot's
   warm-up; afterwards the lattice lives on disk.
 
 N shard processes warming the same store split the pricing work
@@ -103,32 +103,31 @@ def load_store(cache: SingleFlightCache, store: ResultStore) -> int:
 
 
 def _price(specs: list[RunSpec]) -> dict[str, object]:
-    """Price a cold spec list: columnar where eligible, scalar else.
+    """Price a cold spec list (all projection specs): columnar, with the
+    scalar retry ladder for any spec the columnar call could not price.
 
     Best-effort — a spec whose pricing fails is simply left cold (the
     lazy serve path retries it with full error reporting).
     """
-    from ..engine.study_vec import price_specs, vector_eligible
+    from ..engine.study_vec import price_specs
 
     priced: dict[str, object] = {}
-    vector = [spec for spec in specs if vector_eligible(spec)]
-    scalar = [spec for spec in specs if not vector_eligible(spec)]
-    if vector:
-        try:
-            results = price_specs(vector)
-        except Exception:
-            scalar = list(specs)  # the columnar path failed outright: all via ladder
-        else:
-            for spec, result in zip(vector, results):
-                if result is None:
-                    scalar.append(spec)
-                    continue
-                try:
-                    validate_result(result)
-                except Exception:
-                    scalar.append(spec)
-                    continue
-                priced[spec.content_key()] = result
+    scalar: list[RunSpec] = []
+    try:
+        results = price_specs(specs)
+    except Exception:
+        scalar = list(specs)  # the columnar path failed outright: all via ladder
+    else:
+        for spec, result in zip(specs, results):
+            if result is None:
+                scalar.append(spec)
+                continue
+            try:
+                validate_result(result)
+            except Exception:
+                scalar.append(spec)
+                continue
+            priced[spec.content_key()] = result
     policy = RetryPolicy(max_attempts=2)
     for spec in scalar:
         payload = run_with_retry(spec, policy)

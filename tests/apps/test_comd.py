@@ -161,10 +161,11 @@ class TestPortAgreement:
 class TestPaperShape:
     @staticmethod
     def _project(model, platform, precision, config):
+        from repro.engine.study_vec import priced_run
         from repro.models.base import ExecutionContext
 
         ctx = ExecutionContext(platform=platform, precision=precision, execute_kernels=False)
-        return APP.ports[model](ctx, config)
+        return priced_run(APP.ports[model], ctx, config)
 
     def test_openacc_worst_everywhere(self):
         """Fig. 8c/9c: 'OpenACC demonstrated the worst performance on

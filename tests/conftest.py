@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.study_vec import priced_run
 from repro.hardware.device import make_platform
 from repro.hardware.specs import Precision
 from repro.models.base import ExecutionContext
@@ -80,4 +81,4 @@ def project(app, model, apu, precision, config):
     ctx = ExecutionContext(
         platform=make_platform(apu=apu), precision=precision, execute_kernels=False
     )
-    return app.ports[model](ctx, config)
+    return priced_run(app.ports[model], ctx, config)

@@ -3,9 +3,11 @@
 HC's run time is the makespan of a copy stream and a compute stream,
 not one left fold.  Capture records the runtime's stream steps into the
 charge log, and :func:`repro.engine.study_vec.price_cell` replays them
-once over per-clock columns.  These tests hold the replay to the scalar
-runtime bit for bit: on every app's clock grid, row by row against the
-whole group, and on randomized schedules that mix every stream step.
+once over per-clock columns; it is the runtime's only clock.  These
+tests hold it bit for bit to the scalar executor's one-row pricing on
+every app's clock grid, to each row replayed alone, and — on randomized
+schedules that mix every stream step — to the runtime's stream
+arithmetic restated over Python floats and one-kernel prices.
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.apps.minife.reference import MiniFEConfig
 from repro.core.configs import sweep_configs
 from repro.engine import memo, study_vec
 from repro.engine.study_vec import _makespan_rows, cached_program, execute_vector, price_cell
+from repro.engine.timing import time_gpu_kernel
 from repro.exec import executor
 from repro.exec.executor import execute
 from repro.exec.plan import APU, DGPU, RunSpec
@@ -89,7 +92,7 @@ def scalar_and_vector(runs, counts):
 @pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
 def test_hc_clock_grid_matches_scalar(app_name, precision, platform, counted_calls):
     """A whole HC clock grid is one pricing call and no scalar run, and
-    every cell equals the scalar runtime's, joules included."""
+    every cell equals the scalar executor's, joules included."""
     runs = clock_grid(app_name, platform, precision)
     scalar, vector = scalar_and_vector(runs, counted_calls)
     assert counted_calls == {"price_cell": 1, "execute_run": 0}
@@ -106,8 +109,8 @@ def test_group_replay_equals_rows_one_at_a_time(app_name):
     memo.clear_caches()
     program = cached_program(runs[0])
     assert program.streams is not None
-    together = price_cell(program, runs)
-    alone = [price_cell(program, [spec])[0] for spec in runs]
+    together = price_cell(program, [spec.make_platform() for spec in runs], Precision.SINGLE)
+    alone = [price_cell(program, [spec.make_platform()], Precision.SINGLE)[0] for spec in runs]
     memo.clear_caches()
     for spec, left, right in zip(runs, together, alone):
         assert result_fingerprint(left) == result_fingerprint(right), spec.label
@@ -134,6 +137,23 @@ def reference_makespan(streams, row):
         else:
             ready[slots[0]] = 0.0
     return max(copy, compute)
+
+
+def charge_returns(program, platform, precision):
+    """What each charge of ``program`` costs on ``platform``, priced one
+    kernel or copy at a time (0.0 for an uncounted copy)."""
+    returns = []
+    for atom, overhead, xfer, counted in zip(
+        program.ev_atom.tolist(), program.ev_overhead.tolist(),
+        program.ev_xfer.tolist(), program.ev_counted.tolist(),
+    ):
+        if atom >= 0:
+            kernel = time_gpu_kernel(program.atoms[atom][1], platform.gpu, precision)
+            returns.append(kernel.seconds + overhead)
+        else:
+            seconds = platform.interconnect.transfer(*program.transfers[xfer])
+            returns.append(seconds if counted else 0.0)
+    return returns
 
 
 def test_makespan_rows_is_each_rows_scalar_replay():
@@ -208,17 +228,21 @@ def random_port(seed):
 @pytest.mark.parametrize("platform", [APU, DGPU])
 @pytest.mark.parametrize("seed", range(8))
 def test_random_hc_schedule_prices_identically(seed, platform, monkeypatch, counted_calls):
-    """A random ``HCRuntime`` schedule prices the same run scalar and
-    captured-then-replayed, on every clock point."""
+    """A random ``HCRuntime`` schedule prices the same run one row at a
+    time and as a group, on every clock point, and each row's makespan
+    is the stream arithmetic over its one-kernel charge prices."""
     monkeypatch.setitem(APPS_BY_NAME["miniFE"].ports, HC, random_port(seed))
     runs = clock_grid("miniFE", platform, Precision.SINGLE)
     try:
         scalar, vector = scalar_and_vector(runs, counted_calls)
+        program = cached_program(runs[0])
     finally:
         memo.clear_caches()  # the plan cache holds the throwaway capture
     assert counted_calls == {"price_cell": 1, "execute_run": 0}
     for spec, left, right in zip(runs, scalar, vector):
         assert fingerprint(left) == fingerprint(right), spec.label
+        returns = charge_returns(program, spec.make_platform(), spec.precision)
+        assert right.result.seconds == reference_makespan(program.streams, returns)
     if platform == DGPU:
         # The async copies overlapped: the makespan undercuts the sum
         # of every charge, so the replay is not a left fold in disguise.

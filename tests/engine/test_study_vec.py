@@ -1,16 +1,17 @@
-"""Differential tests: the columnar study engine vs the scalar oracle.
+"""The columnar study engine against the scalar executor.
 
-The acceptance property of :mod:`repro.engine.study_vec` is *bit*
-identity: the lowered spec-lattice pricing must reproduce the scalar
-executor's results exactly — seconds, joules, every counter, the
-launch counts by limiter — with ``==``, no tolerance.  These tests run the full study
-matrix (every model, Heterogeneous Compute's two-stream makespan
-included, plus functional cells the columnar engine must delegate)
-through both engines from cold caches and compare everything
+Both engines price from the charge log: the scalar executor prices a
+projection cell as a one-row :func:`~repro.engine.study_vec.price_cell`
+of the same capture a columnar group prices whole.  The acceptance
+property is *bit* identity — seconds, joules, every counter, the
+launch counts by limiter — with ``==``, no tolerance.  These tests run
+the full study matrix (every model, Heterogeneous Compute's two-stream
+makespan included, plus functional cells the columnar engine must
+delegate) through both engines from cold caches and compare everything
 observable, then probe the seams: quarantine holes, clock-override
 sweeps, the batched pricers and their broadcast over clock points, the
-per-row folds, per-group failure isolation, capture memoization and
-the projection-stub cache.
+per-row folds, per-group failure isolation, capture memoization, the
+charge log and the projection-stub cache.
 """
 
 import random
@@ -23,7 +24,6 @@ from repro.core.configs import sweep_configs
 from repro.core.study import run_study
 from repro.engine import memo
 from repro.engine.study_vec import (
-    VECTOR_MODELS,
     _accumulate,
     _accumulate_rows,
     capture_program,
@@ -479,10 +479,10 @@ def test_charge_log_never_shares_events_across_toolchains():
 
 
 def test_charge_log_transfers_keep_counted_apart():
-    log, *_ = _charge_fixture()
+    log, _ctx, gpu, _cpu, _spec = _charge_fixture()
     for counted in (True, False, True, False):
-        log.transfer(4096, "h2d", counted)
-    log.transfer(4096, "d2h", True)
+        log.transfer(gpu, 4096, "h2d", counted)
+    log.transfer(gpu, 4096, "d2h", True)
     assert log.transfers == [(4096, "h2d"), (4096, "d2h")]
     assert log.events == [
         (-1, 0.0, 0, True), (-1, 0.0, 0, False), (-1, 0.0, 0, True),
@@ -520,10 +520,10 @@ class _CountingLog:
         self.reference.append((key, toolchain.region_overhead_s, None, True))
         return self.log.cpu_loop(toolchain, spec)
 
-    def transfer(self, nbytes, direction, counted):
+    def transfer(self, toolchain, nbytes, direction, counted):
         self.transfers += 1
         self.reference.append((None, 0.0, (int(nbytes), direction), counted))
-        return self.log.transfer(nbytes, direction, counted)
+        return self.log.transfer(toolchain, nbytes, direction, counted)
 
     def captured(self):
         """The log's event stream, with indices resolved to values."""
@@ -609,7 +609,7 @@ def _lift_by_value(log):
     }
 
 
-@pytest.mark.parametrize("model", sorted(VECTOR_MODELS))
+@pytest.mark.parametrize("model", sorted({m for app in ALL_APPS for m in app.ports}))
 @pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
 def test_capture_lift_equals_a_by_value_rebuild(app_name, model):
     """The id-stream gathers and the bincount byte totals reproduce the
@@ -722,6 +722,11 @@ def _xsbench_grid():
     )
 
 
+def _clocks(platform):
+    gpu = platform.gpu
+    return gpu.core_clock.current_mhz, gpu.memory_clock.current_mhz
+
+
 def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
     """A group whose broadcast call raises is re-priced row by row:
     every row that prices alone stays columnar, and only the row that
@@ -730,14 +735,18 @@ def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
 
     runs = _xsbench_grid()
     bad = runs[2]
+    bad_clocks = (bad.core_mhz, bad.memory_mhz)
     real_price, real_retry = study_vec.price_cell, study_vec.run_with_retry
     calls, ladder = [], []
 
-    def flaky(program, specs):
-        calls.append(len(specs))
-        if len(specs) > 1 or specs[0] == bad:
+    def flaky(program, platforms, precision):
+        calls.append(len(platforms))
+        # The ladder prices through this same call: the bad row fails
+        # on its columnar attempt only.
+        columnar = len(calls) <= 1 + len(runs)
+        if len(platforms) > 1 or (columnar and _clocks(platforms[0]) == bad_clocks):
             raise RuntimeError("injected pricing failure")
-        return real_price(program, specs)
+        return real_price(program, platforms, precision)
 
     def counted(spec, *args, **kwargs):
         ladder.append(spec)
@@ -747,7 +756,7 @@ def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
     monkeypatch.setattr(study_vec, "run_with_retry", counted)
     memo.clear_caches()
     vector_outcomes, stats = execute_vector(runs)
-    assert calls == [len(runs)] + [1] * len(runs)
+    assert calls == [len(runs)] + [1] * len(runs) + [1]
     assert ladder == [bad]
     assert not stats.failures
     memo.clear_caches()
@@ -765,12 +774,13 @@ def test_price_specs_isolates_a_failing_group(monkeypatch):
     other = RunSpec("read-benchmark", "OpenCL", DGPU, Precision.SINGLE,
                     sweep_configs()["read-benchmark"])
     bad = runs[4]
+    bad_clocks = (bad.core_mhz, bad.memory_mhz)
     real = study_vec.price_cell
 
-    def flaky(program, specs):
-        if bad in specs:
+    def flaky(program, platforms, precision):
+        if program.app == bad.app and bad_clocks in map(_clocks, platforms):
             raise RuntimeError("injected pricing failure")
-        return real(program, specs)
+        return real(program, platforms, precision)
 
     monkeypatch.setattr(study_vec, "price_cell", flaky)
     memo.clear_caches()
@@ -786,10 +796,11 @@ def test_price_specs_isolates_a_failing_group(monkeypatch):
 
 
 def test_per_row_cache_counts_sum_to_the_call_delta():
-    """Each scalar outcome counts the lookups made for its own row, so
-    the stats totals equal the cache delta over the whole call; a
-    columnar row makes no lookup of its own, and its call reports the
-    cache delta it caused directly."""
+    """Each scalar outcome counts the lookups made for its own row (its
+    capture's), so the stats totals equal the cache delta over the
+    whole call; a columnar row makes no lookup of its own, and its call
+    reports the cache delta it caused directly.  Neither engine prices
+    a kernel one at a time."""
     runs = [spec for spec in full_matrix() if vector_eligible(spec)]
     runs += _xsbench_grid()
     memo.clear_caches()
@@ -797,7 +808,8 @@ def test_per_row_cache_counts_sum_to_the_call_delta():
         before = memo.snapshot()
         outcomes, stats = execute(runs)
         delta = memo.since(before)
-        assert delta["kernel"].lookups > 0
+        assert delta["plan"].lookups == len(runs)
+        assert delta["kernel"].lookups == 0
         for name, counts in delta.items():
             rows = [outcome.caches.get(name, memo.MemoStats()) for outcome in outcomes]
             assert (sum(r.hits for r in rows), sum(r.misses for r in rows)) == (
@@ -847,9 +859,10 @@ def test_columnar_sweep_builds_no_timings_and_makes_no_kernel_lookups(monkeypatc
             counters.compute_launches + counters.memory_launches + counters.floor_launches
         )
         assert launches == counters.kernel_launches > 0, outcome.spec.label
-    # The guard can fail: one scalar run builds a timing per launch.
+    # The guard can fail: a one-kernel pricing call builds a timing.
     monkeypatch.undo()
     monkeypatch.setattr(KernelTiming, "__init__", counted_init)
-    execute([runs[0]], use_cache=False)
-    assert len(built) >= outcomes[0].result.counters.kernel_launches
+    (_gpu, lowered), *_ = capture_program(runs[0]).atoms
+    time_gpu_kernel(lowered, make_platform(apu=False).gpu, Precision.SINGLE)
+    assert len(built) == 1
     memo.clear_caches()

@@ -39,7 +39,8 @@ class TestExecuteRun:
         outcome = execute_run(run_spec())
         assert outcome.result.seconds > 0
         assert outcome.wall_seconds > 0
-        assert outcome.caches["kernel"].misses > 0  # cold cache priced something
+        assert outcome.caches["plan"].misses > 0  # cold cache captured the schedule
+        assert outcome.caches["kernel"].lookups == 0  # priced from the capture
 
     def test_applies_clock_overrides(self):
         # Big enough that the kernel is bandwidth-bound, not floor-bound.
@@ -70,15 +71,15 @@ class TestCacheToggling:
     def test_second_execution_hits_the_cache(self):
         execute([run_spec()])
         _, stats = execute([run_spec()])
-        assert stats.caches["kernel"].hits > 0
-        assert stats.caches["kernel"].misses == 0
+        assert stats.caches["plan"].hits > 0
+        assert stats.caches["plan"].misses == 0
 
     def test_no_cache_never_hits_and_restores_state(self):
-        previous = memo.KERNEL_CACHE.enabled
+        previous = memo.PLAN_CACHE.enabled
         _, stats = execute([run_spec(), run_spec(size=2048)], use_cache=False)
-        assert stats.caches["kernel"].hits == 0
-        assert stats.caches["kernel"].misses == 0  # disabled cache counts nothing
-        assert memo.KERNEL_CACHE.enabled == previous
+        assert stats.caches["plan"].hits == 0
+        assert stats.caches["plan"].misses == 0  # disabled cache counts nothing
+        assert memo.PLAN_CACHE.enabled == previous
 
     def test_cache_does_not_change_results(self):
         cached, _ = execute([run_spec()])
@@ -93,8 +94,8 @@ class TestStats:
         _, stats = execute([run_spec(), run_spec()])
         text = stats.summary()
         assert "1 deduplicated" in text
-        assert "kernel-pricing memo cache" in text
-        assert "setup memo cache" in text
+        assert "plan memo cache" in text
+        assert "stub memo cache" in text
         assert "hit rate" in text
         assert "wall time" in text
         assert "limited by" in text

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
+from repro.engine.study_vec import price_context
 from repro.hardware.device import make_apu_platform, make_dgpu_platform
 from repro.hardware.specs import Precision
 from repro.models import cppamp as amp
@@ -59,7 +60,7 @@ class TestArrayView:
         view = amp.array_view(rt, data)
         rt.parallel_for_each(amp.extent(4096), double_kernel, make_spec(), views=[view], writes=[view])
         assert (data == 2.0).all()
-        assert ctx.counters.transfer_seconds == 0.0
+        assert price_context(ctx).counters.transfer_seconds == 0.0
 
     def test_dgpu_charges_upload_and_writeback(self):
         ctx = make_ctx(apu=False)
@@ -67,8 +68,8 @@ class TestArrayView:
         data = np.ones(1 << 18, dtype=np.float32)
         view = amp.array_view(rt, data)
         rt.parallel_for_each(amp.extent(1 << 18), double_kernel, make_spec(1 << 18), views=[view], writes=[view])
-        assert ctx.counters.bytes_to_device == data.nbytes
-        assert ctx.counters.bytes_to_host == data.nbytes
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == data.nbytes
 
     def test_unwritten_views_upload_once(self):
         ctx = make_ctx(apu=False)
@@ -86,8 +87,8 @@ class TestArrayView:
         rt.parallel_for_each(amp.extent(1 << 18), copy, spec, views=[in_view, out_view], writes=[out_view])
         rt.parallel_for_each(amp.extent(1 << 18), copy, spec, views=[in_view, out_view], writes=[out_view])
         # Input uploaded once; output written back twice, never uploaded.
-        assert ctx.counters.bytes_to_device == data.nbytes
-        assert ctx.counters.bytes_to_host == 2 * out.nbytes
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == 2 * out.nbytes
 
     def test_discard_data_skips_upload(self):
         ctx = make_ctx(apu=False)
@@ -96,7 +97,7 @@ class TestArrayView:
         view = amp.array_view(rt, out)
         view.discard_data()
         rt.parallel_for_each(amp.extent(1 << 18), double_kernel, make_spec(1 << 18), views=[view], writes=[view])
-        assert ctx.counters.bytes_to_device == 0
+        assert price_context(ctx).counters.bytes_to_device == 0
 
 
 class TestTiling:
@@ -149,12 +150,12 @@ class TestCompilerBug:
         view = amp.array_view(rt, data)
         # Warm the device copy first.
         rt.parallel_for_each(amp.extent(1 << 16), double_kernel, make_spec(1 << 16), views=[view], writes=[view])
-        before = ctx.counters.bytes_to_device
+        before = price_context(ctx).counters.bytes_to_device
         rt.cpu_fallback_loop(double_kernel, make_spec(1 << 16), views=[view])
         assert (data == 4.0).all()
         # The fallback marks views stale: the next launch re-uploads.
         rt.parallel_for_each(amp.extent(1 << 16), double_kernel, make_spec(1 << 16), views=[view], writes=[view])
-        assert ctx.counters.bytes_to_device > before
+        assert price_context(ctx).counters.bytes_to_device > before
 
 
 class TestProjection:
@@ -169,6 +170,6 @@ class TestProjection:
             views=[view], writes=[view],
         )
         assert not calls
-        assert ctx.counters.kernel_launches == 1
-        assert ctx.counters.bytes_to_device == data.nbytes
-        assert ctx.counters.bytes_to_host == data.nbytes
+        assert price_context(ctx).counters.kernel_launches == 1
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == data.nbytes

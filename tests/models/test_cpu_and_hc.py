@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
+from repro.engine.study_vec import price_context
 from repro.hardware.device import make_apu_platform, make_dgpu_platform
 from repro.hardware.specs import Precision
 from repro.models.base import ExecutionContext
@@ -37,7 +38,7 @@ class TestOpenMP:
         data = np.ones(1 << 18, dtype=np.float32)
         omp.parallel_for(double_kernel, make_spec(), arrays=[data])
         assert (data == 2.0).all()
-        assert omp.simulated_seconds > 0
+        assert price_context(ctx).seconds > 0
 
     def test_more_threads_is_faster(self):
         results = {}
@@ -45,14 +46,14 @@ class TestOpenMP:
             ctx = make_ctx()
             omp = OpenMP(ctx, num_threads=threads)
             omp.parallel_for(double_kernel, make_spec(), arrays=[np.ones(1 << 18, dtype=np.float32)])
-            results[threads] = omp.simulated_seconds
+            results[threads] = price_context(ctx).seconds
         assert results[4] < results[1]
 
     def test_region_overhead_charged(self):
         ctx = make_ctx()
         omp = OpenMP(ctx, num_threads=4)
         omp.parallel_for(double_kernel, make_spec(), arrays=[np.ones(16, dtype=np.float32)])
-        assert ctx.counters.launch_overhead_seconds > 0
+        assert price_context(ctx).counters.launch_overhead_seconds > 0
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
@@ -72,7 +73,7 @@ class TestSerial:
         ctx2 = make_ctx()
         omp = OpenMP(ctx2, num_threads=4)
         omp.parallel_for(double_kernel, spec, arrays=[np.ones(1 << 18, dtype=np.float32)])
-        assert serial.simulated_seconds > 2 * omp.simulated_seconds
+        assert price_context(ctx1).seconds > 2 * price_context(ctx2).seconds
 
 
 class TestHC:
@@ -84,8 +85,8 @@ class TestHC:
         hc.launch(double_kernel, make_spec(), arrays=[data])
         hc.copy_to_host(data)
         assert (data == 2.0).all()
-        assert ctx.counters.bytes_to_device == data.nbytes
-        assert ctx.counters.bytes_to_host == data.nbytes
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == data.nbytes
 
     def test_launch_requires_residency(self):
         hc = HCRuntime(make_ctx(apu=False))
@@ -104,7 +105,7 @@ class TestHC:
         hc.copy_to_device(data)
         hc.launch(double_kernel, make_spec(1 << 16), arrays=[data])
         assert (data == 2.0).all()
-        assert ctx.counters.transfer_seconds == 0.0
+        assert price_context(ctx).counters.transfer_seconds == 0.0
 
     def test_hc_beats_cppamp_on_dgpu_transfers(self):
         """Sec. VII: HC's explicit transfers fix the emerging models'
@@ -127,4 +128,4 @@ class TestHC:
         view = amp.array_view(rt, data2)
         for _ in range(10):
             rt.parallel_for_each(amp.extent(1 << 18), double_kernel, spec, views=[view], writes=[view])
-        assert hc.simulated_seconds < rt.simulated_seconds
+        assert price_context(ctx_hc).seconds < price_context(ctx_amp).seconds

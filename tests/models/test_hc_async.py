@@ -3,12 +3,16 @@
 "HC ... allows the programmer to explicitly manage data-transfers
 including asynchronous kernel launches which help in overlapping
 kernel execution with data-transfers, resulting in further speedup."
+
+The runtime only logs its charges and stream steps; these tests read
+the makespan the pricer replays from the log (``price_context``).
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
+from repro.engine.study_vec import price_context
 from repro.hardware.device import make_apu_platform, make_dgpu_platform
 from repro.hardware.specs import Precision
 from repro.models.base import ExecutionContext
@@ -42,9 +46,9 @@ class TestTimelines:
         a = np.ones(1 << 20, dtype=np.float32)
         b = np.ones(1 << 20, dtype=np.float32)
         hc.copy_to_device(a)
-        after_one = hc.simulated_seconds
+        after_one = price_context(ctx).seconds
         hc.copy_to_device(b)
-        assert hc.simulated_seconds == pytest.approx(2 * after_one, rel=0.01)
+        assert price_context(ctx).seconds == pytest.approx(2 * after_one, rel=0.01)
 
     def test_async_copy_overlaps_compute(self):
         """Prefetch the next chunk while the current one computes: the
@@ -57,7 +61,7 @@ class TestTimelines:
         for chunk in chunks:
             sync.copy_to_device(chunk)
             sync.launch(noop, chunk_spec(n), arrays=[chunk])
-        sync_total = sync.finish()
+        sync_total = price_context(sync.ctx).seconds
 
         # Double-buffered: prefetch chunk i+1 during chunk i's kernel.
         overlap = HCRuntime(make_ctx())
@@ -66,31 +70,35 @@ class TestTimelines:
             if i + 1 < len(chunks):
                 overlap.async_copy_to_device(chunks[i + 1])
             overlap.launch(noop, chunk_spec(n), arrays=[chunk])
-        overlap_total = overlap.finish()
+        overlap_total = price_context(overlap.ctx).seconds
 
         assert overlap_total < 0.75 * sync_total
 
     def test_overlap_bounded_by_slower_stream(self):
         n = 1 << 20
         chunks = [np.ones(n, dtype=np.float32) for _ in range(8)]
-        hc = HCRuntime(make_ctx())
-        copy_seconds = 0.0
+        ctx = make_ctx()
+        hc = HCRuntime(ctx)
         for chunk in chunks:
             hc.async_copy_to_device(chunk)
-        copy_seconds = hc.simulated_seconds
+        copy_seconds = price_context(ctx).seconds
         for chunk in chunks:
             hc.launch(noop, chunk_spec(n), arrays=[chunk])
-        assert hc.simulated_seconds >= copy_seconds
+        assert price_context(ctx).seconds >= copy_seconds
 
     def test_launch_waits_for_its_input(self):
-        """A kernel cannot start before its own array lands."""
+        """A kernel cannot start before its own array lands: the
+        makespan is the copy plus the whole launch, not their overlap."""
         n = 1 << 22
-        hc = HCRuntime(make_ctx())
+        ctx = make_ctx()
+        hc = HCRuntime(ctx)
         data = np.ones(n, dtype=np.float32)
         hc.async_copy_to_device(data)
-        copy_done = hc._copy_time
+        copy_done = price_context(ctx).seconds
         hc.launch(noop, chunk_spec(n), arrays=[data])
-        assert hc._compute_time >= copy_done
+        priced = price_context(ctx)
+        launch = priced.kernel_seconds + priced.counters.launch_overhead_seconds
+        assert priced.seconds == copy_done + launch
 
     def test_launch_requires_residency(self):
         hc = HCRuntime(make_ctx())
@@ -98,22 +106,26 @@ class TestTimelines:
             hc.launch(noop, chunk_spec(64), arrays=[np.ones(64, dtype=np.float32)])
 
     def test_finish_joins_streams(self):
-        hc = HCRuntime(make_ctx())
+        """A copy no launch waits for still ends the run: the priced
+        makespan joins both streams."""
+        ctx = make_ctx()
+        hc = HCRuntime(ctx)
         data = np.ones(1 << 20, dtype=np.float32)
         hc.async_copy_to_device(data)
-        total = hc.finish()
-        assert hc._compute_time == total
-        assert hc._copy_time == total
+        priced = price_context(ctx)
+        assert priced.seconds == priced.counters.transfer_seconds > 0
+        assert hc.finish() == hc.simulated_seconds == 0.0  # priced from the log
 
 
 class TestAPU:
     def test_async_free_on_unified_memory(self):
-        hc = HCRuntime(make_ctx(apu=True))
+        ctx = make_ctx(apu=True)
+        hc = HCRuntime(ctx)
         data = np.ones(1 << 20, dtype=np.float32)
         hc.async_copy_to_device(data)
-        assert hc.simulated_seconds == 0.0
+        assert price_context(ctx).seconds == 0.0
         hc.launch(noop, chunk_spec(1 << 20), arrays=[data])
-        assert hc.simulated_seconds > 0
+        assert price_context(ctx).seconds > 0
 
     def test_functional_results_still_correct(self):
         ctx = make_ctx(apu=False)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
+from repro.engine.study_vec import price_context
 from repro.engine.timing import time_gpu_kernel
 from repro.hardware.device import platform_for
 from repro.hardware.specs import Precision
@@ -139,10 +140,10 @@ class TestRuntime:
             out_[:] = a_
 
         with omp.target_data(to=[a], from_=[out]):
-            before = ctx.counters.transfers
+            before = price_context(ctx).counters.transfers
             omp.target_teams_loop(copy, _spec(n), arrays=[a, out], writes=[out])
-            assert ctx.counters.transfers == before  # mapped: no per-launch copies
-        assert ctx.counters.transfers == 2  # region entry + exit
+            assert price_context(ctx).counters.transfers == before  # mapped: no per-launch copies
+        assert price_context(ctx).counters.transfers == 2  # region entry + exit
         assert out.sum() == n
 
     def test_unmapped_arrays_round_trip_per_launch(self):
@@ -155,7 +156,7 @@ class TestRuntime:
         out = np.zeros(n, dtype=np.float32)
         omp.target_teams_loop(lambda a_, o_: None, _spec(n), arrays=[a, out], writes=[out])
         # two h2d (both arrays in) + one d2h (only the written array back)
-        assert ctx.counters.transfers == 3
+        assert price_context(ctx).counters.transfers == 3
 
     def test_unified_memory_moves_nothing(self):
         ctx = _ctx("apu")
@@ -164,7 +165,7 @@ class TestRuntime:
         a = np.ones(n, dtype=np.float32)
         with omp.target_data(tofrom=[a]):
             omp.target_teams_loop(lambda a_: None, _spec(n), arrays=[a])
-        assert ctx.counters.transfers == 0
+        assert price_context(ctx).counters.transfers == 0
 
     def test_update_from_fetches_device_values(self):
         ctx = _ctx("v100")

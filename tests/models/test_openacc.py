@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
+from repro.engine.study_vec import price_context
 from repro.hardware.device import make_apu_platform, make_dgpu_platform
 from repro.hardware.specs import Precision
 from repro.models.base import ExecutionContext
@@ -38,8 +39,8 @@ class TestWithoutDataRegion:
         spec = make_spec(1 << 18)
         acc.kernels_loop(double_kernel, spec, arrays=[data], writes=[data])
         acc.kernels_loop(double_kernel, spec, arrays=[data], writes=[data])
-        assert ctx.counters.bytes_to_device == 2 * data.nbytes
-        assert ctx.counters.bytes_to_host == 2 * data.nbytes
+        assert price_context(ctx).counters.bytes_to_device == 2 * data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == 2 * data.nbytes
         assert (data == 4.0).all()
 
 
@@ -53,8 +54,8 @@ class TestDataRegion:
             acc.kernels_loop(double_kernel, spec, arrays=[data], writes=[data])
             acc.kernels_loop(double_kernel, spec, arrays=[data], writes=[data])
         # One copyin at entry, one copyout at exit — not per launch.
-        assert ctx.counters.bytes_to_device == data.nbytes
-        assert ctx.counters.bytes_to_host == data.nbytes
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.bytes_to_host == data.nbytes
         assert (data == 4.0).all()
 
     def test_copyin_not_written_back(self):
@@ -64,7 +65,7 @@ class TestDataRegion:
         with acc.data(copyin=[data]):
             acc.kernels_loop(double_kernel, make_spec(1 << 16), arrays=[data], writes=[data])
         assert (data == 1.0).all()  # device result discarded, as written
-        assert ctx.counters.bytes_to_host == 0
+        assert price_context(ctx).counters.bytes_to_host == 0
 
     def test_create_allocates_without_copy(self):
         ctx = make_ctx(apu=False)
@@ -72,7 +73,7 @@ class TestDataRegion:
         scratch = np.zeros(1 << 16, dtype=np.float32)
         with acc.data(create=[scratch]):
             assert acc.is_present(scratch)
-        assert ctx.counters.bytes_to_device == 0
+        assert price_context(ctx).counters.bytes_to_device == 0
 
     def test_update_host_fetches_region_array(self):
         ctx = make_ctx(apu=False)
@@ -105,7 +106,7 @@ class TestAPU:
         data = np.ones(1 << 16, dtype=np.float32)
         with acc.data(copy=[data]):
             acc.kernels_loop(double_kernel, make_spec(1 << 16), arrays=[data], writes=[data])
-        assert ctx.counters.transfer_seconds == 0.0
+        assert price_context(ctx).counters.transfer_seconds == 0.0
         assert (data == 2.0).all()
 
 
@@ -130,5 +131,5 @@ class TestProjection:
         with acc.data(copy=[data]):
             acc.kernels_loop(lambda a: calls.append(1), make_spec(1 << 16), arrays=[data], writes=[data])
         assert not calls
-        assert ctx.counters.kernel_launches == 1
-        assert ctx.counters.bytes_to_device == data.nbytes
+        assert price_context(ctx).counters.kernel_launches == 1
+        assert price_context(ctx).counters.bytes_to_device == data.nbytes

@@ -96,7 +96,7 @@ class TestNonPerturbation:
 
     def test_telemetry_survives_warm_memo_caches(self):
         """Second run hits the memo caches; spans must still appear
-        (pricing is memoized, charging is not)."""
+        (captures are memoized, the priced charges are replayed)."""
         apps = ALL_APPS[:1]
         configs = bench_configs()
         memo.clear_caches()
@@ -104,6 +104,6 @@ class TestNonPerturbation:
         warm = run_study(apps, configs=configs, telemetry=True)
         assert warm.telemetry is not None and warm.telemetry.spans
         hits = warm.telemetry.metrics.get(
-            "repro_memo_lookups_total", cache="kernel", result="hit"
+            "repro_memo_lookups_total", cache="plan", result="hit"
         )
         assert hits is not None and hits.value > 0

@@ -272,11 +272,15 @@ def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
     import repro.engine.study_vec as study_vec
 
     real = study_vec.price_cell
+    failed = []
 
-    def flaky(program, specs):
-        if program.model == "OpenACC":
+    def flaky(program, platforms, precision):
+        # The scalar ladder prices through this same call, so the
+        # injected failure is transient: the group's first call only.
+        if program.model == "OpenACC" and not failed:
+            failed.append(program.model)
             raise RuntimeError("injected group failure")
-        return real(program, specs)
+        return real(program, platforms, precision)
 
     monkeypatch.setattr(study_vec, "price_cell", flaky)
 

@@ -2,8 +2,12 @@
 
 This is the invariant the benchmark harness rests on: at any given
 problem size, skipping the numerics changes nothing about the
-simulated costs.
+simulated costs.  Both modes are priced from the charge log their run
+leaves, so equal logs price to bit-identical results: every model,
+both platforms and both precisions are compared with ``==``.
 """
+
+import dataclasses
 
 import pytest
 
@@ -24,7 +28,20 @@ SMALL = {
     "miniFE": MiniFEConfig(nx=6, ny=6, nz=6, cg_iterations=5),
 }
 
-MODELS = ("OpenMP", "OpenCL", "C++ AMP", "OpenACC")
+#: Every programming model with a port, the OpenMP baseline included.
+MODELS = (
+    "Serial", "OpenMP", "OpenCL", "C++ AMP", "OpenACC", "OpenMP Offload",
+    "Heterogeneous Compute",
+)
+
+
+def priced_fields(result):
+    """Everything a run is priced at: seconds, kernel seconds, joules
+    and every counter (the checksum is what projection skips)."""
+    return (
+        result.seconds, result.kernel_seconds, result.joules,
+        dataclasses.astuple(result.counters),
+    )
 
 
 @pytest.mark.parametrize("app_name", sorted(SMALL))
@@ -33,9 +50,8 @@ MODELS = ("OpenMP", "OpenCL", "C++ AMP", "OpenACC")
 def test_projection_equals_functional(app_name, model, apu):
     app = APPS_BY_NAME[app_name]
     config = SMALL[app_name]
-    functional = run_port(app, model, apu, Precision.SINGLE, config, projection=False)
-    projected = run_port(app, model, apu, Precision.SINGLE, config, projection=True)
-    assert projected.seconds == pytest.approx(functional.seconds, rel=1e-12)
-    assert projected.counters.kernel_launches == functional.counters.kernel_launches
-    assert projected.counters.bytes_to_device == functional.counters.bytes_to_device
-    assert projected.counters.bytes_to_host == functional.counters.bytes_to_host
+    for precision in Precision:
+        functional = run_port(app, model, apu, precision, config, projection=False)
+        projected = run_port(app, model, apu, precision, config, projection=True)
+        assert priced_fields(projected) == priced_fields(functional), precision
+        assert functional.counters.kernel_launches > 0
