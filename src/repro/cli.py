@@ -381,9 +381,9 @@ def cmd_profile(args: argparse.Namespace) -> None:
 def cmd_serve(args: argparse.Namespace) -> int | None:
     """Run the prediction service until SIGTERM/SIGINT, then drain."""
     import asyncio
-    import signal
 
     from .serve import ServeConfig, Server
+    from .serve.service import stop_on_signals
 
     store_path = args.store
     if args.shards > 1 and store_path is None:
@@ -401,7 +401,6 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
         deadline_s=args.deadline,
         retries=args.retries,
         run_timeout_s=args.run_timeout,
-        engine=args.engine,
         store_path=store_path,
         warm=args.warm,
         warm_scales=tuple(args.warm_scales.split(",")),
@@ -413,13 +412,7 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
 
     async def main() -> None:
         server = Server(config)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                signal.signal(sig, lambda *_: stop.set())
+        stop = stop_on_signals()
         await server.start()
         print(f"serving on {server.url} "
               f"(queue bound {config.max_queue}, deadline {config.deadline_s:g} s)")
@@ -444,8 +437,8 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
 def _serve_sharded(args: argparse.Namespace, config) -> int | None:
     """Run the sharded tier: N shard processes behind the hash router."""
     import asyncio
-    import signal
 
+    from .serve.service import stop_on_signals
     from .serve.shard import RouterConfig, ShardRouter, ShardSupervisor
 
     print(f"starting {args.shards} shards "
@@ -461,13 +454,7 @@ def _serve_sharded(args: argparse.Namespace, config) -> int | None:
     ))
 
     async def main() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                signal.signal(sig, lambda *_: stop.set())
+        stop = stop_on_signals()
         await router.start()
         print(f"routing on {router.url} over:")
         for url in supervisor.urls:
@@ -947,10 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--run-timeout", type=float, default=None, metavar="SEC",
                        help="per-engine-run watchdog (default: none; the "
                             "HTTP deadline still applies)")
-    serve.add_argument("--engine", choices=("vector", "scalar"), default="vector",
-                       help="cold-batch pricing engine: 'vector' prices each "
-                            "dispatched batch columnar; 'scalar' runs specs "
-                            "one by one (bit-identical)")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="run N server processes over a shared store "
                             "behind a content-hash router (default 1: a "

@@ -227,8 +227,9 @@ class ChargeLog:
 
     Every :class:`ExecutionContext` carries one as ``charge_log``, and
     every ``charge_*`` call is an append to it (each returns 0.0
-    simulated seconds, so the port's accumulators stay at zero): a run
-    becomes a flat stream of event ids over a deduplicated event table.
+    simulated seconds, and each runtime's clock reads a constant 0.0):
+    a run becomes a flat stream of event ids over a deduplicated event
+    table.
     The schedule is clock-independent — clocks change prices, never
     which kernels launch — so one log serves every clock override of
     the cell.

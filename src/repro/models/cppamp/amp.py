@@ -116,6 +116,9 @@ class array_view:
 class AmpRuntime:
     """The C++ AMP accelerator + runtime for one execution context."""
 
+    #: 0.0, like every charge: the run is priced from its charge log.
+    simulated_seconds = 0.0
+
     def __init__(self, ctx: ExecutionContext, workaround_known_bugs: bool = False) -> None:
         self.ctx = ctx
         self.unified = ctx.platform.is_apu
@@ -124,7 +127,6 @@ class AmpRuntime:
         )
         #: CLAMP v0.6.0 cannot compile these kernels for the dGPU.
         self.broken_kernels = frozenset() if (self.unified or workaround_known_bugs) else CLAMP_BROKEN_KERNELS_DGPU
-        self.simulated_seconds = 0.0
         self._cpu_fallback = CPUToolchain("C++ AMP (CPU fallback)", threads=4, region_overhead_s=OPENMP_REGION_S)
 
     @property
@@ -133,7 +135,7 @@ class AmpRuntime:
         return f"{self.ctx.platform.gpu.name} via CLAMP v0.6.0 ({stack})"
 
     def _charge_transfer(self, nbytes: int, direction: str) -> None:
-        self.simulated_seconds += self.toolchain.charge_transfer(self.ctx, nbytes, direction)
+        self.toolchain.charge_transfer(self.ctx, nbytes, direction)
 
     def compiles(self, kernel_name: str) -> bool:
         """Whether CLAMP can generate device code for this kernel."""
@@ -181,9 +183,7 @@ class AmpRuntime:
         if self.ctx.execute_kernels:
             arrays = [view.device_array() for view in views]
             func(*arrays, *scalars)
-        self.simulated_seconds += self.toolchain.charge_gpu_kernel(
-            self.ctx, spec, n_buffers=len(views)
-        )
+        self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(views))
         if not self.unified:
             # CLAMP eagerly writes results back to the host after every
             # launch instead of leaving them device-resident until the
@@ -206,6 +206,6 @@ class AmpRuntime:
             view.synchronize()
         if self.ctx.execute_kernels:
             func(*[view.host for view in views], *scalars)
-        self.simulated_seconds += self._cpu_fallback.charge_loop(self.ctx, spec)
+        self._cpu_fallback.charge_loop(self.ctx, spec)
         for view in views:
             view._device_fresh = False

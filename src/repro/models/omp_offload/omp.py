@@ -42,6 +42,9 @@ class OmpTargetError(RuntimeError):
 class OpenMPOffload:
     """The OpenMP target-offload runtime bound to one execution context."""
 
+    #: 0.0, like every charge: the run is priced from its charge log.
+    simulated_seconds = 0.0
+
     def __init__(self, ctx: ExecutionContext, compiler: str = DEFAULT_OMP_COMPILER) -> None:
         try:
             profile = OMP_OFFLOAD_PROFILES[compiler]
@@ -56,13 +59,12 @@ class OpenMPOffload:
         self.toolchain = Toolchain(
             profile, OMP_OFFLOAD_APU if self.unified else OMP_OFFLOAD_DGPU
         )
-        self.simulated_seconds = 0.0
         # The device data environment: shadows keyed by id(host_array).
         self._mapped: dict[int, np.ndarray] = {}
         self._region_depth = 0
 
     def _charge_transfer(self, nbytes: int, direction: str) -> None:
-        self.simulated_seconds += self.toolchain.charge_transfer(self.ctx, nbytes, direction)
+        self.toolchain.charge_transfer(self.ctx, nbytes, direction)
 
     def _map_to(self, host: np.ndarray) -> np.ndarray:
         """Map ``host`` into the device data environment, copying in."""
@@ -188,9 +190,7 @@ class OpenMPOffload:
 
         if self.ctx.execute_kernels:
             func(*device_arrays, *scalars)
-        self.simulated_seconds += self.toolchain.charge_gpu_kernel(
-            self.ctx, spec, n_buffers=len(arrays)
-        )
+        self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(arrays))
 
         if not self.unified:
             written = {id(w) for w in writes}

@@ -35,19 +35,21 @@ class AccError(RuntimeError):
 class OpenACC:
     """The OpenACC runtime bound to one execution context."""
 
+    #: 0.0, like every charge: the run is priced from its charge log.
+    simulated_seconds = 0.0
+
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
         self.unified = ctx.platform.is_apu
         self.toolchain = Toolchain(
             OPENACC_PROFILE, OPENACC_APU if self.unified else OPENACC_DGPU
         )
-        self.simulated_seconds = 0.0
         # Device shadows of host arrays, keyed by id(host_array).
         self._present: dict[int, np.ndarray] = {}
         self._region_depth = 0
 
     def _charge_transfer(self, nbytes: int, direction: str) -> None:
-        self.simulated_seconds += self.toolchain.charge_transfer(self.ctx, nbytes, direction)
+        self.toolchain.charge_transfer(self.ctx, nbytes, direction)
 
     def _upload(self, host: np.ndarray) -> np.ndarray:
         """Make ``host`` present on the device (copying when discrete)."""
@@ -169,9 +171,7 @@ class OpenACC:
 
         if self.ctx.execute_kernels:
             func(*device_arrays, *scalars)
-        self.simulated_seconds += self.toolchain.charge_gpu_kernel(
-            self.ctx, spec, n_buffers=len(arrays)
-        )
+        self.toolchain.charge_gpu_kernel(self.ctx, spec, n_buffers=len(arrays))
 
         # Only arrays outside every data region (never on unified
         # memory) have a transient copy to return.  Writes to

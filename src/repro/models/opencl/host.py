@@ -187,13 +187,15 @@ class Program:
 class CommandQueue:
     """``cl_command_queue``: in-order execution with simulated timing."""
 
+    #: 0.0, like every charge: the run is priced from its charge log.
+    simulated_seconds = 0.0
+
     def __init__(self, context: Context, device: CLDevice) -> None:
         context._check()
         if not device.is_gpu:
             raise CLError("this study enqueues kernels on the GPU device only")
         self.context = context
         self.device = device
-        self.simulated_seconds = 0.0
         # Fixed for the queue's lifetime: copies are free on unified
         # memory, and cl_mem arguments pay the mapping toll there.
         self._unified = context.execution.platform.is_apu
@@ -208,9 +210,7 @@ class CommandQueue:
         elif buffer._device_array is not hostbuf:
             np.copyto(buffer._device_array, hostbuf)
         if not self._unified:
-            self.simulated_seconds += self.context.toolchain.charge_transfer(
-                execution, hostbuf.nbytes, "h2d"
-            )
+            self.context.toolchain.charge_transfer(execution, hostbuf.nbytes, "h2d")
 
     def enqueue_read_buffer(self, buffer: Buffer, hostbuf: np.ndarray) -> None:
         """Explicit device->host copy (free on the APU)."""
@@ -218,9 +218,7 @@ class CommandQueue:
         if execution.execute_kernels and buffer._device_array is not hostbuf:
             np.copyto(hostbuf, buffer.device_array)
         if not self._unified:
-            self.simulated_seconds += self.context.toolchain.charge_transfer(
-                execution, hostbuf.nbytes, "d2h"
-            )
+            self.context.toolchain.charge_transfer(execution, hostbuf.nbytes, "d2h")
 
     def enqueue_nd_range_kernel(
         self,
@@ -239,10 +237,11 @@ class CommandQueue:
         mapped = sum(b.size for b in buffers) if self._unified else 0
         if execution.execute_kernels:
             kernel.func(*kernel._resolved_args())
-        self.simulated_seconds += self.context.toolchain.charge_gpu_kernel(
+        self.context.toolchain.charge_gpu_kernel(
             execution, kernel.spec, n_buffers=len(buffers), mapped_bytes=mapped
         )
 
     def finish(self) -> float:
-        """``clFinish``: drain the queue; returns simulated seconds."""
-        return self.simulated_seconds
+        """``clFinish``: drain the queue; returns 0.0, like every charge
+        (the run is priced from its charge log afterwards)."""
+        return 0.0

@@ -19,6 +19,9 @@ from .base import CPUToolchain, ExecutionContext
 class OpenMP:
     """``#pragma omp parallel for`` over host arrays."""
 
+    #: 0.0, like every charge: the run is priced from its charge log.
+    simulated_seconds = 0.0
+
     def __init__(self, ctx: ExecutionContext, num_threads: int = 4) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
@@ -27,7 +30,6 @@ class OpenMP:
         self.toolchain = CPUToolchain(
             "OpenMP", threads=self.num_threads, region_overhead_s=OPENMP_REGION_S
         )
-        self.simulated_seconds = 0.0
 
     def parallel_for(
         self,
@@ -39,4 +41,4 @@ class OpenMP:
         """Run one annotated loop nest across the team of threads."""
         if self.ctx.execute_kernels:
             func(*arrays, *scalars)
-        self.simulated_seconds += self.toolchain.charge_loop(self.ctx, spec)
+        self.toolchain.charge_loop(self.ctx, spec)

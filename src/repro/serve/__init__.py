@@ -15,6 +15,9 @@ serving-stack shape the ROADMAP's north star asks for:
 * :mod:`repro.serve.http` — the one HTTP/1.1 framing module: request
   parser and response encoder, request encoder and response reader,
   the router's pooled keep-alive client, and one-shot JSON helpers.
+* :mod:`repro.serve.service` — the HTTP service skeleton the server
+  and the router share: listener, keep-alive connection loop,
+  admission counter, graceful drain and the background-thread runner.
 * :mod:`repro.serve.server` — stdlib asyncio HTTP/1.1 server with
   bounded admission (429 + ``Retry-After``), per-request deadlines,
   graceful drain, Prometheus instrumentation with trace exemplars,

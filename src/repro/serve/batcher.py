@@ -103,11 +103,9 @@ class Batcher:
     backend thread, so the simulator itself stays single-threaded while
     the loop keeps serving cache hits.
 
-    ``engine`` picks how a flushed batch's cold specs are priced:
-    ``"vector"`` gathers them into one whole-batch pricing call, with
-    the scalar retry ladder as the per-spec fallback; ``"scalar"`` runs
-    every spec through the retry ladder individually.  Results are
-    bit-identical either way.
+    A flushed batch's cold specs are priced in one columnar call
+    (:func:`~repro.engine.study_vec.price_specs`); a spec that call
+    cannot serve falls back to the scalar retry ladder on its own.
     """
 
     def __init__(
@@ -116,7 +114,6 @@ class Batcher:
         policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         cache: memo.SingleFlightCache | None = None,
-        engine: str = "vector",
     ) -> None:
         self.max_batch = max_batch
         self.policy = policy if policy is not None else RetryPolicy(max_attempts=2)
@@ -131,9 +128,9 @@ class Batcher:
             help="Coalesced specs per dispatched engine batch.",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         )
-        self.engine = engine
-        if engine == "vector":  # loaded now, not in the first cold batch
-            from ..engine import study_vec  # noqa: F401
+        # Loaded now, not in the first cold batch.
+        from ..engine import study_vec  # noqa: F401
+
         self._waiters: dict[str, asyncio.Future] = {}
         self._pending: list[_BatchItem] = []
         #: Batches dispatched and not yet answered (micro and bulk).
@@ -291,17 +288,13 @@ class Batcher:
     ) -> list[tuple[str, RunResult | None, Exception | None]]:
         """Backend thread: run each unique spec through cache + retry.
 
-        With the vector engine, the batch's cold specs are priced first
-        as one whole-batch call; their results enter the single-flight
-        cache under the same keys, and any spec the columnar path could
-        not serve (failed or invalid) falls through to the scalar retry
-        ladder.
+        The batch's cold specs are priced first as one whole-batch call;
+        their results enter the single-flight cache under the same keys,
+        and any spec the columnar path could not serve (failed or
+        invalid) falls through to the scalar retry ladder.
         """
         tracer = tracing.TRACER
-        if self.engine == "vector":
-            precomputed, columnar_window = self._price_columnar(batch)
-        else:
-            precomputed, columnar_window = {}, None
+        precomputed, columnar_window = self._price_columnar(batch)
         rows: list[tuple[str, RunResult | None, Exception | None]] = []
         for item in batch:
             key, spec, ctx = item.key, item.spec, item.ctx

@@ -4,8 +4,8 @@ A deliberately small HTTP/1.1 over ``asyncio`` streams (stdlib only):
 request line + headers + ``Content-Length`` body, keep-alive by
 default.  Every process in the tier frames its traffic here:
 
-* servers (:mod:`repro.serve.server`, the router in
-  :mod:`repro.serve.shard`) parse with :func:`read_request` and answer
+* the service skeleton (:mod:`repro.serve.service`) that the server
+  and the router run on parses with :func:`read_request` and answers
   with :func:`encode_response`;
 * the router calls its shards through one pooled :class:`HttpClient`
   per shard URL;

@@ -1,8 +1,8 @@
-"""The asyncio HTTP server: admission control, deadlines, drain.
+"""The prediction server: admission control, deadlines, drain.
 
-HTTP/1.1 is framed by :mod:`repro.serve.http` (stdlib only, no
-framework: ``Content-Length``-framed JSON in and out, keep-alive
-connections).  Three concerns live here, layered over the
+The listener, connection loop, admission counter and drain are the
+shared skeleton of :mod:`repro.serve.service`; HTTP/1.1 is framed by
+:mod:`repro.serve.http`.  Three concerns live here, layered over the
 :class:`~repro.serve.batcher.Batcher`:
 
 * **Admission control** — at most ``max_queue`` prediction requests
@@ -34,12 +34,11 @@ bit-identical with it on or off (``ServeConfig.tracing``).
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
+from typing import Awaitable
 
 from .. import __version__
 from ..core.metrics import speedup
@@ -53,14 +52,9 @@ from ..obs.export import chrome_trace
 from ..obs.metrics import MetricsRegistry
 from . import faults as serve_faults
 from . import protocol, warmup
-from .batcher import BackendRunError, Batcher
-from .http import (
-    MAX_HEADER_BYTES,
-    BadRequest,
-    HttpRequest,
-    encode_response,
-    read_request,
-)
+from .batcher import Batcher
+from .http import HttpRequest
+from .service import PREDICTION_ROUTES, Answer, Handler, HttpService, ServiceThread
 from .store import PersistentResultCache, ResultStore
 
 #: Latency buckets for serving (seconds): log-1/2-decade from a 100 µs
@@ -98,10 +92,6 @@ class ServeConfig:
     run_timeout_s: float | None = None
     #: How long a drain waits for in-flight requests before giving up.
     drain_timeout_s: float = 10.0
-    #: Cold-batch pricing engine: ``"vector"`` prices each dispatched
-    #: batch's cold specs as one columnar call, ``"scalar"`` runs
-    #: them through the retry ladder one by one (bit-identical).
-    engine: str = "vector"
     #: Record a distributed trace per prediction request.  Purely
     #: observational — responses are bit-identical either way.
     tracing: bool = True
@@ -127,11 +117,16 @@ class ServeConfig:
         return RetryPolicy(max_attempts=self.retries, run_timeout=self.run_timeout_s)
 
 
-class Server:
+class Server(HttpService):
     """The prediction service: routes, admission, deadlines, drain."""
+
+    role = "server"
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config if config is not None else ServeConfig()
+        super().__init__(
+            self.config.host, self.config.port, self.config.drain_timeout_s
+        )
         self.metrics = MetricsRegistry()
         if self.config.warm not in warmup.WARM_MODES:
             raise ValueError(
@@ -148,17 +143,8 @@ class Server:
             policy=self.config.policy(),
             metrics=self.metrics,
             cache=cache,
-            engine=self.config.engine,
         )
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
-        self._active = 0
         self._shed = 0
-        self._draining = False
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self.started_at: float | None = None
         self.tracer = tracing.TRACER
         self.log = obs_logging.get_logger("serve")
         #: Seeded serve-layer chaos (inert unless armed via the
@@ -171,30 +157,14 @@ class Server:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
     async def start(self) -> None:
         # Warm up BEFORE binding: /readyz cannot answer 200 until the
         # cache state the tier promises ("restarts serve warm") exists.
         self._warm_up()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=MAX_HEADER_BYTES,
-        )
-        self.started_at = time.time()
+        await super().start()
         self.log.info(
             "server-started",
             url=self.url,
-            engine=self.config.engine,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             tracing=self.config.tracing,
@@ -225,140 +195,83 @@ class Server:
             self.batcher.cache, self.store, scales=self.config.warm_scales,
         )
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, close."""
-        self._draining = True
         self.log.info("server-draining", in_flight=self._active)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
-            )
-        except asyncio.TimeoutError:
-            pass
-        await self.batcher.drain()
-        # Idle keep-alive connections never see another request: close
-        # them and wait for their handlers, so nothing dies cancelled
-        # when the loop shuts down.
-        for writer in list(self._connections):
-            writer.close()
-        if self._handlers:
-            await asyncio.wait(set(self._handlers), timeout=1.0)
+        await super().shutdown()
         self.log.info("server-stopped", shed=self._shed)
 
-    # -- connection handling -------------------------------------------
+    async def _drained(self) -> None:
+        await self.batcher.drain()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    # -- per-request hooks ---------------------------------------------
+
+    def _intercept(
+        self, request: HttpRequest, writer: asyncio.StreamWriter
+    ) -> Awaitable[bool] | None:
+        if self._hung:
+            # An injected hang wedges the whole process — /healthz
+            # included — exactly like a stuck event loop would; only
+            # the supervisor's probe timeout can see it.
+            return self._hang()
+        if request.path.split("?", 1)[0] in PREDICTION_ROUTES:
+            fault = self.chaos.next_fault()
+            if fault is not None:
+                return self._inject_fault(fault, writer)
+        return None
+
+    def _open_trace(self, request: HttpRequest) -> tracing.TraceSpan | None:
+        if not self.config.tracing or (
+            request.path.split("?", 1)[0] not in PREDICTION_ROUTES
+        ):
+            return None
+        return self.tracer.start_span(
+            "request",
+            kind="server",
+            parent=tracing.parse_traceparent(request.headers.get("traceparent")),
+        )
+
+    def _observe(
+        self, route: str, status: int, started: float, written: float,
+        trace: tracing.TraceSpan | None,
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as exc:
-                    started = time.perf_counter()
-                    writer.write(encode_response(
-                        400, protocol.error_response(400, str(exc)), keep_alive=False
-                    ))
-                    await writer.drain()
-                    self._count_request("other", 400)
-                    self._observe_latency(
-                        "other", 400, time.perf_counter() - started, None
-                    )
-                    break
-                if request is None:
-                    break
-                if self._hung:
-                    # An injected hang wedges the whole process —
-                    # /healthz included — exactly like a stuck event
-                    # loop would; only the supervisor's probe timeout
-                    # can see it.
-                    await asyncio.sleep(HANG_SECONDS)
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                started = time.perf_counter()
-                path = request.path.split("?", 1)[0]
-                if path in ("/v1/predict", "/v1/study", "/v1/batch"):
-                    fault = self.chaos.next_fault()
-                    if fault is not None and not await self._inject_fault(
-                        fault, writer
-                    ):
-                        break
-                root: tracing.TraceSpan | None = None
-                if self.config.tracing and path in (
-                    "/v1/predict", "/v1/study", "/v1/batch"
-                ):
-                    root = self.tracer.start_span(
-                        "request",
-                        kind="server",
-                        parent=tracing.parse_traceparent(
-                            request.headers.get("traceparent")
-                        ),
-                    )
-                token = None
-                try:
-                    if root is not None:
-                        handle = self.tracer.start_span(
-                            "handle", kind="segment", parent=root.context
-                        )
-                        # Ambient context is the handle span, so wait and
-                        # engine segments recorded deeper in the stack nest
-                        # under it rather than widening the root's tiling.
-                        token = tracing.push(handle.context)
-                    route, status, payload, extra = await self._dispatch(request)
-                    if root is not None:
-                        self.tracer.finish_span(handle)
-                    serialize_start = time.perf_counter()
-                    writer.write(encode_response(status, payload, keep_alive, extra))
-                    await writer.drain()
-                    if root is not None:
-                        self.tracer.record(
-                            "serialize", serialize_start, time.perf_counter(),
-                            parent=root.context,
-                        )
-                finally:
-                    if token is not None:
-                        tracing.reset(token)
-                if root is not None:
-                    root.attrs["route"] = route
-                    root.attrs["status"] = status
-                    self.tracer.finish_span(
-                        root, "ok" if status < 500 else "error"
-                    )
-                    latency = root.duration_s
-                else:
-                    latency = time.perf_counter() - started
-                self._count_request(route, status)
-                self._observe_latency(
-                    route, status, latency, root.trace_id if root is not None else None
-                )
-                if root is not None:
-                    self._finish_trace(root, route, status)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        """Count the request and take one latency sample — every
+        response, sheds and deadline misses included, with the trace id
+        attached as an exemplar."""
+        if trace is None:
+            latency = time.perf_counter() - started
+        else:
+            self.tracer.record(
+                "serialize", written, time.perf_counter(), parent=trace.context
+            )
+            trace.attrs["route"] = route
+            trace.attrs["status"] = status
+            self.tracer.finish_span(trace, "ok" if status < 500 else "error")
+            latency = trace.duration_s
+        self.metrics.counter(
+            "repro_serve_requests_total",
+            help="Requests served, by route and status.",
+            route=route,
+            status=str(status),
+        ).inc()
+        self.metrics.histogram(
+            "repro_serve_latency_seconds",
+            help="Request latency by route and status.",
+            buckets=SERVE_LATENCY_BUCKETS,
+            route=route,
+            status=str(status),
+        ).observe(
+            latency,
+            exemplar={"trace_id": trace.trace_id} if trace is not None else None,
+        )
+        if trace is not None:
+            self._finish_trace(trace, route, status)
 
     # -- chaos injection -----------------------------------------------
+
+    async def _hang(self) -> bool:
+        await asyncio.sleep(HANG_SECONDS)
+        return False
 
     async def _inject_fault(
         self, kind: str, writer: asyncio.StreamWriter
@@ -420,9 +333,7 @@ class Server:
             "store-entry-corrupted", key=key[:16], shard=self.config.shard_id,
         )
 
-    def _admin_chaos(
-        self, request: HttpRequest
-    ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
+    async def _admin_chaos(self, doc: object) -> tuple[int, dict]:
         """Arm or disarm the chaos plan at runtime.
 
         Body ``{"plan": "crash:0.01,...", "seed": 42}`` arms a fresh
@@ -430,31 +341,25 @@ class Server:
         empty body) disarms.  The chaos drill uses this to stand the
         storm down on surviving shards once its fault phase ends.
         """
-        try:
-            doc = json.loads(request.body.decode() or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return "admin", 400, protocol.error_response(
-                400, f"request body is not valid JSON: {exc}"
-            ), ()
         if doc is None:
             doc = {}
         if not isinstance(doc, dict):
-            return "admin", 400, protocol.error_response(
-                400, "body must be {\"plan\": <spec or null>[, \"seed\": n]}"
-            ), ()
+            raise protocol.ProtocolError(
+                "body must be {\"plan\": <spec or null>[, \"seed\": n]}"
+            )
         spec = doc.get("plan")
         plan = None
         if spec:
             if not isinstance(spec, str):
-                return "admin", 400, protocol.error_response(
-                    400, "field 'plan' must be a fault spec string or null"
-                ), ()
+                raise protocol.ProtocolError(
+                    "field 'plan' must be a fault spec string or null"
+                )
             try:
                 plan = serve_faults.parse_serve_fault_plan(
                     spec, seed=int(doc.get("seed", 0))
                 )
             except (ValueError, TypeError) as exc:
-                return "admin", 400, protocol.error_response(400, str(exc)), ()
+                raise protocol.ProtocolError(str(exc)) from None
         previous = self.chaos.to_json()
         self.chaos = serve_faults.ServeChaos(plan, self.config.shard_id)
         self.log.info(
@@ -463,35 +368,11 @@ class Server:
             armed=self.chaos.armed,
             shard=self.config.shard_id,
         )
-        return "admin", 200, {
+        return 200, {
             "version": protocol.PROTOCOL_VERSION,
             "previous": previous,
             **self.chaos.to_json(),
-        }, ()
-
-    def _count_request(self, route: str, status: int) -> None:
-        self.metrics.counter(
-            "repro_serve_requests_total",
-            help="Requests served, by route and status.",
-            route=route,
-            status=str(status),
-        ).inc()
-
-    def _observe_latency(
-        self, route: str, status: int, latency_s: float, trace_id: str | None
-    ) -> None:
-        """One latency sample — every response, sheds and deadline
-        misses included, with the trace id attached as an exemplar."""
-        self.metrics.histogram(
-            "repro_serve_latency_seconds",
-            help="Request latency by route and status.",
-            buckets=SERVE_LATENCY_BUCKETS,
-            route=route,
-            status=str(status),
-        ).observe(
-            latency_s,
-            exemplar={"trace_id": trace_id} if trace_id is not None else None,
-        )
+        }
 
     def _finish_trace(self, root: tracing.TraceSpan, route: str, status: int) -> None:
         """Seal the request's trace, feed the segment histograms, and
@@ -528,10 +409,24 @@ class Server:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
-        """Return ``(route, status, payload, extra headers)``."""
+        self, request: HttpRequest, trace: tracing.TraceSpan | None
+    ) -> Answer:
         path = request.path.split("?", 1)[0]
+        if path in PREDICTION_ROUTES:
+            if trace is None:
+                return await self._prediction(path, request)
+            handle = self.tracer.start_span(
+                "handle", kind="segment", parent=trace.context
+            )
+            # Ambient context is the handle span, so wait and engine
+            # segments recorded deeper in the stack nest under it rather
+            # than widening the root's tiling.
+            token = tracing.push(handle.context)
+            try:
+                return await self._prediction(path, request)
+            finally:
+                tracing.reset(token)
+                self.tracer.finish_span(handle)
         if path == "/healthz":
             return "healthz", 200, {"status": "ok"}, ()
         if path == "/readyz":
@@ -559,28 +454,19 @@ class Server:
                 return "admin", 405, protocol.error_response(
                     405, "/v1/admin/chaos accepts GET and POST"
                 ), ()
-            return self._admin_chaos(request)
-        if path in ("/v1/predict", "/v1/study", "/v1/batch"):
-            route = path.rsplit("/", 1)[1]
-            if request.method != "POST":
-                return route, 405, protocol.error_response(
-                    405, f"{path} only accepts POST"
-                ), ()
-            return await self._admitted(route, request)
+            return await self._answer("admin", request, self._admin_chaos)
         return "other", 404, protocol.error_response(
             404, f"no route {path!r}; try /v1/predict, /v1/study, /v1/batch, "
             "/v1/debug/traces, /v1/debug/logs, /healthz, /readyz or /metrics"
         ), ()
 
     async def _admitted(
-        self, route: str, request: HttpRequest
-    ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
-        """Admission control around the prediction routes.  The handler
-        is awaited directly; its absolute deadline bounds only the
-        batcher's wait for cold legs, so a warm request sets no timer."""
-        if self._draining:
-            return route, 503, protocol.error_response(503, "server is draining"), ()
-        if self._active >= self.config.max_queue:
+        self, route: str, request: HttpRequest, handler: Handler
+    ) -> Answer:
+        """Shed past ``max_queue`` in flight; a handler's absolute
+        deadline bounds only the batcher's wait for cold legs, so a warm
+        request sets no timer."""
+        if self._active >= self.config.max_queue and not self._draining:
             self._shed += 1
             self.metrics.counter(
                 "repro_serve_shed_total",
@@ -592,56 +478,28 @@ class Server:
                 f"admission queue full ({self.config.max_queue} in flight); "
                 "retry shortly",
             ), (("Retry-After", str(self.config.retry_after_s)),)
-        self._active += 1
-        self._idle.clear()
-        self.metrics.gauge(
-            "repro_serve_queue_depth", help="Admitted requests in flight."
-        ).set(self._active)
         try:
-            try:
-                doc = json.loads(request.body.decode() or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return route, 400, protocol.error_response(
-                    400, f"request body is not valid JSON: {exc}"
-                ), ()
-            handler = {
-                "predict": self._predict, "study": self._study,
-                "batch": self._batch,
-            }[route]
-            deadline = asyncio.get_running_loop().time() + self.config.deadline_s
-            try:
-                payload = await handler(doc, deadline)
-            except protocol.LimitExceeded as exc:
-                return route, 413, protocol.error_response(413, str(exc)), ()
-            except protocol.ProtocolError as exc:
-                return route, 400, protocol.error_response(400, str(exc)), ()
-            except asyncio.TimeoutError:
-                return route, 504, protocol.error_response(
-                    504,
-                    f"deadline of {self.config.deadline_s:g}s exceeded; the "
-                    "engine run continues and will serve a retry from cache",
-                ), ()
-            except BackendRunError as exc:
-                return route, 500, protocol.error_response(500, str(exc)), ()
-            return route, 200, payload, ()
-        finally:
-            self._active -= 1
-            self.metrics.gauge(
-                "repro_serve_queue_depth", help="Admitted requests in flight."
-            ).set(self._active)
-            if self._active == 0:
-                self._idle.set()
+            return await super()._admitted(route, request, handler)
+        except asyncio.TimeoutError:
+            return route, 504, protocol.error_response(
+                504,
+                f"deadline of {self.config.deadline_s:g}s exceeded; the "
+                "engine run continues and will serve a retry from cache",
+            ), ()
+
+    def _deadline(self) -> float:
+        return asyncio.get_running_loop().time() + self.config.deadline_s
 
     # -- handlers ------------------------------------------------------
 
-    async def _predict(self, doc: object, deadline: float) -> dict:
+    async def _predict(self, doc: object) -> tuple[int, dict]:
         request = protocol.PredictRequest.from_json(doc)
         baseline_spec, model_spec = request.specs()
         self._consume_corrupt(model_spec)
         (baseline, baseline_prov), (model, model_prov) = await self.batcher.submit_many(
-            (baseline_spec, model_spec), deadline
+            (baseline_spec, model_spec), self._deadline()
         )
-        return protocol.predict_response(
+        return 200, protocol.predict_response(
             request,
             baseline_seconds=baseline.seconds,
             model_result=model,
@@ -649,24 +507,24 @@ class Server:
             key=model_spec.content_key()[:16],
         )
 
-    async def _batch(self, doc: object, deadline: float) -> dict:
+    async def _batch(self, doc: object) -> tuple[int, dict]:
         request = protocol.BatchRequest.from_json(
             doc, max_cells=self.config.max_batch_cells
         )
         specs = request.specs()
         if specs:
             self._consume_corrupt(specs[0])
-        served = await self.batcher.submit_batch(specs, deadline)
-        return protocol.batch_response(request, served)
+        served = await self.batcher.submit_batch(specs, self._deadline())
+        return 200, protocol.batch_response(request, served)
 
-    async def _study(self, doc: object, deadline: float) -> dict:
+    async def _study(self, doc: object) -> tuple[int, dict]:
         request = protocol.StudyRequest.from_json(
             doc, max_runs=self.config.max_study_runs
         )
         runs = request.runs()
         if runs:
             self._consume_corrupt(runs[0])
-        served = await self.batcher.submit_many(runs, deadline)
+        served = await self.batcher.submit_many(runs, self._deadline())
         provenance_tally: dict[str, int] = {}
         for _result, label in served:
             provenance_tally[label] = provenance_tally.get(label, 0) + 1
@@ -697,7 +555,7 @@ class Server:
                             "joules": getattr(result, "joules", 0.0),
                             "edp": getattr(result, "joules", 0.0) * result.seconds,
                         })
-        return protocol.study_response(request, entries, provenance_tally)
+        return 200, protocol.study_response(request, entries, provenance_tally)
 
     # -- debug: retained traces ----------------------------------------
 
@@ -716,9 +574,7 @@ class Server:
             "traces": summaries,
         }
 
-    def _trace_detail(
-        self, request: HttpRequest, path: str
-    ) -> tuple[str, int, dict | str, tuple[tuple[str, str], ...]]:
+    def _trace_detail(self, request: HttpRequest, path: str) -> Answer:
         trace_id = path.rsplit("/", 1)[1]
         record = self.tracer.store.get(trace_id)
         if record is None:
@@ -759,6 +615,9 @@ class Server:
                 "repro_memo_hit_ratio", help="Memo hit ratio by cache layer.",
                 cache=layer,
             ).set(cache.snapshot().hit_rate)
+        snapshot.gauge(
+            "repro_serve_queue_depth", help="Admitted requests in flight."
+        ).set(self._active)
         snapshot.gauge(
             "repro_serve_shed_requests", help="Requests shed since start."
         ).set(self._shed)
@@ -805,7 +664,6 @@ class Server:
             version=__version__,
             python=f"{sys.version_info.major}.{sys.version_info.minor}."
             f"{sys.version_info.micro}",
-            engine=self.config.engine,
         ).set(1)
         snapshot.gauge(
             "repro_serve_uptime_seconds",
@@ -814,76 +672,16 @@ class Server:
         return snapshot.to_prometheus()
 
 
-# -- embedding helpers -------------------------------------------------
+# -- embedding helper --------------------------------------------------
 
 
-async def _run_until_stopped(server: Server, stop: asyncio.Event) -> None:
-    await server.start()
-    await stop.wait()
-    await server.shutdown()
-
-
-class ServerThread:
+class ServerThread(ServiceThread):
     """Run a :class:`Server` on a background thread with its own loop.
 
     The load generator's ``--spawn`` mode and the test suite both need
-    a live loopback server without blocking the caller; this wraps the
-    lifecycle (start, bound-port discovery, graceful stop) behind a
-    context manager.
+    a live loopback server without blocking the caller.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.server = Server(config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def start(self, timeout: float = 60.0) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=timeout):
-            raise RuntimeError("server thread failed to start in time")
-        if self._failure is not None:
-            raise RuntimeError("server thread failed to start") from self._failure
-        return self
-
-    def _main(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.server.start()
-            except BaseException as exc:
-                self._failure = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self._stop.wait()
-            await self.server.shutdown()
-
-        try:
-            asyncio.run(main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            if not self._ready.is_set():
-                self._failure = exc
-                self._ready.set()
-
-    @property
-    def url(self) -> str:
-        return self.server.url
-
-    def stop(self, timeout: float = 15.0) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        super().__init__(self.server)

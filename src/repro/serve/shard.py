@@ -57,8 +57,16 @@ from ..obs.metrics import MetricsRegistry
 from . import protocol
 from .batcher import BackendRunError, peek
 from .breaker import BREAKER_STATE_VALUES, BreakerState, CircuitBreaker, RetryBudget
-from .http import BadRequest, HttpClient, HttpRequest, encode_response, read_request
+from .http import HttpClient, HttpRequest
 from .server import SERVE_LATENCY_BUCKETS, ServeConfig, Server
+from .service import (
+    PREDICTION_ROUTES,
+    Answer,
+    Handler,
+    HttpService,
+    ServiceThread,
+    stop_on_signals,
+)
 from .store import PersistentResultCache, ResultStore
 from .supervise import ShardHealth, ShardState, SupervisionPolicy
 
@@ -93,13 +101,7 @@ def _shard_main(config: ServeConfig, conn) -> None:
 
     async def main() -> None:
         server = Server(config)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX loops
-                signal.signal(sig, lambda *_: stop.set())
+        stop = stop_on_signals()
         try:
             await server.start()
         except BaseException as exc:
@@ -554,13 +556,15 @@ class RouterConfig:
     degraded_threads: int = 2
 
 
-class ShardRouter:
+class ShardRouter(HttpService):
     """The tier's front: one listener, N shards, same protocol.
 
     Owns either a :class:`ShardSupervisor` (it can then restart
     members via ``/v1/admin/restart``) or a static URL list (routing
     over externally managed shards).
     """
+
+    role = "router"
 
     def __init__(
         self,
@@ -573,6 +577,9 @@ class ShardRouter:
         self.supervisor = supervisor
         self._static_urls = list(urls) if urls is not None else None
         self.config = config if config is not None else RouterConfig()
+        super().__init__(
+            self.config.host, self.config.port, self.config.drain_timeout_s
+        )
         self.metrics = MetricsRegistry()
         self._breakers: dict[int, CircuitBreaker] = {}
         self._budget = RetryBudget(
@@ -584,14 +591,6 @@ class ShardRouter:
         #: and counted as a re-home — on their next direct success.
         self._degraded_marked: set[int] = set()
         self._clients: dict[str, HttpClient] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
-        self._active = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._draining = False
-        self.started_at: float | None = None
         self.log = obs_logging.get_logger("router")
 
     # -- membership ----------------------------------------------------
@@ -788,44 +787,15 @@ class ShardRouter:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "router not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
-
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port,
-        )
-        self.started_at = time.time()
+        await super().start()
         self.log.info(
             "router-started", url=self.url, shards=self.shard_urls,
         )
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     async def shutdown(self) -> None:
         """Drain the router, then stop the shards it supervises."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
-            )
-        except asyncio.TimeoutError:  # pragma: no cover - drain overran
-            pass
-        for writer in list(self._connections):
-            writer.close()
-        if self._handlers:
-            await asyncio.wait(set(self._handlers), timeout=1.0)
+        await super().shutdown()
         for client in self._clients.values():
             client.close()
         if self._pricer is not None:
@@ -836,49 +806,10 @@ class ShardRouter:
             )
         self.log.info("router-stopped")
 
-    # -- connection handling -------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def _observe(
+        self, route: str, status: int, started: float, written: float,
+        trace: tracing.TraceSpan | None,
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as exc:
-                    writer.write(encode_response(
-                        400, protocol.error_response(400, str(exc)), keep_alive=False
-                    ))
-                    await writer.drain()
-                    self._observe("other", 400, 0.0)
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and not self._draining
-                started = time.perf_counter()
-                route, status, payload = await self._dispatch(request)
-                writer.write(encode_response(status, payload, keep_alive))
-                await writer.drain()
-                self._observe(route, status, time.perf_counter() - started)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._handlers.discard(task)
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _observe(self, route: str, status: int, latency_s: float) -> None:
         self.metrics.counter(
             "repro_router_requests_total",
             help="Requests through the shard router, by route and status.",
@@ -889,85 +820,51 @@ class ShardRouter:
             help="Router-side request latency (fan-out included).",
             buckets=SERVE_LATENCY_BUCKETS,
             route=route,
-        ).observe(latency_s)
+        ).observe(time.perf_counter() - started)
 
     # -- routing -------------------------------------------------------
 
     async def _dispatch(
-        self, request: HttpRequest
-    ) -> tuple[str, int, dict | str]:
+        self, request: HttpRequest, trace: tracing.TraceSpan | None
+    ) -> Answer:
         path = request.path.split("?", 1)[0]
+        if path in PREDICTION_ROUTES:
+            return await self._prediction(path, request)
         if path == "/healthz":
             return "healthz", 200, {
                 "status": "ok", "role": "router", "shards": self.n_shards,
-            }
+            }, ()
         if path == "/readyz":
             return await self._readyz()
         if path == "/metrics":
-            return "metrics", 200, self._metrics_exposition()
+            return "metrics", 200, self._metrics_exposition(), ()
         if path == "/v1/shards":
-            return await self._shard_listing()
+            return self._shard_listing()
         if path == "/v1/admin/restart":
             if request.method != "POST":
                 return "admin", 405, protocol.error_response(
                     405, "/v1/admin/restart only accepts POST"
-                )
-            return await self._admin_restart(request)
+                ), ()
+            return await self._answer("admin", request, self._admin_restart)
         if path == "/v1/admin/chaos":
             if request.method != "POST":
                 return "admin", 405, protocol.error_response(
                     405, "/v1/admin/chaos only accepts POST"
-                )
-            return await self._admin_chaos(request)
-        if path in ("/v1/predict", "/v1/study", "/v1/batch"):
-            route = path.rsplit("/", 1)[1]
-            if request.method != "POST":
-                return route, 405, protocol.error_response(
-                    405, f"{path} only accepts POST"
-                )
-            if self._draining:
-                return route, 503, protocol.error_response(
-                    503, "router is draining"
-                )
-            return await self._forwarded(route, request)
+                ), ()
+            return await self._answer("admin", request, self._admin_chaos)
         return "other", 404, protocol.error_response(
             404, f"no route {path!r}; the router serves /v1/predict, /v1/study, "
             "/v1/batch, /v1/shards, /v1/admin/restart, /v1/admin/chaos, "
             "/healthz, /readyz and /metrics"
-        )
+        ), ()
 
-    async def _forwarded(
-        self, route: str, request: HttpRequest
-    ) -> tuple[str, int, dict | str]:
-        self._active += 1
-        self._idle.clear()
+    async def _admitted(
+        self, route: str, request: HttpRequest, handler: Handler
+    ) -> Answer:
         try:
-            try:
-                doc = json.loads(request.body.decode() or "null")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return route, 400, protocol.error_response(
-                    400, f"request body is not valid JSON: {exc}"
-                )
-            handler = {
-                "predict": self._predict, "study": self._study,
-                "batch": self._batch,
-            }[route]
-            try:
-                status, payload = await handler(doc)
-            except protocol.LimitExceeded as exc:
-                return route, 413, protocol.error_response(413, str(exc))
-            except protocol.ProtocolError as exc:
-                return route, 400, protocol.error_response(400, str(exc))
-            except ShardUnavailable as exc:
-                return route, 502, protocol.error_response(502, str(exc))
-            except BackendRunError as exc:
-                # The degraded local pricer exhausted its retry ladder.
-                return route, 500, protocol.error_response(500, str(exc))
-            return route, status, payload
-        finally:
-            self._active -= 1
-            if self._active == 0:
-                self._idle.set()
+            return await super()._admitted(route, request, handler)
+        except ShardUnavailable as exc:
+            return route, 502, protocol.error_response(502, str(exc)), ()
 
     # -- prediction routes ---------------------------------------------
 
@@ -1139,10 +1036,10 @@ class ShardRouter:
 
     # -- operations ----------------------------------------------------
 
-    async def _readyz(self) -> tuple[str, int, dict]:
+    async def _readyz(self) -> Answer:
         """Aggregate readiness: ready only when every shard is."""
         if self._draining:
-            return "readyz", 503, {"status": "draining"}
+            return "readyz", 503, {"status": "draining"}, ()
 
         async def probe(url: str) -> dict:
             try:
@@ -1159,9 +1056,9 @@ class ShardRouter:
         return "readyz", 200 if ready else 503, {
             "status": "ready" if ready else "degraded",
             "shards": probes,
-        }
+        }, ()
 
-    async def _shard_listing(self) -> tuple[str, int, dict]:
+    def _shard_listing(self) -> Answer:
         shards = []
         if self.supervisor is not None:
             for shard in self.supervisor.shards():
@@ -1191,31 +1088,21 @@ class ShardRouter:
             "count": len(shards),
             "restarts": self.supervisor.restarts if self.supervisor else 0,
             "shards": shards,
-        }
+        }, ()
 
-    async def _admin_restart(
-        self, request: HttpRequest
-    ) -> tuple[str, int, dict]:
+    async def _admin_restart(self, doc: object) -> tuple[int, dict]:
         """Gracefully bounce one shard (drain old, boot warm new)."""
         if self.supervisor is None:
-            return "admin", 400, protocol.error_response(
-                400, "this router does not supervise its shards; "
+            raise protocol.ProtocolError(
+                "this router does not supervise its shards; "
                 "restart them externally"
             )
-        try:
-            doc = json.loads(request.body.decode() or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return "admin", 400, protocol.error_response(
-                400, f"request body is not valid JSON: {exc}"
-            )
         if not isinstance(doc, dict) or not isinstance(doc.get("shard"), int):
-            return "admin", 400, protocol.error_response(
-                400, "body must be {\"shard\": <index>}"
-            )
+            raise protocol.ProtocolError("body must be {\"shard\": <index>}")
         index = doc["shard"]
         if not 0 <= index < self.supervisor.n_shards:
-            return "admin", 400, protocol.error_response(
-                400, f"no shard {index}; tier has {self.supervisor.n_shards}"
+            raise protocol.ProtocolError(
+                f"no shard {index}; tier has {self.supervisor.n_shards}"
             )
         old_url = self.supervisor.url_for(index)
         started = time.perf_counter()
@@ -1233,27 +1120,19 @@ class ShardRouter:
             "repro_router_restarts_total",
             help="Shard restarts performed through /v1/admin/restart.",
         ).inc()
-        return "admin", 200, {
+        return 200, {
             "version": protocol.PROTOCOL_VERSION,
             "shard": index,
             "url": new_url,
             "restart_s": round(time.perf_counter() - started, 3),
         }
 
-    async def _admin_chaos(
-        self, request: HttpRequest
-    ) -> tuple[str, int, dict]:
+    async def _admin_chaos(self, doc: object) -> tuple[int, dict]:
         """Broadcast a chaos plan (or the ``null`` disarm) to every
         serving shard — the drill's arm/disarm switch."""
-        try:
-            doc = json.loads(request.body.decode() or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return "admin", 400, protocol.error_response(
-                400, f"request body is not valid JSON: {exc}"
-            )
         if doc is not None and not isinstance(doc, dict):
-            return "admin", 400, protocol.error_response(
-                400, "body must be a JSON object (or empty to disarm)"
+            raise protocol.ProtocolError(
+                "body must be a JSON object (or empty to disarm)"
             )
         results = []
         for index in range(self.n_shards):
@@ -1273,7 +1152,7 @@ class ShardRouter:
             except ShardUnavailable as exc:
                 results.append({"shard": index, "status": 0,
                                 "error": str(exc)})
-        return "admin", 200, {
+        return 200, {
             "version": protocol.PROTOCOL_VERSION,
             "shards": results,
         }
@@ -1296,7 +1175,7 @@ class ShardRouter:
 # -- embedding helper --------------------------------------------------
 
 
-class ShardedTier:
+class ShardedTier(ServiceThread):
     """Supervisor + router on a background thread, as one handle.
 
     The sharded counterpart of :class:`~repro.serve.server.ServerThread`:
@@ -1316,65 +1195,22 @@ class ShardedTier:
             policy=policy,
         )
         self.router = ShardRouter(supervisor=self.supervisor, config=router)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-
-    def __enter__(self) -> "ShardedTier":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        super().__init__(self.router)
 
     def start(self, timeout: float = 330.0) -> "ShardedTier":
         # Shards first (synchronously: their boot includes the warm-up),
         # then the router thread.
         self.supervisor.start()
-        self._thread = threading.Thread(
-            target=self._main, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=timeout):
-            raise RuntimeError("router thread failed to start in time")
-        if self._failure is not None:
-            self.supervisor.stop()
-            raise RuntimeError("router thread failed to start") from self._failure
-        return self
-
-    def _main(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.router.start()
-            except BaseException as exc:
-                self._failure = exc
-                self._ready.set()
-                raise
-            self._ready.set()
-            await self._stop.wait()
-            await self.router.shutdown()
-
         try:
-            asyncio.run(main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            if not self._ready.is_set():
-                self._failure = exc
-                self._ready.set()
-
-    @property
-    def url(self) -> str:
-        return self.router.url
+            return super().start(timeout)
+        except RuntimeError:
+            self.supervisor.stop()
+            raise
 
     @property
     def shard_urls(self) -> list[str]:
         return self.supervisor.urls
 
     def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
+        super().stop(timeout)
         self.supervisor.stop()

@@ -202,14 +202,21 @@ def test_drain_answers_specs_queued_behind_a_running_batch():
     assert sizes == [1, 2]
 
 
-def test_backend_failure_propagates_and_is_not_cached():
+def test_backend_failure_propagates_and_is_not_cached(monkeypatch):
+    import repro.engine.study_vec as study_vec
+
     class Boom(RuntimeError):
         pass
 
+    def unpriced(specs):
+        raise RuntimeError("injected columnar failure")
+
+    # The columnar path would price this eligible spec before _compute
+    # is ever consulted.
+    monkeypatch.setattr(study_vec, "price_specs", unpriced)
+
     async def main():
-        # Scalar engine: the columnar path would price this eligible
-        # spec before _compute is ever consulted.
-        batcher = _batcher(engine="scalar")
+        batcher = _batcher()
         spec = _spec()
         real_compute = batcher._compute
         calls = {"n": 0}
@@ -256,7 +263,7 @@ def test_columnar_failure_falls_back_to_scalar(monkeypatch):
     monkeypatch.setattr(study_vec, "price_specs", boom)
 
     async def main():
-        batcher = _batcher(engine="vector")
+        batcher = _batcher()
         result, label = await batcher.submit(_spec())
         await batcher.drain()
         return result, label
@@ -286,7 +293,7 @@ def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
 
     async def main():
         metrics = MetricsRegistry()
-        batcher = _batcher(metrics=metrics, engine="vector")
+        batcher = _batcher(metrics=metrics)
         outcomes = await asyncio.gather(
             batcher.submit(_spec()),
             batcher.submit(_spec(platform="dgpu")),
@@ -302,23 +309,30 @@ def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
     assert metrics.counter("repro_serve_engine_runs_total").value == 1
 
 
-def test_vector_batcher_counts_columnar_specs():
-    """Cold eligible specs are tallied by the columnar counter; a
-    scalar batcher never creates it."""
+def test_vector_batcher_counts_columnar_specs(monkeypatch):
+    """Cold eligible specs are tallied by the columnar counter; specs
+    the scalar ladder priced after a columnar failure are not."""
+    import repro.engine.study_vec as study_vec
 
-    async def main(engine):
+    async def main():
         metrics = MetricsRegistry()
-        batcher = _batcher(metrics=metrics, engine=engine)
+        batcher = _batcher(metrics=metrics)
         await asyncio.gather(
             batcher.submit(_spec()), batcher.submit(_spec(model="OpenACC"))
         )
         await batcher.drain()
         return metrics
 
-    vector = asyncio.run(main("vector"))
+    vector = asyncio.run(main())
     assert vector.counter("repro_serve_columnar_specs_total").value == 2
-    scalar = asyncio.run(main("scalar"))
+
+    def unpriced(specs):
+        raise RuntimeError("injected columnar failure")
+
+    monkeypatch.setattr(study_vec, "price_specs", unpriced)
+    scalar = asyncio.run(main())
     assert scalar.counter("repro_serve_columnar_specs_total").value == 0
+    assert scalar.counter("repro_serve_engine_runs_total").value == 2
 
 
 def test_resident_submit_many_never_suspends():
@@ -412,20 +426,18 @@ def test_coalesced_leg_records_its_wait():
 
 
 def test_vector_engine_is_loaded_with_the_batcher_not_the_first_cold_batch():
-    """A vector batcher imports the columnar engine when it is built; a
-    scalar one never loads it."""
+    """The batcher imports the columnar engine when it is built, not
+    when the package is imported."""
     probe = (
         "import sys\n"
         "from repro.serve import Batcher\n"
-        "Batcher(engine={engine!r})\n"
+        "print('repro.engine.study_vec' in sys.modules)\n"
+        "Batcher()\n"
         "print('repro.engine.study_vec' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
-    loaded = {}
-    for engine in ("vector", "scalar"):
-        out = subprocess.run(
-            [sys.executable, "-c", probe.format(engine=engine)],
-            capture_output=True, text=True, check=True, env=env, timeout=120,
-        )
-        loaded[engine] = out.stdout.strip()
-    assert loaded == {"vector": "True", "scalar": "False"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert out.stdout.split() == ["False", "True"]

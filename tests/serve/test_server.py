@@ -81,11 +81,10 @@ def test_predict_provenance_progresses_to_cache(server):
 
 
 def test_cold_study_engages_the_columnar_path():
-    """A cold ``/v1/study`` on the default (vector) engine prices its
-    misses through the whole-batch columnar call — and stays
-    bit-identical to the direct pipeline, which the tests above check
-    against the same default server."""
-    with ServerThread(ServeConfig(engine="vector")) as thread:
+    """A cold ``/v1/study`` prices its misses through the whole-batch
+    columnar call — and stays bit-identical to the direct pipeline,
+    which the tests above check against the same default server."""
+    with ServerThread(ServeConfig()) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
         _status, _headers, text = request(thread, "GET", "/metrics")
@@ -109,10 +108,16 @@ def test_cold_predict_prices_both_legs_in_one_batch(server):
     assert sum(v for _l, v in samples["repro_serve_columnar_specs_total"]) == 2
 
 
-def test_scalar_engine_serves_identical_entries(xsbench_study):
-    """``engine="scalar"`` disables the columnar path entirely and
-    serves the same bits."""
-    with ServerThread(ServeConfig(engine="scalar")) as thread:
+def test_scalar_engine_serves_identical_entries(xsbench_study, monkeypatch):
+    """With the columnar call failing, every cell takes the scalar
+    retry ladder and the server serves the same bits."""
+    import repro.engine.study_vec as study_vec
+
+    def unpriced(specs):
+        raise RuntimeError("injected columnar failure")
+
+    monkeypatch.setattr(study_vec, "price_specs", unpriced)
+    with ServerThread(ServeConfig()) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
         assert len(doc["entries"]) == len(xsbench_study.entries)
