@@ -11,10 +11,11 @@ Examples::
     repro figure11          # optimization-feature matrix
     repro all               # everything
     repro figure9 --full    # exact Table I problem sizes (slow)
-    repro study --workers 4             # parallel comparison study
-    repro study --paper-scale --workers 4   # full Table I matrix
-    repro sweep --app LULESH --workers 4    # parallel Figure 7 grid
-    repro characterize --engine vector --workers 4   # Table I, fast replay
+    repro study                         # comparison study, priced by schedule group
+    repro study --paper-scale           # full Table I matrix
+    repro sweep --app LULESH            # Figure 7 grid, one pricing call
+    repro study --trace t.json --workers 4  # per-run recordings over a pool
+    repro characterize --engine scalar     # Table I, LRU replay oracle
     repro profile figure8 --trace t.json --metrics m.prom   # telemetry
     repro figure9 --trace t.json        # any study-backed command
     repro serve --port 8351             # the prediction service
@@ -97,7 +98,7 @@ def _print_failures(failures) -> bool:
 
 
 def _study(full: bool, workers: int = 1, cache: bool = True, telemetry: bool = False,
-           engine: str = "scalar", models=None, platforms=None, **fault_kwargs):
+           models=None, platforms=None, **fault_kwargs):
     configs = None if full else bench_configs()
     matrix = {}
     if models is not None:
@@ -106,7 +107,7 @@ def _study(full: bool, workers: int = 1, cache: bool = True, telemetry: bool = F
         matrix["platforms"] = platforms
     return run_study(
         ALL_APPS, paper_scale=True, configs=configs, max_workers=workers,
-        use_cache=cache, telemetry=telemetry, engine=engine, **matrix, **fault_kwargs,
+        use_cache=cache, telemetry=telemetry, **matrix, **fault_kwargs,
     )
 
 
@@ -245,7 +246,6 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
         max_workers=args.workers,
         use_cache=not args.no_cache,
         engine=args.engine,
-        run_engine=args.engine,
         telemetry=_wants_telemetry(args),
         **fault_kwargs,
     )
@@ -270,8 +270,7 @@ def cmd_study(args: argparse.Namespace) -> int | None:
     )
     platforms = tuple(args.platform) if args.platform else None
     study = _study(args.paper_scale, args.workers, not args.no_cache,
-                   _wants_telemetry(args), engine=args.engine,
-                   models=models, platforms=platforms,
+                   _wants_telemetry(args), models=models, platforms=platforms,
                    **_fault_kwargs(args))
     if models is not None or platforms is not None:
         # A custom matrix: render the cross-vendor energy view per
@@ -317,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int | None:
         sweep = run_sweep(
             app, configs[app.name], max_workers=args.workers,
             use_cache=not args.no_cache, telemetry=_wants_telemetry(args),
-            engine=args.engine, **_fault_kwargs(args),
+            **_fault_kwargs(args),
         )
         print(render_figure7(sweep))
         if sweep.complete:
@@ -851,11 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=PLATFORMS,
                        help="run on this platform selector instead of APU+dGPU "
                             "(repeatable; 'v100' is the second-vendor device)")
-    study.add_argument("--engine", choices=("vector", "scalar"), default="vector",
-                       help="pricing engine: 'vector' lowers the matrix into a "
-                            "spec lattice and prices all cells columnar; "
-                            "'scalar' prices each cell on its own "
-                            "(bit-identical, slower)")
     _add_executor_flags(study)
     _add_telemetry_flags(study)
     _add_fault_flags(study)
@@ -864,8 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Table I through the vectorized (or scalar) replay engine")
     char.set_defaults(func=cmd_characterize)
     char.add_argument("--engine", choices=("vector", "scalar"), default="vector",
-                      help="trace-replay and sweep-pricing engine "
-                           "(bit-identical results; vector is the fast default)")
+                      help="cache-replay engine of the miss-rate column: "
+                           "'vector' is the fast default, 'scalar' the "
+                           "per-access LRU it must equal bit for bit")
     _add_executor_flags(char)
     _add_telemetry_flags(char)
     _add_fault_flags(char, resume=False)
@@ -874,10 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=COMMAND_HELP["sweep"] + ", with executor stats")
     sweep.set_defaults(func=cmd_sweep)
     sweep.add_argument("--app", choices=FIGURE_APPS, default=None)
-    sweep.add_argument("--engine", choices=("vector", "scalar"), default="vector",
-                       help="pricing engine: 'vector' prices the whole grid "
-                            "from one captured schedule; 'scalar' prices "
-                            "every point on its own (bit-identical)")
     _add_executor_flags(sweep)
     _add_telemetry_flags(sweep)
     _add_fault_flags(sweep)

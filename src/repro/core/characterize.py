@@ -118,7 +118,6 @@ def characterize(
     max_workers: int = 1,
     use_cache: bool = True,
     engine: str = DEFAULT_REPLAY_ENGINE,
-    run_engine: str = "scalar",
 ) -> AppCharacterization:
     """Produce one Table I row for ``app``.
 
@@ -126,8 +125,7 @@ def characterize(
     depends on the working set); IPC and boundedness use the supplied
     configs.  ``max_workers``/``use_cache`` configure the executor for
     the boundedness sweep; ``engine`` picks the trace-replay
-    implementation and ``run_engine`` the sweep pricing engine
-    (``"scalar"`` or columnar ``"vector"`` — bit-identical either way).
+    implementation.
     """
     spec = dominant_spec(app, app.paper_config())
     if sweep is None:
@@ -138,7 +136,6 @@ def characterize(
             memory_grid=(480.0, 1250.0),
             max_workers=max_workers,
             use_cache=use_cache,
-            engine=run_engine,
         )
     return AppCharacterization(
         app=app.name,
@@ -176,17 +173,14 @@ def characterize_apps(
     telemetry: bool = False,
     policy: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
-    run_engine: str = "scalar",
 ) -> CharacterizationResult:
     """Characterize several apps, with executor stats aggregated.
 
     Each app's boundedness sweep fans through the parallel executor
     (``max_workers``); miss-rate replays go through the selected
     ``engine`` and the trace memo cache, whose hit/miss delta for the
-    whole batch is folded into the returned stats.  ``run_engine``
-    selects the sweep pricing engine (per cell or columnar).
-    Results are bit-identical for every worker count, engine and
-    cache setting.
+    whole batch is folded into the returned stats.  Results are
+    bit-identical for every worker count, engine and cache setting.
 
     ``policy``/``faults`` configure the fault-tolerance layer of each
     boundedness sweep.  An app whose sweep lost the grid points its
@@ -218,7 +212,6 @@ def characterize_apps(
                 telemetry=telemetry,
                 policy=policy,
                 faults=faults,
-                engine=run_engine,
             )
             failures.extend(sweep.failures)
             stats = sweep.stats if stats is None else stats.merge(sweep.stats)

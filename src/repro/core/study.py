@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ..apps.base import ProxyApp, RunResult
 from ..exec.checkpoint import CheckpointJournal
-from ..exec.executor import ExecStats, execute_with_engine
+from ..exec.executor import ExecStats, execute
 from ..exec.faults import FaultPlan, RunError
 from ..exec.plan import APU, DGPU, study_runs
 from ..exec.retry import RetryPolicy
@@ -139,6 +139,17 @@ def run_port(
     return priced_run(app.ports[model], ctx, config)
 
 
+def check_engine(engine: str) -> None:
+    """Validate the ``engine=`` keyword of :func:`run_study` and
+    :func:`~repro.core.sweep.run_sweep`, which selects nothing: every
+    call runs :func:`~repro.exec.executor.execute`.  The benchmark
+    harness (``perfbench/``) is its only caller and passes ``"vector"``
+    or ``"scalar"``; the keyword goes with the harness change that
+    stops passing it, and an unknown name fails meanwhile."""
+    if engine not in ("vector", "scalar"):
+        raise ValueError(f"unknown engine {engine!r}: expected 'vector' or 'scalar'")
+
+
 def run_study(
     apps: tuple[ProxyApp, ...],
     apu_values: tuple[bool, ...] = (True, False),
@@ -153,7 +164,7 @@ def run_study(
     policy: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     checkpoint: str | Path | CheckpointJournal | None = None,
-    engine: str = "scalar",
+    engine: str = "vector",
 ) -> StudyResult:
     """Run the full comparison.
 
@@ -177,16 +188,13 @@ def run_study(
     surviving entries with the losses in ``.failures`` instead of
     raising.
 
-    ``engine`` selects how cells are priced: ``"scalar"`` prices one
-    cell per call, ``"vector"`` lowers the matrix into a spec lattice
-    and prices each schedule group in one call
-    (:mod:`repro.engine.study_vec`).  Entries are bit-identical either
-    way.
+    ``engine`` selects nothing (see :func:`check_engine`).
 
     ``platforms`` names plan selectors directly ("apu"/"dgpu"/"v100") —
     the general, cross-vendor form; when given it supersedes the legacy
     ``apu_values`` pair.
     """
+    check_engine(engine)
     if platforms is None:
         platforms = tuple(APU if apu else DGPU for apu in apu_values)
     resolved: dict[str, object] = {}
@@ -206,8 +214,7 @@ def run_study(
         projection=paper_scale,
         platforms=platforms,
     )
-    outcomes, stats = execute_with_engine(
-        engine,
+    outcomes, stats = execute(
         runs,
         max_workers=max_workers,
         use_cache=use_cache,

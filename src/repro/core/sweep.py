@@ -21,13 +21,14 @@ from typing import NamedTuple
 
 from ..apps.base import ProxyApp
 from ..exec.checkpoint import CheckpointJournal
-from ..exec.executor import ExecStats, execute_with_engine
+from ..exec.executor import ExecStats, execute
 from ..exec.faults import FaultPlan, RunError
 from ..exec.plan import sweep_runs
 from ..exec.retry import RetryPolicy
 from ..hardware.frequency import PAPER_CORE_SWEEP_MHZ, PAPER_MEMORY_SWEEP_MHZ
 from ..hardware.specs import Precision
 from ..obs.export import Timeline
+from .study import check_engine
 
 
 class SweepPoint(NamedTuple):
@@ -107,29 +108,28 @@ def run_sweep(
     policy: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     checkpoint: str | Path | CheckpointJournal | None = None,
-    engine: str = "scalar",
+    engine: str = "vector",
 ) -> SweepResult:
     """Sweep one application over the (core, memory) frequency grid.
 
     Grid points are independent simulations, flattened into run
-    descriptors and executed by :mod:`repro.exec` (``max_workers``
-    shards them over a process pool; results are identical for every
-    worker count).  ``policy``/``faults``/``checkpoint`` configure the
-    fault-tolerance layer (see :func:`repro.exec.execute`): quarantined
+    descriptors and executed by :mod:`repro.exec`: a projection grid is
+    one schedule group, priced from one captured schedule (clock
+    overrides never change which kernels launch), and a functional
+    grid shards over ``max_workers`` processes; results are identical
+    for every worker count.  ``policy``/``faults``/``checkpoint``
+    configure the fault-tolerance layer (see
+    :func:`repro.exec.execute`): quarantined
     grid points are dropped from ``points`` and reported in
-    ``.failures`` instead of aborting the sweep.
-
-    ``engine="vector"`` prices the whole grid from one captured
-    schedule (clock overrides never change which kernels launch);
-    ``"scalar"`` prices every point on its own.  Points are
-    bit-identical either way.
+    ``.failures`` instead of aborting the sweep.  ``engine`` selects
+    nothing (see :func:`~repro.core.study.check_engine`).
     """
+    check_engine(engine)
     # A repeated grid value would only repeat grid points: take each once.
     core_grid = tuple(dict.fromkeys(core_grid))
     memory_grid = tuple(dict.fromkeys(memory_grid))
     runs = sweep_runs(app.name, config, precision, core_grid, memory_grid, model)
-    outcomes, stats = execute_with_engine(
-        engine,
+    outcomes, stats = execute(
         runs,
         max_workers=max_workers,
         use_cache=use_cache,

@@ -43,21 +43,22 @@ this engine lowers the matrix instead of looping it:
    the per-event charge prices (``np.maximum`` and adds in the
    runtime's order, no reduction).
 
-Every priced run goes through :func:`price_cell`.  The scalar executor
+Every priced run goes through :func:`price_cell`.  The executor
+(:func:`repro.exec.executor.execute`) prices each schedule group of
+projection cells through :func:`_price_outcome`; its one-run path
 (:func:`repro.exec.executor.execute_run`) prices a projection cell as
-the same :func:`cached_program` plus a one-row :func:`price_cell` a
-columnar group makes, and every other port call — functional runs,
-``ProxyApp.run``, ``core.study.run_port`` — goes through
-:func:`priced_run`: run the port, :func:`lift` the charge log its
-context holds, price it as one row.  Scalar and columnar results are
-therefore equal by construction.  What the scalar executor keeps is
-its envelope: per-run telemetry (with a recorder active,
-:func:`price_cell` replays each row's charges into it in charge
-order), fault injection and the retry ladder.  Functional cells, runs
-with telemetry and fault-injection campaigns take that envelope;
-within a columnar call, a group whose broadcast call raises is
-re-priced one cell at a time, and only a cell that still raises falls
-back to it.
+the same :func:`cached_program` plus a one-row :func:`price_cell`, and
+every other port call — functional runs, ``ProxyApp.run``,
+``core.study.run_port`` — goes through :func:`priced_run`: run the
+port, :func:`lift` the charge log its context holds, price it as one
+row.  A cell priced in its group and the same cell priced alone are
+therefore equal by construction.  The one-run path is the envelope of
+per-run telemetry (with a recorder active, :func:`price_cell` replays
+each row's charges into it in charge order), fault injection and the
+retry ladder.  Functional cells, runs with telemetry and
+fault-injection campaigns take that envelope; within a group, a
+broadcast call that raises is re-priced one cell at a time, and only a
+cell that still raises falls back to it.
 
 Deliberately *not* imported from ``repro.engine.__init__``:
 ``repro.models`` imports ``repro.engine.memo`` at import time, so
@@ -69,9 +70,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import is_
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -80,11 +78,10 @@ from ..apps.base import Port, RunResult
 from ..engine import energy, memo
 from ..engine.counters import LIMITERS, PerfCounters
 from ..engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
-from ..exec.checkpoint import CheckpointJournal
-from ..exec.executor import ExecStats, ExecutionInterrupted, RunOutcome, execute
-from ..exec.faults import FaultPlan, ResultValidationError, RunError, fault_plan_from_env
+from ..exec.executor import RunOutcome
+from ..exec.faults import ResultValidationError
 from ..exec.plan import RunSpec, SpecLattice
-from ..exec.retry import RetryPolicy, run_with_retry, validate_result
+from ..exec.retry import validate_result
 from ..hardware.device import Platform
 from ..hardware.specs import Precision
 from ..models.base import ChargeLog, ExecutionContext
@@ -576,7 +573,7 @@ _NO_LOOKUPS: dict[str, memo.MemoStats] = {}
 
 
 def _price_outcome(lattice: SpecLattice, rows: Sequence[int]) -> list[RunOutcome | None]:
-    """One lattice group priced with the scalar path's observability
+    """One lattice group priced with the one-run path's observability
     envelope: one outcome per row, ``None`` where pricing or result
     validation failed.
 
@@ -599,165 +596,7 @@ def _price_outcome(lattice: SpecLattice, rows: Sequence[int]) -> list[RunOutcome
                     caches=_NO_LOOKUPS,
                 )
             except ResultValidationError:
-                pass  # left to the scalar retry ladder
+                pass  # left to the executor's retry ladder
         outcomes.append(outcome)
     return outcomes
 
-
-def execute_vector(
-    runs: Sequence[RunSpec],
-    max_workers: int = 1,
-    use_cache: bool = True,
-    telemetry: bool = False,
-    policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint: str | Path | CheckpointJournal | None = None,
-) -> tuple[list[RunOutcome | None], ExecStats]:
-    """Drop-in columnar counterpart of :func:`repro.exec.executor.execute`.
-
-    Same contract: outcomes in submission order, content-equal specs
-    share one outcome, failures come back as ``None`` slots plus
-    :class:`~repro.exec.faults.RunError` rows, checkpoint journals are
-    honoured.  Projection cells are priced columnar in-process (the
-    whole point is that this is fast); functional cells are delegated
-    to the scalar executor, which may fan them out over
-    ``max_workers``.
-
-    Telemetry and active fault plans delegate the entire call: spans
-    are recorded per run and the chaos harness drives the scalar retry
-    ladder, so both are scalar-engine semantics by definition.
-    """
-    policy = policy if policy is not None else RetryPolicy()
-    if faults is None:
-        faults = fault_plan_from_env()
-    if telemetry or (faults is not None and faults.active):
-        return execute(
-            runs,
-            max_workers=max_workers,
-            use_cache=use_cache,
-            telemetry=telemetry,
-            policy=policy,
-            faults=faults,
-            checkpoint=checkpoint,
-        )
-
-    started = time.perf_counter()
-    journal: CheckpointJournal | None = None
-    if checkpoint is not None:
-        journal = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointJournal)
-            else CheckpointJournal.open(checkpoint)
-        )
-
-    # Content-address the descriptors: first occurrence wins the slot.
-    # Without duplicates (the common case) every spec is its own slot.
-    unique = list(runs)
-    placement: list[int] | None = None
-    if len(set(map(RunSpec.content_key, unique))) < len(unique):
-        unique, placement = [], []
-        slot_of: dict[str, int] = {}
-        for spec in runs:
-            key = spec.content_key()
-            if key not in slot_of:
-                slot_of[key] = len(unique)
-                unique.append(spec)
-            placement.append(slot_of[key])
-
-    executed: list[RunOutcome | None] = [None] * len(unique)
-    errors: dict[int, RunError] = {}
-    resumed = 0
-    pending: Sequence[int] = range(len(unique))
-    if journal is not None:
-        for index, spec in enumerate(unique):
-            executed[index] = journal.restore(spec.content_key())
-        pending = [index for index in pending if executed[index] is None]
-        resumed = len(unique) - len(pending)
-
-    # Eligibility reads only a schedule-key field (projection), so it is
-    # decided once per lattice group; the rest is the scalar tail.
-    lattice = SpecLattice.from_specs(
-        unique if resumed == 0 else [unique[index] for index in pending]
-    )
-    vector_groups: list[tuple[int, ...]] = []
-    tail: list[int] = []
-    for _key, rows in lattice.groups:
-        if vector_eligible(lattice.rows[rows[0]]):
-            vector_groups.append(rows)
-        else:
-            tail.extend(pending[row] for row in rows)
-    tail.sort()
-
-    before = memo.snapshot()
-    interrupted = False
-    try:
-        with memo.cache_setting(use_cache):
-            for rows in vector_groups:
-                outcomes = _price_outcome(lattice, rows)
-                if len(rows) == len(executed):
-                    executed[:] = outcomes  # one group holds every cell, in order
-                else:
-                    for row, outcome in zip(rows, outcomes):
-                        executed[pending[row]] = outcome
-                if journal is not None:
-                    for outcome in filter(None, outcomes):
-                        journal.record(outcome)
-                # Rows the columnar path could not price take the ladder.
-                for row in compress(rows, map(is_, outcomes, repeat(None))):
-                    payload = run_with_retry(lattice.rows[row], policy, faults=faults)
-                    if isinstance(payload, RunError):
-                        errors[pending[row]] = payload
-                    else:
-                        executed[pending[row]] = payload
-                        if journal is not None:
-                            journal.record(payload)
-    except KeyboardInterrupt:
-        interrupted = True
-
-    vector_stats = ExecStats.from_outcomes(
-        executed,
-        caches=memo.since(before),
-        requested_runs=len(runs) - len(tail),
-        unique_runs=len(unique) - len(tail),
-        wall_seconds=time.perf_counter() - started,
-        failures=[errors[index] for index in sorted(errors)],
-        resumed_runs=resumed,
-    )
-    if interrupted:
-        if journal is not None:
-            journal.close()
-        raise ExecutionInterrupted(
-            stats=vector_stats,
-            completed=sum(1 for o in executed if o is not None),
-            checkpoint=journal.path if journal is not None else None,
-        )
-
-    if tail:
-        try:
-            tail_outcomes, tail_stats = execute(
-                [unique[index] for index in tail],
-                max_workers=max_workers,
-                use_cache=use_cache,
-                telemetry=False,
-                policy=policy,
-                faults=faults,
-                checkpoint=journal,  # execute() closes it
-            )
-        except ExecutionInterrupted as exc:
-            merged = vector_stats.merge(exc.stats)
-            raise ExecutionInterrupted(
-                stats=merged,
-                completed=sum(1 for o in executed if o is not None) + exc.completed,
-                checkpoint=exc.checkpoint,
-            ) from None
-        for index, outcome in zip(tail, tail_outcomes):
-            executed[index] = outcome
-        stats = vector_stats.merge(tail_stats)
-    else:
-        if journal is not None:
-            journal.close()
-        stats = vector_stats
-
-    if placement is None:
-        return executed, stats
-    return [executed[slot] for slot in placement], stats

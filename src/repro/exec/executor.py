@@ -2,14 +2,19 @@
 
 Takes a flat list of :class:`~repro.exec.plan.RunSpec` descriptors,
 deduplicates them by content, and executes each unique run exactly
-once — either in-process (``max_workers=1``, the deterministic
-reference path) or fanned out over a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Results are
+once.  Projection cells are priced first, one schedule group of a
+:class:`~repro.exec.plan.SpecLattice` per call
+(:mod:`repro.engine.study_vec`), in-process.  Every other run —
+functional cells, runs recorded with telemetry, fault-injection
+campaigns, and any cell grouped pricing rejected — goes through the
+retry ladder, either in-process (``max_workers=1``) or fanned out over
+a :class:`concurrent.futures.ProcessPoolExecutor`.  Results are
 reassembled in *submission* order, never completion order, so the
 output is bit-identical for every worker count: each run is an
-independent, deterministic simulation on a fresh platform, and the
-kernel memo cache (:mod:`repro.engine.memo`) only short-circuits
-recomputation of pure functions.
+independent, deterministic simulation on a fresh platform, a cell
+priced in its group equals the same cell priced alone, and the memo
+caches (:mod:`repro.engine.memo`) only short-circuit recomputation of
+pure functions.
 
 Every outcome carries per-run wall time and the cache hit/miss delta
 its execution produced, aggregated into an :class:`ExecStats` that the
@@ -37,7 +42,8 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,7 +58,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.spans import InstantEvent, RunTelemetry, Span, SpanRecorder
 from .checkpoint import CheckpointJournal
 from .faults import ErrorKind, FaultAttempt, FaultPlan, RunError, fault_plan_from_env
-from .plan import RunSpec
+from .plan import RunSpec, SpecLattice
 from .retry import RetryPolicy, run_with_retry
 
 #: True inside a pool worker process (set by :func:`_init_worker`);
@@ -98,8 +104,8 @@ class ExecStats:
     #: schedule would roughly cost; ``wall_seconds`` is what this
     #: schedule actually cost.
     run_seconds: float = 0.0
-    #: Memo hit/miss counts by cache layer, summed over the runs (the
-    #: columnar engine measures its whole call instead).
+    #: Memo hit/miss counts by cache layer that this call caused: the
+    #: delta of its grouped pricing plus the runs it executed alone.
     caches: dict[str, memo.MemoStats] = field(default_factory=dict)
     #: Per-run (spec, wall seconds, memo counts by layer) — one row per
     #: executed unique run.  Rows carry the :class:`RunSpec`, not its
@@ -663,9 +669,13 @@ def execute(
     """Execute descriptors, returning outcomes in submission order.
 
     ``outcomes[i]`` always corresponds to ``runs[i]``; content-equal
-    descriptors share one outcome.  ``max_workers=1`` runs in-process
-    (no pool, no pickling); larger values shard the unique runs over a
-    process pool.  Results are bit-identical across worker counts.
+    descriptors share one outcome.  Projection cells are priced in
+    process, one schedule group per call, unless ``telemetry`` or an
+    active fault plan asks for every run's own envelope; a cell that
+    grouped pricing or result validation rejects takes the retry
+    ladder.  The remaining runs go through the ladder in-process
+    (``max_workers=1``: no pool, no pickling) or sharded over a process
+    pool.  Results are bit-identical across worker counts.
 
     ``telemetry`` records every run through a span recorder and merges
     the per-worker recordings into ``stats.timeline`` — deterministic
@@ -702,15 +712,18 @@ def execute(
         )
 
     # Content-address the descriptors: first occurrence wins the slot.
-    unique: list[RunSpec] = []
-    slot_of: dict[str, int] = {}
-    placement: list[int] = []
-    for spec in runs:
-        key = spec.content_key()
-        if key not in slot_of:
-            slot_of[key] = len(unique)
-            unique.append(spec)
-        placement.append(slot_of[key])
+    # Without duplicates (the common case) every spec is its own slot.
+    unique = list(runs)
+    placement: list[int] | None = None
+    if len(set(map(RunSpec.content_key, unique))) < len(unique):
+        unique, placement = [], []
+        slot_of: dict[str, int] = {}
+        for spec in runs:
+            key = spec.content_key()
+            if key not in slot_of:
+                slot_of[key] = len(unique)
+                unique.append(spec)
+            placement.append(slot_of[key])
 
     # Distributed tracing: when the caller established a trace context,
     # this whole call is one "execute" span and every unique run hangs
@@ -727,7 +740,7 @@ def execute(
             parent=parent_ctx,
             span_id=obs_tracing.derived_span_id(
                 parent_ctx.trace_id, parent_ctx.span_id, "execute",
-                *sorted(slot_of),
+                *sorted(map(RunSpec.content_key, unique)),
             ),
             attrs={"requested": len(runs), "unique": len(unique)},
         )
@@ -740,22 +753,46 @@ def execute(
     pool_respawns = 0
 
     # Restore checkpointed outcomes; only the remainder executes.
-    pending: dict[int, RunSpec] = {}
-    for index, spec in enumerate(unique):
-        restored = journal.restore(spec.content_key()) if journal is not None else None
-        if restored is not None:
-            executed[index] = restored
-            resumed += 1
-        else:
-            pending[index] = spec
-    if resumed:
-        _LOG.info("checkpoint-restored", runs=resumed, remaining=len(pending))
+    todo: Sequence[int] = range(len(unique))
+    if journal is not None:
+        for index, spec in enumerate(unique):
+            executed[index] = journal.restore(spec.content_key())
+        todo = [index for index in todo if executed[index] is None]
+        resumed = len(unique) - len(todo)
+        if resumed:
+            _LOG.info("checkpoint-restored", runs=resumed, remaining=len(todo))
+
+    # Projection cells are priced one schedule group per call, unless
+    # runs are recorded or faults injected: both need each run's own
+    # envelope.  Projection is part of the schedule key, so it is read
+    # once per group; functional groups take the ladder and the pool.
+    groups: list[tuple[int, ...]] = []
+    laddered: Sequence[int] = todo
+    if todo and not telemetry and not (faults is not None and faults.active):
+        lattice = SpecLattice.from_specs(
+            unique if not resumed else [unique[index] for index in todo]
+        )
+        laddered = []
+        for _key, rows in lattice.groups:
+            if lattice.rows[rows[0]].projection:
+                groups.append(rows)
+            else:
+                laddered.extend(todo[row] for row in rows)
+        laddered.sort()
+    pending: dict[int, RunSpec] = {index: unique[index] for index in laddered}
+    group_caches: dict[str, memo.MemoStats] = {}
+
+    # Attempts beyond the first of the runs this call executed alone
+    # (a grouped row takes one attempt, a restored one none here).
+    worker_retries = 0
 
     def settle(index: int, payload: "RunOutcome | RunError") -> None:
+        nonlocal worker_retries
         if isinstance(payload, RunError):
             errors[index] = payload
         else:
             executed[index] = payload
+            worker_retries += payload.attempts - 1
             if journal is not None:
                 journal.record(payload)
 
@@ -778,11 +815,40 @@ def execute(
                         ),
                     )
 
+    def price_groups() -> None:
+        # Imported lazily: study_vec itself builds on this module.
+        from ..engine.study_vec import _price_outcome
+
+        with memo.cache_setting(use_cache):
+            for rows in groups:
+                outcomes = _price_outcome(lattice, rows)
+                if len(rows) == len(executed):
+                    executed[:] = outcomes  # one group holds every cell, in order
+                else:
+                    for row, outcome in zip(rows, outcomes):
+                        executed[todo[row]] = outcome
+                if journal is not None:
+                    for outcome in filter(None, outcomes):
+                        journal.record(outcome)
+                # Rows that pricing or validation rejected take the ladder.
+                for row in compress(rows, map(is_, outcomes, repeat(None))):
+                    settle(todo[row], run_with_retry(lattice.rows[row], policy, faults=faults))
+
     shards: list[list[tuple[int, RunSpec]]] = [sorted(pending.items())]
     workers = 1
     interrupted = False
     try:
-        if max_workers <= 1 or len(pending) <= 1:
+        if groups:
+            before = memo.snapshot()
+            try:
+                price_groups()
+            finally:
+                # The group rows make no lookup of their own: report
+                # the delta their calls caused.
+                group_caches = memo.since(before)
+        if not pending:
+            pass  # every run was grouped or restored
+        elif max_workers <= 1 or len(pending) <= 1:
             workers = 1
             run_serially(pending, {})
             pending = {}
@@ -883,13 +949,16 @@ def execute(
         if journal is not None:
             journal.close()
 
-    worker_retries = sum(o.attempts - 1 for o in executed if o is not None)
     failed_retries = sum(
         max(error.attempts[-1].attempt, len(error.attempts) - 1) if error.attempts else 0
         for error in errors.values()
     )
     stats = ExecStats.from_outcomes(
         executed,
+        # Only this call's lookups: restored outcomes made theirs before.
+        caches=_sum_caches(
+            [group_caches, *(executed[i].caches for i in laddered if executed[i] is not None)]
+        ) if laddered else group_caches,
         requested_runs=len(runs),
         unique_runs=len(unique),
         workers=workers,
@@ -930,55 +999,8 @@ def execute(
             completed=sum(1 for o in executed if o is not None),
             checkpoint=journal.path if journal is not None else None,
         )
-    outcomes = [executed[slot] for slot in placement]
-    return outcomes, stats
+    if placement is None:
+        return executed, stats
+    return [executed[slot] for slot in placement], stats
 
 
-#: Engine names accepted by :func:`execute_with_engine`.
-ENGINES = ("scalar", "vector")
-
-
-def execute_with_engine(
-    engine: str,
-    runs: Sequence[RunSpec],
-    max_workers: int = 1,
-    use_cache: bool = True,
-    telemetry: bool = False,
-    policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint: str | Path | CheckpointJournal | None = None,
-) -> tuple[list[RunOutcome | None], ExecStats]:
-    """Dispatch a run matrix to the scalar or the columnar engine.
-
-    ``"scalar"`` is :func:`execute` (one pricing call per cell, through
-    the retry ladder); ``"vector"`` is
-    :func:`repro.engine.study_vec.execute_vector` (one schedule capture
-    per lattice group, all cells priced as batched array ops).  Both
-    price through :func:`repro.engine.study_vec.price_cell`, so they
-    return bit-identical outcomes; the engine choice only changes how
-    fast they are produced.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}: expected one of {ENGINES}")
-    if engine == "vector":
-        # Imported lazily: study_vec itself builds on this module.
-        from ..engine.study_vec import execute_vector
-
-        return execute_vector(
-            runs,
-            max_workers=max_workers,
-            use_cache=use_cache,
-            telemetry=telemetry,
-            policy=policy,
-            faults=faults,
-            checkpoint=checkpoint,
-        )
-    return execute(
-        runs,
-        max_workers=max_workers,
-        use_cache=use_cache,
-        telemetry=telemetry,
-        policy=policy,
-        faults=faults,
-        checkpoint=checkpoint,
-    )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..hardware.specs import Precision
@@ -160,7 +161,7 @@ class RunSpec:
         all their parameters), so equal-content descriptors collide by
         construction and object identity never matters.  Computed once,
         when the descriptor is built (every field is frozen, so the
-        digest cannot change): both executors deduplicate on it and the
+        digest cannot change): the executor deduplicates on it and the
         serve tier keys routing, caching, and the persistent store off
         it, so every descriptor needs it.
         """
@@ -176,6 +177,11 @@ class RunSpec:
         the columnar engine.  Computed once, with the content key.
         """
         return self._schedule_key  # type: ignore[attr-defined]
+
+
+#: :meth:`RunSpec.schedule_key` as one C-level attribute read: every
+#: executor call lowers its matrix through :meth:`SpecLattice.from_specs`.
+_schedule_key = attrgetter("_schedule_key")
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ class SpecLattice:
     @classmethod
     def from_specs(cls, specs: Sequence[RunSpec]) -> "SpecLattice":
         rows = tuple(specs)
-        keys = list(map(RunSpec.schedule_key, rows))
+        keys = list(map(_schedule_key, rows))
         if keys and keys.count(keys[0]) == len(keys):
             # One schedule signature (a frequency sweep): one group.
             return cls(rows=rows, groups=((keys[0], tuple(range(len(rows)))),))

@@ -33,13 +33,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..apps import APPS_BY_NAME, PROXY_APPS
 from ..core.configs import bench_configs, sweep_configs
 from ..core.metrics import speedup
 from ..core.study import BASELINE_MODEL, GPU_MODELS
-from ..exec.plan import APU, DGPU, PLATFORMS, RunSpec, study_runs
+from ..exec.plan import APU, DGPU, PLATFORMS, RunSpec, platform_label, study_runs
 from ..hardware.device import platform_for
 from ..hardware.specs import Precision
 from ..models.registry import normalize_model_name
@@ -470,6 +470,43 @@ def predict_response(
         "provenance": dict(provenance),
         "key": key,
     }
+
+
+def study_entries(
+    request: StudyRequest, cells: Iterable[tuple[float, float, float]]
+) -> list[dict]:
+    """The ``/v1/study`` entries, from each cell's ``(seconds,
+    kernel_seconds, joules)`` in :meth:`StudyRequest.runs` order.
+
+    Reassembled like ``run_study``: each (app, platform, precision)
+    block is its baseline, then one cell per compared model.  The one
+    copy of the entry arithmetic, so a single server and the shard
+    router (which gets its cells back as JSON) answer bit-identically.
+    """
+    entries: list[dict] = []
+    cursor = iter(cells)
+    models = request.compared_models
+    for app in request.apps:
+        for platform in request.platforms:
+            label = platform_label(platform)
+            for precision in request.precisions:
+                baseline_seconds = next(cursor)[0]
+                for model in models:
+                    seconds, kernel_seconds, joules = next(cursor)
+                    entries.append({
+                        "app": app,
+                        "model": model,
+                        "platform": label,
+                        "precision": precision.value,
+                        "seconds": seconds,
+                        "kernel_seconds": kernel_seconds,
+                        "baseline_seconds": baseline_seconds,
+                        "speedup": speedup(baseline_seconds, seconds),
+                        "kernel_speedup": speedup(baseline_seconds, kernel_seconds),
+                        "joules": joules,
+                        "edp": joules * seconds,
+                    })
+    return entries
 
 
 def study_response(request: StudyRequest, entries: list[dict], served: dict) -> dict:

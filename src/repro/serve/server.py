@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from typing import Awaitable
 
 from .. import __version__
-from ..core.metrics import speedup
 from ..engine import memo
 from ..exec.faults import HANG_SECONDS
-from ..exec.plan import RunSpec, platform_label
+from ..exec.plan import RunSpec
 from ..exec.retry import RetryPolicy
 from ..obs import logging as obs_logging
 from ..obs import tracing
@@ -529,32 +528,10 @@ class Server(HttpService):
         for _result, label in served:
             provenance_tally[label] = provenance_tally.get(label, 0) + 1
 
-        # Reassemble exactly like run_study: baseline first, then one
-        # outcome per compared model for each (app, platform, precision).
-        entries: list[dict] = []
-        cursor = iter(served)
-        models = request.compared_models
-        for app in request.apps:
-            for platform in request.platforms:
-                for precision in request.precisions:
-                    baseline, _ = next(cursor)
-                    for model in models:
-                        result, _ = next(cursor)
-                        entries.append({
-                            "app": app,
-                            "model": model,
-                            "platform": platform_label(platform),
-                            "precision": precision.value,
-                            "seconds": result.seconds,
-                            "kernel_seconds": result.kernel_seconds,
-                            "baseline_seconds": baseline.seconds,
-                            "speedup": speedup(baseline.seconds, result.seconds),
-                            "kernel_speedup": speedup(
-                                baseline.seconds, result.kernel_seconds
-                            ),
-                            "joules": getattr(result, "joules", 0.0),
-                            "edp": getattr(result, "joules", 0.0) * result.seconds,
-                        })
+        entries = protocol.study_entries(request, (
+            (result.seconds, result.kernel_seconds, getattr(result, "joules", 0.0))
+            for result, _label in served
+        ))
         return 200, protocol.study_response(request, entries, provenance_tally)
 
     # -- debug: retained traces ----------------------------------------

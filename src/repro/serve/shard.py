@@ -46,10 +46,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..core.metrics import speedup
 from ..engine import memo
 from ..exec.faults import RunError
-from ..exec.plan import RunSpec, platform_label
+from ..exec.plan import RunSpec
 from ..exec.retry import RetryPolicy, run_with_retry
 from ..obs import logging as obs_logging
 from ..obs import tracing
@@ -914,8 +913,8 @@ class ShardRouter(HttpService):
         """Expand the matrix, price it across shards, reassemble.
 
         The cells and their canonical order come from the same
-        :meth:`StudyRequest.runs` a single server uses; the entry
-        arithmetic below is line-for-line :meth:`Server._study`.  JSON
+        :meth:`StudyRequest.runs` a single server uses, and the entries
+        from the same :func:`~repro.serve.protocol.study_entries`.  JSON
         serializes floats by shortest round-trip repr, so the seconds
         that come back equal the shard's floats bit for bit, and the
         derived speedups match a single server (and ``run_study``).
@@ -937,34 +936,12 @@ class ShardRouter(HttpService):
             provenance = cell_doc.get("provenance", "unknown")
             tally[provenance] = tally.get(provenance, 0) + 1
 
-        entries: list[dict] = []
-        cursor = iter(priced)
-        models = request.compared_models
-        for app in request.apps:
-            for platform in request.platforms:
-                for precision in request.precisions:
-                    baseline = next(cursor)
-                    for model in models:
-                        result = next(cursor)
-                        entries.append({
-                            "app": app,
-                            "model": model,
-                            "platform": platform_label(platform),
-                            "precision": precision.value,
-                            "seconds": result["seconds"],
-                            "kernel_seconds": result["kernel_seconds"],
-                            "baseline_seconds": baseline["seconds"],
-                            "speedup": speedup(
-                                baseline["seconds"], result["seconds"]
-                            ),
-                            "kernel_speedup": speedup(
-                                baseline["seconds"], result["kernel_seconds"]
-                            ),
-                            # getattr-equivalent: a pre-energy shard may
-                            # omit the field from its batch response.
-                            "joules": result.get("joules", 0.0),
-                            "edp": result.get("joules", 0.0) * result["seconds"],
-                        })
+        entries = protocol.study_entries(request, (
+            # getattr-equivalent: a pre-energy shard may omit the field
+            # from its batch response.
+            (cell_doc["seconds"], cell_doc["kernel_seconds"], cell_doc.get("joules", 0.0))
+            for cell_doc in priced
+        ))
         return 200, protocol.study_response(request, entries, tally)
 
     async def _fan_out(

@@ -108,7 +108,10 @@ class TestCharacterizeApps:
     def test_workers_bit_identical(self, result):
         from repro.core.characterize import characterize_apps
 
-        parallel = characterize_apps(PROXY_APPS, max_workers=2)
+        # Telemetry makes every sweep point its own run, so the pool is
+        # reached (grouped pricing of a projection grid stays in process).
+        parallel = characterize_apps(PROXY_APPS, max_workers=2, telemetry=True)
+        assert parallel.stats.workers == 2
         assert parallel.rows == result.rows
 
     def test_no_cache_bit_identical(self, result):

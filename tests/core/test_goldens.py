@@ -30,14 +30,6 @@ def test_figure8_figure9_speedups_match_golden(bench_study, golden):
     golden("speedup_tables", speedup_tables(bench_study))
 
 
-def test_vector_engine_matches_the_same_golden(golden):
-    """The columnar engine reproduces the committed Figure 8/9 numbers
-    from the *same* golden file — there is no separate vector golden,
-    because the engines are bit-identical by contract."""
-    study = run_study(ALL_APPS, configs=bench_configs(), engine="vector")
-    golden("speedup_tables", speedup_tables(study))
-
-
 def test_table4_sloc_matches_golden(golden):
     golden("table4_sloc", table4(ALL_APPS))
 
@@ -51,25 +43,6 @@ def test_cross_vendor_energy_matches_golden(golden):
         configs=bench_configs(),
         models=("OpenCL", "OpenACC", "OpenMP Offload"),
         platforms=("dgpu", "v100"),
-    )
-    table: dict = {}
-    for e in study.entries:
-        cell = {"speedup": e.speedup, "joules": e.joules, "edp": e.edp}
-        table.setdefault(e.platform_key, {}).setdefault(
-            e.precision.value, {}
-        ).setdefault(e.app, {})[e.model] = cell
-    golden("cross_vendor_energy", table)
-
-
-def test_cross_vendor_energy_vector_engine_matches_the_same_golden(golden):
-    """The columnar engine reproduces the committed cross-vendor
-    energy numbers from the same golden file."""
-    study = run_study(
-        ALL_APPS,
-        configs=bench_configs(),
-        models=("OpenCL", "OpenACC", "OpenMP Offload"),
-        platforms=("dgpu", "v100"),
-        engine="vector",
     )
     table: dict = {}
     for e in study.entries:

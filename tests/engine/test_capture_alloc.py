@@ -32,7 +32,8 @@ from repro.apps.lulesh.reference import _projection_state as lulesh_stub
 from repro.apps.lulesh.reference import make_state as lulesh_make_state
 from repro.apps.xsbench import paper_config as xsbench_paper_config
 from repro.engine import memo
-from repro.engine.study_vec import capture_program, execute_vector
+from repro.engine.study_vec import capture_program
+from repro.exec.executor import execute
 from repro.exec.plan import PLATFORMS, RunSpec, study_runs
 from repro.hardware.device import platform_for
 from repro.hardware.specs import Precision
@@ -226,7 +227,7 @@ def test_comd_study_draws_velocities_once(monkeypatch):
     )
     memo.clear_caches()
     try:
-        outcomes, _stats = execute_vector(runs)
+        outcomes, _stats = execute(runs)
     finally:
         memo.clear_caches()
     assert all(outcome is not None for outcome in outcomes)

@@ -4,7 +4,7 @@ HC's run time is the makespan of a copy stream and a compute stream,
 not one left fold.  Capture records the runtime's stream steps into the
 charge log, and :func:`repro.engine.study_vec.price_cell` replays them
 once over per-clock columns; it is the runtime's only clock.  These
-tests hold it bit for bit to the scalar executor's one-row pricing on
+tests hold it bit for bit to the executor's one-row pricing on
 every app's clock grid, to each row replayed alone, and — on randomized
 schedules that mix every stream step — to the runtime's stream
 arithmetic restated over Python floats and one-kernel prices.
@@ -21,7 +21,7 @@ from repro.apps.minife.kernels import kernel_specs
 from repro.apps.minife.reference import MiniFEConfig
 from repro.core.configs import sweep_configs
 from repro.engine import memo, study_vec
-from repro.engine.study_vec import _makespan_rows, cached_program, execute_vector, price_cell
+from repro.engine.study_vec import _makespan_rows, cached_program, price_cell
 from repro.engine.timing import time_gpu_kernel
 from repro.exec import executor
 from repro.exec.executor import execute
@@ -57,7 +57,7 @@ def fingerprint(outcome):
 
 @pytest.fixture
 def counted_calls(monkeypatch):
-    """Counts of ``price_cell`` and scalar ``execute_run`` calls."""
+    """Counts of ``price_cell`` and one-run ``execute_run`` calls."""
     counts = {"price_cell": 0, "execute_run": 0}
     real_price, real_run = study_vec.price_cell, executor.execute_run
 
@@ -75,13 +75,14 @@ def counted_calls(monkeypatch):
 
 
 def scalar_and_vector(runs, counts):
-    """``runs`` through both engines from cold caches; the call counts
-    cover the vector engine only."""
+    """``runs`` priced one ``execute_run`` per spec and through the
+    executor, from cold caches; the call counts cover the executor
+    only."""
     memo.clear_caches()
-    scalar, _ = execute(runs)
+    scalar = [executor.execute_run(spec) for spec in runs]
     memo.clear_caches()
     counts.update(price_cell=0, execute_run=0)
-    vector, stats = execute_vector(runs)
+    vector, stats = execute(runs)
     memo.clear_caches()
     assert not stats.failures
     return scalar, vector
@@ -91,8 +92,9 @@ def scalar_and_vector(runs, counts):
 @pytest.mark.parametrize("precision", list(Precision))
 @pytest.mark.parametrize("app_name", [app.name for app in ALL_APPS])
 def test_hc_clock_grid_matches_scalar(app_name, precision, platform, counted_calls):
-    """A whole HC clock grid is one pricing call and no scalar run, and
-    every cell equals the scalar executor's, joules included."""
+    """A whole HC clock grid is one pricing call and no one-run
+    ``execute_run``, and every cell equals its one-row pricing, joules
+    included."""
     runs = clock_grid(app_name, platform, precision)
     scalar, vector = scalar_and_vector(runs, counted_calls)
     assert counted_calls == {"price_cell": 1, "execute_run": 0}

@@ -1,13 +1,15 @@
-"""The columnar study engine against the scalar executor.
+"""Grouped (columnar) pricing in the executor against per-cell pricing.
 
-Both engines price from the charge log: the scalar executor prices a
-projection cell as a one-row :func:`~repro.engine.study_vec.price_cell`
-of the same capture a columnar group prices whole.  The acceptance
-property is *bit* identity — seconds, joules, every counter, the
-launch counts by limiter — with ``==``, no tolerance.  These tests run
-the full study matrix (every model, Heterogeneous Compute's two-stream
-makespan included, plus functional cells the columnar engine must
-delegate) through both engines from cold caches and compare everything
+The executor prices each schedule group of projection cells in one
+:func:`~repro.engine.study_vec.price_cell` call; its one-run path
+(:func:`~repro.exec.executor.execute_run`) prices a projection cell as
+a one-row call on the same capture.  The acceptance property is *bit*
+identity — seconds, joules, every counter, the launch counts by
+limiter — with ``==``, no tolerance.  These tests run the full study
+matrix (every model, Heterogeneous Compute's two-stream makespan
+included, plus functional cells the executor hands to the retry
+ladder) through :func:`~repro.exec.executor.execute` and through one
+``execute_run`` per spec, from cold caches, and compare everything
 observable, then probe the seams: quarantine holes, clock-override
 sweeps, the batched pricers and their broadcast over clock points, the
 per-row folds, per-group failure isolation, capture memoization, the
@@ -20,22 +22,25 @@ import numpy as np
 import pytest
 
 from repro.apps import ALL_APPS, APPS_BY_NAME
+from repro.core import study as core_study
 from repro.core.configs import sweep_configs
 from repro.core.study import run_study
+from repro.core.sweep import run_sweep
 from repro.engine import memo
 from repro.engine.study_vec import (
     _accumulate,
     _accumulate_rows,
     capture_program,
-    execute_vector,
     price_specs,
     vector_eligible,
 )
 from repro.engine.timing import KernelTiming, time_cpu_kernel, time_gpu_kernel
 from repro.engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
-from repro.exec.executor import execute, execute_with_engine
+from repro.exec import executor
+from repro.exec.executor import ExecStats, execute, execute_run
+from repro.exec.faults import RunError
 from repro.exec.plan import DGPU, RunSpec, study_runs, sweep_runs
-from repro.exec.retry import RetryPolicy
+from repro.exec.retry import RetryPolicy, run_with_retry
 from repro.hardware.device import make_platform, platform_for
 from repro.hardware.specs import Precision
 
@@ -67,7 +72,7 @@ COUNTER_FIELDS = (
 
 #: ``ExecStats.limited_by`` over :func:`full_matrix` plus
 #: :func:`functional_cells`, as the per-launch records tallied it
-#: before the counters replaced them (either engine).
+#: before the counters replaced them (grouped or per cell).
 FULL_MATRIX_LIMITED_BY = {"compute": 222, "floor": 705, "memory": 4315}
 
 
@@ -109,8 +114,8 @@ def outcome_fingerprint(outcome):
 
 
 def functional_cells():
-    """Functional (``projection=False``) cells, which the columnar
-    engine must hand to the scalar executor."""
+    """Functional (``projection=False``) cells, which the executor
+    must hand to the retry ladder."""
     return [
         RunSpec(app, model, DGPU, Precision.SINGLE, sweep_configs()[app], projection=False)
         for app in ("read-benchmark", "XSBench")
@@ -118,15 +123,31 @@ def functional_cells():
     ]
 
 
+def per_cell(runs):
+    """``runs`` priced one :func:`execute_run` per spec — no grouping,
+    no dedupe — with the stats of those outcomes."""
+    outcomes = [execute_run(spec) for spec in runs]
+    return outcomes, ExecStats.from_outcomes(outcomes)
+
+
+def per_cell_execute(runs, policy=None, **_executor_options):
+    """A stand-in for :func:`execute`: one :func:`run_with_retry` per
+    spec, failures as ``None`` slots plus ``RunError`` rows."""
+    payloads = [run_with_retry(spec, policy or RetryPolicy()) for spec in runs]
+    outcomes = [None if isinstance(p, RunError) else p for p in payloads]
+    failures = [p for p in payloads if isinstance(p, RunError)]
+    return outcomes, ExecStats.from_outcomes(outcomes, failures=failures)
+
+
 @pytest.fixture(scope="module")
 def matrix_pair():
-    """The full matrix plus functional cells through both engines,
-    each from cold caches."""
+    """The full matrix plus functional cells, per cell and through the
+    executor, each from cold caches."""
     runs = full_matrix() + functional_cells()
     memo.clear_caches()
-    scalar = execute(runs)
+    scalar = per_cell(runs)
     memo.clear_caches()
-    vector = execute_vector(runs)
+    vector = execute(runs)
     memo.clear_caches()
     return runs, scalar, vector
 
@@ -142,7 +163,7 @@ def test_full_matrix_bit_identical(matrix_pair):
 
 def test_matrix_covers_both_engine_paths(matrix_pair):
     """The fixture matrix genuinely exercises the columnar fold, the
-    columnar makespan replay *and* the scalar delegation tail."""
+    columnar makespan replay *and* the retry-ladder tail."""
     runs, _scalar, _vector = matrix_pair
     hc = "Heterogeneous Compute"
     assert any(vector_eligible(spec) and spec.model != hc for spec in runs)
@@ -150,14 +171,17 @@ def test_matrix_covers_both_engine_paths(matrix_pair):
     assert any(not vector_eligible(spec) for spec in runs)
 
 
-def test_run_study_engines_agree_end_to_end():
+def test_run_study_engines_agree_end_to_end(monkeypatch):
     """Whole-pipeline check: entries, speedups and breakdown inputs of
-    ``run_study`` match field-for-field across engines."""
+    ``run_study`` match field-for-field whether its cells are priced by
+    the executor or one at a time."""
     apps = (APPS_BY_NAME["read-benchmark"], APPS_BY_NAME["LULESH"])
     memo.clear_caches()
-    scalar = run_study(apps, configs=dict(sweep_configs()), engine="scalar")
+    vector = run_study(apps, configs=dict(sweep_configs()))
     memo.clear_caches()
-    vector = run_study(apps, configs=dict(sweep_configs()), engine="vector")
+    monkeypatch.setattr(core_study, "execute", per_cell_execute)
+    scalar = run_study(apps, configs=dict(sweep_configs()))
+    memo.clear_caches()
     assert [entry.__dict__ for entry in vector.entries] == [
         entry.__dict__ for entry in scalar.entries
     ]
@@ -172,7 +196,7 @@ def test_one_capture_per_schedule_signature():
     schedule signature — the lowering's whole point."""
     runs = [spec for spec in full_matrix() if vector_eligible(spec)]
     memo.clear_caches()
-    execute_vector(runs)
+    execute(runs)
     assert memo.PLAN_CACHE.snapshot().misses == len(
         {spec.schedule_key() for spec in runs}
     )
@@ -180,15 +204,15 @@ def test_one_capture_per_schedule_signature():
 
 def test_sweep_clock_overrides_share_one_capture():
     """Frequency-sweep cells differ only in clock overrides: the whole
-    grid prices from one capture, bit-identical to scalar simulation."""
+    grid prices from one capture, bit-identical to per-cell pricing."""
     config = sweep_configs()["XSBench"]
     runs = sweep_runs(
         "XSBench", config, Precision.SINGLE, (300.0, 547.0, 1000.0), (600.0, 1250.0), "OpenCL"
     )
     memo.clear_caches()
-    scalar_outcomes, _ = execute(runs)
+    scalar_outcomes, _ = per_cell(runs)
     memo.clear_caches()
-    vector_outcomes, _ = execute_vector(runs)
+    vector_outcomes, _ = execute(runs)
     assert memo.PLAN_CACHE.snapshot().misses == 1
     for spec, left, right in zip(runs, scalar_outcomes, vector_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right), spec.label
@@ -200,9 +224,10 @@ def test_sweep_clock_overrides_share_one_capture():
 
 
 def test_quarantine_holes_match_scalar(monkeypatch):
-    """A port that dies leaves the same holes either way: capture
-    failure falls back to the scalar ladder, the ladder fails too, and
-    the study reassembles around the ``None`` slots without raising."""
+    """A port that dies leaves the same holes as per-cell pricing:
+    capture failure falls back to the retry ladder, the ladder fails
+    too, and the study reassembles around the ``None`` slots without
+    raising."""
 
     def boom(ctx, config):
         raise RuntimeError("injected port failure")
@@ -211,14 +236,14 @@ def test_quarantine_holes_match_scalar(monkeypatch):
     apps = (APPS_BY_NAME["read-benchmark"], APPS_BY_NAME["XSBench"])
     policy = RetryPolicy(max_attempts=1)
     results = {}
-    for engine in ("scalar", "vector"):
+    for name, executes in (("vector", execute), ("scalar", per_cell_execute)):
+        monkeypatch.setattr(core_study, "execute", executes)
         memo.clear_caches()
-        results[engine] = run_study(
+        results[name] = run_study(
             apps,
             configs=dict(sweep_configs()),
             models=("OpenCL", "OpenACC"),
             policy=policy,
-            engine=engine,
         )
     scalar, vector = results["scalar"], results["vector"]
     assert not scalar.complete and not vector.complete
@@ -303,17 +328,17 @@ def test_price_specs_order_invariant():
 
 
 def test_functional_cells_delegate_to_scalar():
-    """``projection=False`` cells run the numerics; the vector engine
-    must hand them to the scalar executor untouched."""
+    """``projection=False`` cells run the numerics; the executor must
+    hand them to the retry ladder untouched."""
     config = sweep_configs()["read-benchmark"]
     runs = [
         RunSpec("read-benchmark", model, DGPU, Precision.SINGLE, config, projection=False)
         for model in ("OpenMP", "OpenCL")
     ]
     memo.clear_caches()
-    scalar_outcomes, _ = execute(runs)
+    scalar_outcomes, _ = per_cell(runs)
     memo.clear_caches()
-    vector_outcomes, _ = execute_vector(runs)
+    vector_outcomes, _ = execute(runs)
     for left, right in zip(scalar_outcomes, vector_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right)
     memo.clear_caches()
@@ -322,18 +347,17 @@ def test_functional_cells_delegate_to_scalar():
 def test_uncached_vector_run_identical(matrix_pair):
     """``use_cache=False`` changes wall time, never values."""
     runs, (scalar_outcomes, _), _vector = matrix_pair
-    uncached_outcomes, uncached_stats = execute_vector(runs, use_cache=False)
+    uncached_outcomes, uncached_stats = execute(runs, use_cache=False)
     assert uncached_stats.caches["kernel"].hits == 0
     for left, right in zip(scalar_outcomes, uncached_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right)
 
 
 def test_duplicate_specs_share_one_outcome():
-    """Content-equal descriptors collapse to one priced cell, like the
-    scalar executor's dedup."""
+    """Content-equal descriptors collapse to one priced cell."""
     spec = RunSpec("miniFE", "OpenCL", DGPU, Precision.SINGLE, sweep_configs()["miniFE"])
     memo.clear_caches()
-    outcomes, stats = execute_vector([spec, spec, spec])
+    outcomes, stats = execute([spec, spec, spec])
     assert stats.unique_runs == 1
     assert outcomes[0] is outcomes[1] is outcomes[2]
     memo.clear_caches()
@@ -374,8 +398,11 @@ def test_comd_rebin_early_out_is_bit_identical():
 
 
 def test_execute_with_engine_rejects_unknown_engine():
+    app = APPS_BY_NAME["read-benchmark"]
     with pytest.raises(ValueError, match="unknown engine"):
-        execute_with_engine("warp", [])
+        run_study((app,), configs=dict(sweep_configs()), engine="warp")
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_sweep(app, sweep_configs()[app.name], engine="warp")
 
 
 # --- ChargeLog identity front cache ----------------------------------
@@ -730,13 +757,13 @@ def _clocks(platform):
 def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
     """A group whose broadcast call raises is re-priced row by row:
     every row that prices alone stays columnar, and only the row that
-    still raises takes the scalar retry ladder."""
+    still raises takes the retry ladder."""
     import repro.engine.study_vec as study_vec
 
     runs = _xsbench_grid()
     bad = runs[2]
     bad_clocks = (bad.core_mhz, bad.memory_mhz)
-    real_price, real_retry = study_vec.price_cell, study_vec.run_with_retry
+    real_price, real_retry = study_vec.price_cell, executor.run_with_retry
     calls, ladder = [], []
 
     def flaky(program, platforms, precision):
@@ -753,14 +780,14 @@ def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
         return real_retry(spec, *args, **kwargs)
 
     monkeypatch.setattr(study_vec, "price_cell", flaky)
-    monkeypatch.setattr(study_vec, "run_with_retry", counted)
+    monkeypatch.setattr(executor, "run_with_retry", counted)
     memo.clear_caches()
-    vector_outcomes, stats = execute_vector(runs)
+    vector_outcomes, stats = execute(runs)
     assert calls == [len(runs)] + [1] * len(runs) + [1]
     assert ladder == [bad]
     assert not stats.failures
     memo.clear_caches()
-    scalar_outcomes, _ = execute(runs)
+    scalar_outcomes, _ = per_cell(runs)
     for spec, left, right in zip(runs, scalar_outcomes, vector_outcomes):
         assert outcome_fingerprint(left) == outcome_fingerprint(right), spec.label
     memo.clear_caches()
@@ -796,17 +823,17 @@ def test_price_specs_isolates_a_failing_group(monkeypatch):
 
 
 def test_per_row_cache_counts_sum_to_the_call_delta():
-    """Each scalar outcome counts the lookups made for its own row (its
-    capture's), so the stats totals equal the cache delta over the
-    whole call; a columnar row makes no lookup of its own, and its call
-    reports the cache delta it caused directly.  Neither engine prices
-    a kernel one at a time."""
+    """Each per-cell outcome counts the lookups made for its own row
+    (its capture's), so the stats totals equal the cache delta over
+    the whole call; a grouped row makes no lookup of its own, and the
+    executor reports the cache delta its group calls caused directly.
+    Neither prices a kernel one at a time."""
     runs = [spec for spec in full_matrix() if vector_eligible(spec)]
     runs += _xsbench_grid()
     memo.clear_caches()
     for _ in range(2):  # cold, then warm
         before = memo.snapshot()
-        outcomes, stats = execute(runs)
+        outcomes, stats = per_cell(runs)
         delta = memo.since(before)
         assert delta["plan"].lookups == len(runs)
         assert delta["kernel"].lookups == 0
@@ -820,7 +847,7 @@ def test_per_row_cache_counts_sum_to_the_call_delta():
     memo.clear_caches()
     for _ in range(2):
         before = memo.snapshot()
-        outcomes, stats = execute_vector(runs)
+        outcomes, stats = execute(runs)
         delta = memo.since(before)
         assert delta["kernel"].lookups == 0
         for name, counts in delta.items():
@@ -850,7 +877,7 @@ def test_columnar_sweep_builds_no_timings_and_makes_no_kernel_lookups(monkeypatc
     monkeypatch.setattr(memo.KERNEL_CACHE, "lookup", lambda *a, **k: lookups.append(a))
     monkeypatch.setattr(memo.KERNEL_CACHE, "contains", lambda *a, **k: lookups.append(a))
     memo.clear_caches()
-    outcomes, stats = execute_vector(runs)
+    outcomes, stats = execute(runs)
     assert built == [] and lookups == []
     assert stats.caches["kernel"].lookups == 0
     for outcome in outcomes:

@@ -151,6 +151,36 @@ class TestResume:
         assert stats.resumed_runs == info.value.completed
         assert [o.result for o in resumed] == [o.result for o in clean]
 
+    def test_interrupt_during_grouped_pricing_journals_priced_groups(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C between schedule groups: the groups already priced are
+        journaled, the interrupt surfaces with the call's stats, and the
+        resume prices only the rest."""
+        import repro.engine.study_vec as study_vec
+
+        path = tmp_path / "ck.jsonl"
+        specs = spec_matrix(6)  # six sizes: six schedule groups
+        clean, _ = execute(specs, use_cache=False)
+        real = study_vec._price_outcome
+        priced = []
+
+        def interrupted_third(lattice, rows):
+            if len(priced) == 2:
+                raise KeyboardInterrupt
+            priced.append(rows)
+            return real(lattice, rows)
+
+        monkeypatch.setattr(study_vec, "_price_outcome", interrupted_third)
+        with pytest.raises(ExecutionInterrupted) as info:
+            execute(specs, use_cache=False, checkpoint=path)
+        assert info.value.completed == len(CheckpointJournal.open(path)) == 2
+        assert info.value.stats.requested_runs == len(specs)
+        monkeypatch.setattr(study_vec, "_price_outcome", real)
+        resumed, stats = execute(specs, use_cache=False, checkpoint=path)
+        assert stats.resumed_runs == 2
+        assert [o.result for o in resumed] == [o.result for o in clean]
+
     def test_accepts_an_open_journal_instance(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         journal = CheckpointJournal.open(path)

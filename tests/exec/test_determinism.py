@@ -33,7 +33,12 @@ def serial_study():
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_parallel_study_identical_to_serial(serial_study, workers):
-    parallel = run_study(APPS, configs=dict(sweep_configs()), max_workers=workers)
+    """The serial study prices its projection cells by schedule group
+    in process; with telemetry every cell is its own run, so these
+    reach the pool."""
+    parallel = run_study(
+        APPS, configs=dict(sweep_configs()), max_workers=workers, telemetry=True
+    )
     assert entry_dicts(parallel) == entry_dicts(serial_study)
     assert parallel.stats.workers == min(workers, parallel.stats.unique_runs)
 
@@ -49,16 +54,21 @@ def test_cache_off_identical_to_cache_on(serial_study):
 def test_parallel_uncached_identical_too(serial_study):
     """Worker count and cache state vary together: still identical."""
     both = run_study(
-        APPS, configs=dict(sweep_configs()), max_workers=2, use_cache=False
+        APPS, configs=dict(sweep_configs()), max_workers=2, use_cache=False,
+        telemetry=True,
     )
+    assert both.stats.workers == 2
     assert entry_dicts(both) == entry_dicts(serial_study)
 
 
 def test_parallel_sweep_identical_to_serial():
+    """A sweep's grid is one schedule group, priced in process; with
+    telemetry every point is its own run, so the pool is reached."""
     app = APPS_BY_NAME["read-benchmark"]
     config = sweep_configs()[app.name]
     serial = run_sweep(app, config, max_workers=1)
-    parallel = run_sweep(app, config, max_workers=4)
+    parallel = run_sweep(app, config, max_workers=4, telemetry=True)
+    assert parallel.stats.workers > 1
     assert parallel.points == serial.points
 
 
@@ -94,11 +104,14 @@ def test_shuffled_plan_identical_with_cache_parity(workers):
     shuffled = list(plan)
     random.Random(2015).shuffle(shuffled)
 
+    # Telemetry makes every projection cell its own run (grouped
+    # pricing would never reach the shards).
     memo.clear_caches()
-    ordered_outcomes, ordered_stats = execute(plan, max_workers=workers)
+    ordered_outcomes, ordered_stats = execute(plan, max_workers=workers, telemetry=True)
     memo.clear_caches()
-    shuffled_outcomes, shuffled_stats = execute(shuffled, max_workers=workers)
+    shuffled_outcomes, shuffled_stats = execute(shuffled, max_workers=workers, telemetry=True)
     memo.clear_caches()
+    assert ordered_stats.workers == shuffled_stats.workers == workers
 
     by_key = {
         spec.content_key(): outcome.result

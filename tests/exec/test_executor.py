@@ -176,8 +176,10 @@ class TestAffinitySharding:
 
 class TestParallelPath:
     def test_pool_results_match_serial(self):
+        # Functional cells: projection cells are priced by schedule
+        # group in process and never reach the pool.
         runs = [
-            run_spec(model=m, platform=p, size=s)
+            run_spec(model=m, platform=p, size=s, projection=False)
             for m in ("OpenMP", "OpenCL")
             for p in (APU, DGPU)
             for s in (1024, 2048)
@@ -208,7 +210,9 @@ class TestTraceCounters:
 
     def test_run_outcome_carries_trace_delta(self):
         memo.clear_caches()
-        outcomes, stats = execute([run_spec()])
+        # A functional cell runs on its own, so its outcome carries
+        # its own memo delta (a grouped cell's call reports it).
+        outcomes, stats = execute([run_spec(projection=False)])
         # Ports do not replay traces; the counters exist but stay zero.
         assert outcomes[0].caches["trace"].hits == 0
         assert outcomes[0].caches["trace"].misses == 0
