@@ -11,7 +11,7 @@ import numpy as np
 
 from ...engine.kernel import AccessKind, AccessPattern, KernelSpec, OpCount
 from ...hardware.specs import Precision
-from .reference import LJ_CUTOFF, CoMDConfig
+from .reference import CoMDConfig
 
 #: Atoms per link cell on the perfect FCC lattice (2x2x2 unit cells).
 ATOMS_PER_CELL = 32

@@ -56,7 +56,6 @@ from .core import (
     sweep_configs,
 )
 from .exec.plan import PLATFORMS, platform_label
-from .hardware.specs import Precision
 from .models.registry import normalize_model_name
 from .sloc import PAPER_TABLE4, table4
 

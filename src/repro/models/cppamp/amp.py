@@ -129,11 +129,6 @@ class AmpRuntime:
         self.broken_kernels = frozenset() if (self.unified or workaround_known_bugs) else CLAMP_BROKEN_KERNELS_DGPU
         self._cpu_fallback = CPUToolchain("C++ AMP (CPU fallback)", threads=4, region_overhead_s=OPENMP_REGION_S)
 
-    @property
-    def accelerator_description(self) -> str:
-        stack = "HSA v1.0" if self.unified else "AMD Catalyst v14.6"
-        return f"{self.ctx.platform.gpu.name} via CLAMP v0.6.0 ({stack})"
-
     def _charge_transfer(self, nbytes: int, direction: str) -> None:
         self.toolchain.charge_transfer(self.ctx, nbytes, direction)
 

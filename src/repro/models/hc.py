@@ -7,7 +7,9 @@ kernel code, platform atomics and offline compilation.
 
 We model HC as: full optimization capability (it inherits OpenCL's
 tuning surface), near-hand-tuned code generation, explicit transfers,
-and HSA-grade dispatch overheads.  The ablation benchmark
+and HSA-grade dispatch overheads.  Its staging table and copies are
+the device data environment the directive runtimes share
+(:class:`~repro.models.device_data.DeviceData`).  The ablation benchmark
 (``benchmarks/test_ablation_hc.py``) uses it to quantify the paper's
 claim that explicit transfers were the single biggest performance gap
 of the emerging models.
@@ -35,7 +37,8 @@ import numpy as np
 
 from ..engine.kernel import KernelSpec
 from ..engine.launch import HC_APU, HC_DGPU
-from .base import Capability, CompilerProfile, ExecutionContext, Toolchain, TransferPolicy
+from .base import Capability, CompilerProfile, ExecutionContext, TransferPolicy
+from .device_data import DeviceData
 
 HC_PROFILE = CompilerProfile(
     name="Heterogeneous Compute",
@@ -49,7 +52,7 @@ HC_PROFILE = CompilerProfile(
 )
 
 
-class HCRuntime:
+class HCRuntime(DeviceData):
     """Single-source kernels over raw pointers with explicit staging.
 
     Two simulated hardware queues: the DMA (copy) stream and the
@@ -59,17 +62,9 @@ class HCRuntime:
     """
 
     def __init__(self, ctx: ExecutionContext) -> None:
-        self.ctx = ctx
-        self.unified = ctx.platform.is_apu
-        self.toolchain = Toolchain(HC_PROFILE, HC_APU if self.unified else HC_DGPU)
-        self._device: dict[int, np.ndarray] = {}
+        super().__init__(ctx, HC_PROFILE, HC_APU, HC_DGPU)
         #: The log that records the stream steps.
         self._log = ctx.charge_log
-
-    @property
-    def simulated_seconds(self) -> float:
-        """0.0: the makespan is priced from the charge log after the run."""
-        return 0.0
 
     def finish(self) -> float:
         """Drain both streams; returns 0.0, like every charge (the
@@ -78,26 +73,17 @@ class HCRuntime:
 
     # -- staging -------------------------------------------------------
 
-    def _stage(self, host: np.ndarray) -> np.ndarray:
-        if not self.ctx.execute_kernels:
-            self._device[id(host)] = host
-            return host
-        device = self._device.get(id(host))
-        if device is None:
-            device = host.copy()
-            self._device[id(host)] = device
-        else:
-            np.copyto(device, host)
+    def _stage(self, host: np.ndarray, kind: str) -> np.ndarray:
+        """Copy ``host`` to the device as stream step ``kind``."""
+        device = self._present[id(host)] = self._copy_in(host)
+        self._log.stream_step(kind, (host,))
         return device
 
     def copy_to_device(self, host: np.ndarray) -> np.ndarray:
         """Synchronous host->device copy; raw pointer on the APU."""
         if self.unified:
             return self._ready_at_zero(host, host)
-        device = self._stage(host)
-        self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
-        self._log.stream_step("sync", (host,))
-        return device
+        return self._stage(host, "sync")
 
     def async_copy_to_device(self, host: np.ndarray) -> np.ndarray:
         """Asynchronous host->device copy on the DMA stream.
@@ -107,23 +93,14 @@ class HCRuntime:
         """
         if self.unified:
             return self._ready_at_zero(host, host)
-        device = self._stage(host)
-        self.toolchain.charge_transfer(self.ctx, host.nbytes, "h2d")
-        self._log.stream_step("async", (host,))
-        return device
+        return self._stage(host, "async")
 
     def device_alloc(self, host: np.ndarray) -> np.ndarray:
         """Allocate device storage for an output array without copying
         (the ``CL_MEM_WRITE_ONLY`` idiom: results only ever come back)."""
         if self.unified:
             return self._ready_at_zero(host, host)
-        if not self.ctx.execute_kernels:
-            self._device[id(host)] = host
-            return self._ready_at_zero(host, host)
-        device = self._device.get(id(host))
-        if device is None:
-            device = np.empty_like(host)
-            self._device[id(host)] = device
+        device = self._present[id(host)] = self._alloc(host)
         return self._ready_at_zero(host, device)
 
     def _ready_at_zero(self, host: np.ndarray, device: np.ndarray) -> np.ndarray:
@@ -135,19 +112,14 @@ class HCRuntime:
         """Synchronous device->host copy of a previously staged array."""
         if self.unified:
             return
-        device = self._device.get(id(host))
-        if device is None:
-            raise RuntimeError("copy_to_host of an array never staged to the device")
-        if self.ctx.execute_kernels and device is not host:
-            np.copyto(host, device)
-        self.toolchain.charge_transfer(self.ctx, host.nbytes, "d2h")
+        self._update(host, "d2h", "copy_to_host of an array never staged to the device")
         self._log.stream_step("sync")
 
     def device_view(self, host: np.ndarray) -> np.ndarray:
         """The device-side array for a staged host array."""
         if self.unified:
             return host
-        device = self._device.get(id(host))
+        device = self._present.get(id(host))
         if device is None:
             raise RuntimeError("array not resident; call copy_to_device first")
         return device
@@ -168,7 +140,7 @@ class HCRuntime:
         arrays keep flowing underneath.
         """
         for a in arrays:
-            if not self.unified and id(a) not in self._device:
+            if not self.unified and id(a) not in self._present:
                 raise RuntimeError("array not resident; call copy_to_device first")
         if self.ctx.execute_kernels:
             device_arrays = [self.device_view(a) for a in arrays]
