@@ -15,7 +15,7 @@ Examples::
     repro study --paper-scale           # full Table I matrix
     repro sweep --app LULESH            # Figure 7 grid, one pricing call
     repro study --trace t.json --workers 4  # per-run recordings over a pool
-    repro characterize --engine scalar     # Table I, LRU replay oracle
+    repro characterize                  # Table I, miss rates by LRU replay
     repro profile figure8 --trace t.json --metrics m.prom   # telemetry
     repro figure9 --trace t.json        # any study-backed command
     repro serve --port 8351             # the prediction service
@@ -233,7 +233,7 @@ def cmd_export(args: argparse.Namespace) -> None:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int | None:
-    """Regenerate Table I through the selected replay engine.
+    """Regenerate Table I, miss rates by LRU trace replay.
 
     Prints the characterization table plus the executor stats (which
     now include the trace-replay memo counters).
@@ -244,7 +244,6 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
         PROXY_APPS,
         max_workers=args.workers,
         use_cache=not args.no_cache,
-        engine=args.engine,
         telemetry=_wants_telemetry(args),
         **fault_kwargs,
     )
@@ -769,7 +768,7 @@ COMMAND_SECTIONS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
     ("studies & data", (
         ("study", "the full comparison study through the parallel executor"),
         ("sweep", "Figure 7 frequency sweeps through the parallel executor"),
-        ("characterize", "Table I through the vectorized replay engine"),
+        ("characterize", "Table I, miss rates by LRU trace replay"),
         ("export", "dump study (and sweep) records to JSON or CSV"),
     )),
     ("performance & telemetry", (
@@ -854,12 +853,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_flags(study)
     char = sub.add_parser(
         "characterize",
-        description="Table I through the vectorized (or scalar) replay engine")
+        description="Table I, miss rates by LRU replay of synthetic traces "
+                    "through the simulated R9 280X L2")
     char.set_defaults(func=cmd_characterize)
-    char.add_argument("--engine", choices=("vector", "scalar"), default="vector",
-                      help="cache-replay engine of the miss-rate column: "
-                           "'vector' is the fast default, 'scalar' the "
-                           "per-access LRU it must equal bit for bit")
     _add_executor_flags(char)
     _add_telemetry_flags(char)
     _add_fault_flags(char, resume=False)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ..apps.base import ProxyApp
 from ..engine.kernel import KernelSpec
-from ..engine.trace import DEFAULT_REPLAY_ENGINE, replay_pattern
+from ..engine.trace import replay_pattern
 from ..exec.executor import ExecStats
 from ..exec.faults import FaultPlan, RunError
 from ..exec.retry import RetryPolicy
@@ -61,15 +61,9 @@ class AppCharacterization:
     boundedness: str
 
 
-def measure_miss_rate(spec: KernelSpec, engine: str = DEFAULT_REPLAY_ENGINE) -> float:
-    """Replay the kernel's access pattern through the R9 280X L2.
-
-    ``engine`` selects the replay implementation (``"vector"`` batch
-    simulator or the ``"scalar"`` reference); both are bit-identical,
-    so the choice affects wall time only.
-    """
-    result = replay_pattern(spec.access, R9_280X.l2_cache, engine=engine)
-    return result.miss_rate
+def measure_miss_rate(spec: KernelSpec) -> float:
+    """Replay the kernel's access pattern through the R9 280X L2."""
+    return replay_pattern(spec.access, R9_280X.l2_cache).miss_rate
 
 
 def measure_ipc(app: ProxyApp, config: object, precision: Precision = Precision.SINGLE, threads: int = 4) -> float:
@@ -117,15 +111,13 @@ def characterize(
     sweep: SweepResult | None = None,
     max_workers: int = 1,
     use_cache: bool = True,
-    engine: str = DEFAULT_REPLAY_ENGINE,
 ) -> AppCharacterization:
     """Produce one Table I row for ``app``.
 
     The miss rate is always measured at the paper's problem size (it
     depends on the working set); IPC and boundedness use the supplied
     configs.  ``max_workers``/``use_cache`` configure the executor for
-    the boundedness sweep; ``engine`` picks the trace-replay
-    implementation.
+    the boundedness sweep.
     """
     spec = dominant_spec(app, app.paper_config())
     if sweep is None:
@@ -139,7 +131,7 @@ def characterize(
         )
     return AppCharacterization(
         app=app.name,
-        llc_miss_rate=measure_miss_rate(spec, engine=engine),
+        llc_miss_rate=measure_miss_rate(spec),
         ipc=measure_ipc(app, config),
         n_kernels=app.n_kernels,
         boundedness=sweep.classify(),
@@ -169,7 +161,6 @@ def characterize_apps(
     sweep_configs: dict[str, object] | None = None,
     max_workers: int = 1,
     use_cache: bool = True,
-    engine: str = DEFAULT_REPLAY_ENGINE,
     telemetry: bool = False,
     policy: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
@@ -177,10 +168,10 @@ def characterize_apps(
     """Characterize several apps, with executor stats aggregated.
 
     Each app's boundedness sweep fans through the parallel executor
-    (``max_workers``); miss-rate replays go through the selected
-    ``engine`` and the trace memo cache, whose hit/miss delta for the
-    whole batch is folded into the returned stats.  Results are
-    bit-identical for every worker count, engine and cache setting.
+    (``max_workers``); miss-rate replays go through the trace memo
+    cache, whose hit/miss delta for the whole batch is folded into the
+    returned stats.  Results are bit-identical for every worker count
+    and cache setting.
 
     ``policy``/``faults`` configure the fault-tolerance layer of each
     boundedness sweep.  An app whose sweep lost the grid points its
@@ -220,7 +211,7 @@ def characterize_apps(
                 # makes the boundedness slopes unmeasurable, so skip
                 # the row rather than classify from a partial grid.
                 continue
-            rows.append(characterize(app, configs[app.name], sweep=sweep, engine=engine))
+            rows.append(characterize(app, configs[app.name], sweep=sweep))
     if stats is None:
         stats = ExecStats()
     # The miss-rate replays run in this process, outside the executor:

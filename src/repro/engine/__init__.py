@@ -51,11 +51,8 @@ from .timing import (
     time_gpu_kernel,
 )
 from .trace import (
-    DEFAULT_REPLAY_ENGINE,
-    REPLAY_ENGINES,
     TraceResult,
     generate_trace,
-    make_replay_cache,
     replay_pattern,
     scaled_cache_spec,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "AccessPattern",
     "CPPAMP_APU",
     "CPPAMP_DGPU",
-    "DEFAULT_REPLAY_ENGINE",
-    "REPLAY_ENGINES",
     "HC_APU",
     "HC_DGPU",
     "KERNEL_CACHE",
@@ -99,7 +94,6 @@ __all__ = [
     "cpu_vector_rate",
     "generate_trace",
     "hand_tuned",
-    "make_replay_cache",
     "memoized_setup",
     "replay_pattern",
     "scaled_cache_spec",

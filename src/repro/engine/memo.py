@@ -142,12 +142,9 @@ KERNEL_CACHE = MemoCache("kernel")
 
 #: The process-global cache backing ``replay_pattern``: Table I miss
 #: rates keyed on ``(pattern kind, pattern, scaled cache spec,
-#: budget)``.  Trace generation is deterministic and both replay
-#: engines are pure functions of (trace, cache spec), so a hit is
-#: bit-identical to re-simulating.  The engine that computed a
-#: :class:`~repro.engine.trace.TraceResult` is deliberately not part of
-#: the key: the vectorized and scalar engines are asserted
-#: bit-identical, so either may serve the other's lookups.
+#: budget)``.  Trace generation is deterministic and the replay is a
+#: pure function of (trace, cache spec), so a hit is bit-identical to
+#: re-simulating.
 TRACE_CACHE = MemoCache("trace")
 
 #: The process-global cache backing schedule capture.  The study

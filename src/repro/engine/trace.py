@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hardware.cache import CacheStats, SetAssociativeCache
-from ..hardware.cache_vec import VectorSetAssociativeCache
 from ..hardware.specs import CacheSpec
 from ..obs import spans as obs_spans
 from .kernel import AccessKind, AccessPattern
@@ -32,11 +31,6 @@ DEFAULT_TRACE_BUDGET = 200_000
 
 #: Footprints larger than this are scaled down together with the cache.
 DEFAULT_FOOTPRINT_CAP = 16 * 1024 * 1024
-
-#: Replay engines: the vectorized batch simulator is the production
-#: default; the scalar dict model is the differential reference.
-REPLAY_ENGINES = ("vector", "scalar")
-DEFAULT_REPLAY_ENGINE = "vector"
 
 
 @dataclass(frozen=True)
@@ -215,34 +209,20 @@ def scaled_cache_spec(
     )
 
 
-def make_replay_cache(
-    spec: CacheSpec, engine: str = DEFAULT_REPLAY_ENGINE
-) -> VectorSetAssociativeCache | SetAssociativeCache:
-    """Instantiate the requested replay engine on ``spec``."""
-    if engine == "vector":
-        return VectorSetAssociativeCache(spec)
-    if engine == "scalar":
-        return SetAssociativeCache(spec)
-    raise ValueError(f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}")
-
-
 def replay_pattern(
     pattern: AccessPattern,
     cache_spec: CacheSpec,
     budget: int = DEFAULT_TRACE_BUDGET,
-    engine: str = DEFAULT_REPLAY_ENGINE,
 ) -> TraceResult:
     """Measure ``pattern``'s miss rate on a cache of ``cache_spec``.
 
-    Replays run array-native through the selected engine and are
-    memoized content-addressed in
-    :data:`~repro.engine.memo.TRACE_CACHE`: repeated characterizations
-    of the same (pattern, scaled cache, budget) hit instead of
-    re-simulating.  Both engines are bit-identical, so neither the
-    memo layer nor the engine choice can change a result.
+    Replays run array-native through
+    :class:`~repro.hardware.cache.SetAssociativeCache` and are memoized
+    content-addressed in :data:`~repro.engine.memo.TRACE_CACHE`:
+    repeated characterizations of the same (pattern, scaled cache,
+    budget) hit instead of re-simulating, and a hit is bit-identical
+    to a fresh replay.
     """
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}")
     from .memo import TRACE_CACHE  # late: keep this module importable standalone
 
     scaled_spec, scale = scaled_cache_spec(pattern, cache_spec)
@@ -252,9 +232,9 @@ def replay_pattern(
         with rec.span("characterize", f"generate:{pattern.kind.value}", "trace",
                       budget=budget):
             trace = generate_trace(pattern, budget=budget)
-        cache = make_replay_cache(scaled_spec, engine)
+        cache = SetAssociativeCache(scaled_spec)
         with rec.span("characterize", f"replay:{pattern.kind.value}", "trace",
-                      engine=engine, accesses=len(trace)):
+                      accesses=len(trace)):
             # Warm-up pass then measured pass: Table I reports steady state.
             cache.replay(trace[: len(trace) // 4])
             measured = cache.replay(trace)

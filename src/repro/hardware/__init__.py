@@ -7,7 +7,6 @@ an AMD A10-7850K APU with unified memory, both hosted by the same
 """
 
 from .cache import CacheStats, SetAssociativeCache, validate_geometry
-from .cache_vec import VectorSetAssociativeCache
 from .compute_unit import Occupancy, latency_hiding_factor, occupancy, wavefronts_for
 from .device import (
     CPUDevice,
@@ -68,7 +67,6 @@ __all__ = [
     "R9_280X",
     "SetAssociativeCache",
     "TransferRecord",
-    "VectorSetAssociativeCache",
     "validate_geometry",
     "latency_hiding_factor",
     "make_apu_platform",

@@ -1,4 +1,4 @@
-"""Set-associative cache simulator (scalar reference engine).
+"""Set-associative LRU cache simulator.
 
 Table I of the paper characterises each proxy application by its
 last-level-cache miss rate (11% LULESH ... 53% XSBench).  Rather than
@@ -7,16 +7,17 @@ application's kernels generate synthetic address traces (see
 ``repro.engine.trace``) that are replayed through this LRU
 set-associative model.
 
-This scalar engine is the differential-testing reference; the
-production path is the vectorized batch engine
-(``repro.hardware.cache_vec``), which produces bit-identical
-:class:`CacheStats` from whole numpy address arrays.
+:meth:`SetAssociativeCache.replay` takes whole address arrays: numpy
+passes strip the touches that are hits by construction and bucket the
+rest by set, and only what survives reaches the per-set LRU dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .specs import CacheSpec
 
@@ -60,8 +61,8 @@ class CacheStats:
         )
 
     def since(self, earlier: "CacheStats") -> "CacheStats":
-        """Counter delta between two snapshots (shared by both replay
-        engines to report per-replay stats from cumulative counters)."""
+        """Counter delta between two snapshots (per-replay stats from
+        cumulative counters)."""
         return CacheStats(
             accesses=self.accesses - earlier.accesses,
             hits=self.hits - earlier.hits,
@@ -82,8 +83,11 @@ class CacheStats:
 class SetAssociativeCache:
     """An LRU set-associative cache replaying byte-address traces.
 
-    The implementation keeps one ordered dict of tags per set; Python
-    dict ordering gives O(1) LRU updates.
+    State is one insertion-ordered dict of tags per set, least recently
+    used first, so a hit moves its tag to the end and a miss in a full
+    set evicts the first one.  State persists across :meth:`replay`
+    calls, which the warm-up/measure protocol of ``repro.engine.trace``
+    relies on.
     """
 
     def __init__(self, spec: CacheSpec) -> None:
@@ -98,40 +102,79 @@ class SetAssociativeCache:
         self._sets = [{} for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.spec.line_bytes
-        return line % self.n_sets, line
-
     def access(self, address: int) -> bool:
         """Touch one byte address; returns True on hit."""
-        set_idx, tag = self._locate(address)
-        ways = self._sets[set_idx]
-        self.stats.accesses += 1
-        if tag in ways:
-            # Refresh LRU position.
-            del ways[tag]
-            ways[tag] = None
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if len(ways) >= self.spec.ways:
-            oldest = next(iter(ways))
-            del ways[oldest]
-            self.stats.evictions += 1
-        ways[tag] = None
-        return False
+        return self.replay((address,)).hits == 1
 
     def replay(self, addresses: Iterable[int]) -> CacheStats:
         """Replay a trace, returning the stats delta for this trace.
 
-        Accepts any iterable of byte addresses, including numpy int
-        arrays (converted once, not element by element).
+        Accepts a list, range or int64 array of non-negative byte
+        addresses.  Touches that repeat the previous touch of the same
+        set hit and leave the LRU order alone, so they are counted in
+        bulk; the rest run through each touched set's dict in program
+        order.
         """
-        if hasattr(addresses, "tolist"):  # numpy array: one bulk conversion
-            addresses = addresses.tolist()  # type: ignore[union-attr]
+        lines = np.asarray(addresses, dtype=np.int64) // self.spec.line_bytes
+        n = int(lines.size)
         before = self.stats.copy()
-        for address in addresses:
-            self.access(address)
+        if not n:
+            return self.stats.since(before)
+        if lines.min() < 0:
+            raise ValueError("cache replay requires non-negative addresses")
+
+        # Consecutive touches of one line: every repeat is a hit.
+        keep = np.empty(n, dtype=bool)
+        keep[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        lines = lines[keep]
+
+        # Bucket by set.  Positions make the keys unique, so the sort
+        # keeps each set's program order, the only order LRU depends on.
+        m = int(lines.size)
+        key = ((lines % self.n_sets) << 32) | np.arange(m, dtype=np.int64)
+        key.sort()
+        sets = key >> 32
+        key &= 0xFFFFFFFF
+        tags = lines[key]
+
+        # Repeats of a set's MRU line, adjacent once bucketed, are hits.
+        # Tags are whole line numbers, so equal neighbours share a set
+        # and every bucket's first touch (``first``) is kept.
+        keep = np.empty(m, dtype=bool)
+        keep[0] = True
+        np.not_equal(tags[1:], tags[:-1], out=keep[1:])
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.not_equal(sets[1:], sets[:-1], out=first[1:])
+        tags = tags[keep].tolist()
+        starts = np.flatnonzero(first[keep]).tolist()
+        ends = [*starts[1:], len(tags)]
+
+        # The LRU step.  Every miss fills a way or evicts, so evictions
+        # are the misses less the growth in resident lines.
+        ways = self.spec.ways
+        hits = n - len(tags)
+        grown = 0
+        for set_idx, lo, hi in zip(sets[first].tolist(), starts, ends):
+            lru = self._sets[set_idx]
+            resident = len(lru)
+            unlink = lru.pop
+            for tag in tags[lo:hi]:
+                # One lookup unlinks a resident tag (stored value None);
+                # an absent one returns the default.
+                if unlink(tag, 0) is None:
+                    hits += 1
+                elif len(lru) >= ways:
+                    del lru[next(iter(lru))]
+                lru[tag] = None
+            grown += len(lru) - resident
+
+        misses = n - hits
+        self.stats.accesses += n
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.evictions += misses - grown
         return self.stats.since(before)
 
     @property

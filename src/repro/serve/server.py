@@ -66,10 +66,11 @@ SERVE_LATENCY_BUCKETS: tuple[float, ...] = (
 
 #: Buckets for per-segment histograms: segments (a queue wait, one
 #: serialize) run far shorter than whole requests, so extend the floor
-#: down to 10 µs.
-SEGMENT_BUCKETS: tuple[float, ...] = (
-    0.00001, 0.000025, 0.00005,
-) + SERVE_LATENCY_BUCKETS
+#: down to 10 µs, and split 50-250 µs finer, where warm segments sit,
+#: so a p50 read from the buckets moves with real change near 100 µs.
+SEGMENT_BUCKETS: tuple[float, ...] = tuple(sorted(
+    (0.00001, 0.000025, 0.00005, 0.000075, 0.00015, 0.0002) + SERVE_LATENCY_BUCKETS
+))
 
 
 @dataclass(frozen=True)

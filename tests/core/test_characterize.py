@@ -96,15 +96,6 @@ class TestCharacterizeApps:
         assert lookups >= len(PROXY_APPS)
         assert "trace-replay memo cache" in result.stats.summary()
 
-    def test_engines_bit_identical(self):
-        from repro.core.characterize import characterize_apps
-        from repro.engine.memo import cache_disabled
-
-        with cache_disabled():
-            vector = characterize_apps(PROXY_APPS[:2], engine="vector")
-            scalar = characterize_apps(PROXY_APPS[:2], engine="scalar")
-        assert vector.rows == scalar.rows
-
     def test_workers_bit_identical(self, result):
         from repro.core.characterize import characterize_apps
 

@@ -101,26 +101,6 @@ class TestReplay:
         assert result.stats.accesses > 0
 
 
-class TestEngines:
-    CACHE = CacheSpec(size_bytes=768 * 1024, line_bytes=64, ways=16)
-
-    @pytest.mark.parametrize("kind", list(AccessKind))
-    def test_vector_and_scalar_bit_identical(self, kind):
-        from repro.engine.memo import cache_disabled
-
-        overrides = {"table_entries": 1 << 14} if kind is AccessKind.BINARY_SEARCH else {}
-        p = pattern(kind, **overrides)
-        with cache_disabled():
-            vector = replay_pattern(p, self.CACHE, budget=20_000, engine="vector")
-            scalar = replay_pattern(p, self.CACHE, budget=20_000, engine="scalar")
-        assert vector.stats == scalar.stats
-        assert vector.scale == scalar.scale
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="replay engine"):
-            replay_pattern(pattern(AccessKind.STREAMING), self.CACHE, engine="quantum")
-
-
 class TestTraceMemo:
     CACHE = CacheSpec(size_bytes=768 * 1024, line_bytes=64, ways=16)
 
@@ -158,18 +138,6 @@ class TestTraceMemo:
             recomputed = replay_pattern(p, self.CACHE, budget=10_000)
             assert recomputed is not memoized
         assert recomputed.stats == memoized.stats
-
-    def test_engine_not_part_of_key(self):
-        """Either engine may serve the other's lookups — they are
-        asserted bit-identical, so this can never change a result."""
-        from repro.engine.memo import TRACE_CACHE
-
-        p = pattern(AccessKind.STREAMING, working_set_bytes=1 << 20)
-        TRACE_CACHE.clear()
-        replay_pattern(p, self.CACHE, budget=10_000, engine="scalar")
-        before = TRACE_CACHE.snapshot()
-        replay_pattern(p, self.CACHE, budget=10_000, engine="vector")
-        assert TRACE_CACHE.snapshot().since(before).hits == 1
 
 
 class TestCrossProcessDeterminism:

@@ -1,10 +1,11 @@
-"""Differential and property tests for the vectorized cache engine.
+"""Differential and property tests for the vectorized cache replay.
 
-The vectorized batch simulator must be **bit-identical** to the scalar
-dict-based reference on every trace and geometry: same hits, misses,
-evictions and resident lines, including across persistent state carried
-over multiple ``replay`` calls.  The scalar model stays in the tree as
-the differential oracle; these tests are the contract.
+:meth:`SetAssociativeCache.replay` strips guaranteed hits and buckets
+the trace by set with numpy before its per-set LRU loop.  It must be
+**bit-identical** to the per-access oracle of ``lru_oracle.py`` on
+every trace and geometry: same hits, misses, evictions and resident
+lines, including across persistent state carried over multiple
+``replay`` calls.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from repro.engine.kernel import AccessKind, AccessPattern
 from repro.engine.trace import generate_trace
 from repro.hardware.cache import SetAssociativeCache
-from repro.hardware.cache_vec import VectorSetAssociativeCache
 from repro.hardware.specs import CacheSpec
+
+from .lru_oracle import LRUOracle
 
 LINE = 64
 
@@ -30,17 +32,17 @@ GEOMETRIES = {
 }
 
 
-def assert_identical(spec, traces, tail_cutoff=None):
-    """Replay ``traces`` through both engines on shared persistent state
-    and compare every per-call delta and the cumulative counters."""
-    scalar = SetAssociativeCache(spec)
-    vector = VectorSetAssociativeCache(spec, tail_cutoff=tail_cutoff)
+def assert_identical(spec, traces):
+    """Replay ``traces`` through the cache and the oracle on persistent
+    state and compare every per-call delta and the cumulative counters."""
+    oracle = LRUOracle(spec)
+    cache = SetAssociativeCache(spec)
     for trace in traces:
-        expected = scalar.replay(list(trace))
-        actual = vector.replay(np.asarray(trace, dtype=np.int64))
+        expected = oracle.replay(list(trace))
+        actual = cache.replay(np.asarray(trace, dtype=np.int64))
         assert actual == expected
-    assert vector.stats == scalar.stats
-    assert vector.resident_lines == scalar.resident_lines
+    assert cache.stats == oracle.stats
+    assert cache.resident_lines == oracle.resident_lines
 
 
 class TestDifferential:
@@ -52,18 +54,9 @@ class TestDifferential:
         traces = [rng.integers(0, span, size=n) for n in (1, 7, 500, 3000)]
         assert_identical(spec, traces)
 
-    @pytest.mark.parametrize("cutoff", [0, 3, 10**9])
-    def test_round_tail_split_is_exact(self, cutoff):
-        """Any round/scalar-tail split point gives identical stats:
-        0 = pure round loop, huge = pure scalar tail."""
-        spec = GEOMETRIES["tiny"]
-        rng = np.random.default_rng(11)
-        traces = [rng.integers(0, 4 * spec.size_bytes, size=2000) for _ in range(2)]
-        assert_identical(spec, traces, tail_cutoff=cutoff)
-
     def test_wide_tags_fall_back_exactly(self):
-        """Addresses near 2**60 force tags too wide for the packed
-        round state; the unpacked fallback must stay bit-identical."""
+        """Addresses near 2**60: tags far wider than the 32-bit
+        position field of the bucketing sort key stay exact."""
         spec = GEOMETRIES["tiny"]
         rng = np.random.default_rng(13)
         base = 1 << 60
@@ -71,8 +64,8 @@ class TestDifferential:
         assert_identical(spec, traces)
 
     def test_skewed_set_pressure(self):
-        """One scorching set plus a uniform background — the shape that
-        exercises the depth-ascending row compaction."""
+        """One scorching set plus a uniform background: one set's
+        bucket runs far deeper than the rest."""
         spec = GEOMETRIES["l2-like"]
         rng = np.random.default_rng(17)
         hot = rng.integers(0, 4, size=4000) * spec.line_bytes * spec.sets
@@ -92,10 +85,11 @@ class TestDifferential:
 
     def test_single_access_matches(self):
         spec = GEOMETRIES["direct-mapped"]
-        scalar = SetAssociativeCache(spec)
-        vector = VectorSetAssociativeCache(spec)
+        oracle = LRUOracle(spec)
+        cache = SetAssociativeCache(spec)
         for addr in (0, 0, LINE, 0, 17 * LINE, LINE):
-            assert vector.access(addr) == scalar.access(addr)
+            assert cache.access(addr) == oracle.access(addr)
+        assert cache.stats == oracle.stats
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=400))
@@ -108,7 +102,7 @@ class TestProperties:
     def test_counters_conserved(self, name):
         spec = GEOMETRIES[name]
         rng = np.random.default_rng(23)
-        cache = VectorSetAssociativeCache(spec)
+        cache = SetAssociativeCache(spec)
         for n in (100, 2000):
             cache.replay(rng.integers(0, 8 * spec.size_bytes, size=n))
         stats = cache.stats
@@ -119,7 +113,7 @@ class TestProperties:
 
     def test_replay_returns_per_call_delta(self):
         spec = GEOMETRIES["tiny"]
-        cache = VectorSetAssociativeCache(spec)
+        cache = SetAssociativeCache(spec)
         first = cache.replay([0, 0, LINE])
         second = cache.replay([0])
         assert (first.accesses, first.hits) == (3, 1)
@@ -127,7 +121,7 @@ class TestProperties:
         assert cache.stats.accesses == 4
 
     def test_reset_clears_state(self):
-        cache = VectorSetAssociativeCache(GEOMETRIES["tiny"])
+        cache = SetAssociativeCache(GEOMETRIES["tiny"])
         cache.replay([0, LINE, 2 * LINE])
         cache.reset()
         assert cache.resident_lines == 0
@@ -135,22 +129,24 @@ class TestProperties:
         assert cache.replay([0]).misses == 1
 
     def test_negative_address_rejected(self):
-        cache = VectorSetAssociativeCache(GEOMETRIES["tiny"])
+        cache = SetAssociativeCache(GEOMETRIES["tiny"])
         with pytest.raises(ValueError):
             cache.replay([0, -1])
 
     def test_empty_replay(self):
-        cache = VectorSetAssociativeCache(GEOMETRIES["tiny"])
+        cache = SetAssociativeCache(GEOMETRIES["tiny"])
         delta = cache.replay([])
         assert delta.accesses == 0
 
 
 class TestScalarArrayInput:
     def test_scalar_replay_accepts_numpy(self):
-        """The reference engine takes the same array-native traces."""
+        """Lists, ranges and int64 arrays replay identically."""
         spec = GEOMETRIES["tiny"]
         rng = np.random.default_rng(29)
         trace = rng.integers(0, 4 * spec.size_bytes, size=1000)
         from_list = SetAssociativeCache(spec)
         from_array = SetAssociativeCache(spec)
         assert from_array.replay(trace) == from_list.replay(trace.tolist())
+        span = range(0, 4 * spec.size_bytes, 24)
+        assert SetAssociativeCache(spec).replay(span) == LRUOracle(spec).replay(span)

@@ -23,6 +23,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure7", "--app", "nope"])
 
+    def test_characterize_has_one_replay_engine(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["characterize", "--engine", "scalar"])
+
 
 class TestFaultFlags:
     def test_study_and_sweep_take_fault_flags(self):
