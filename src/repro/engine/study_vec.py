@@ -88,13 +88,6 @@ from ..models.base import ChargeLog, ExecutionContext
 from ..obs import spans as obs_spans
 
 
-def vector_eligible(spec: RunSpec) -> bool:
-    """Whether the columnar engine can price this cell: projection mode
-    only (functional runs execute kernel bodies, which capture skips by
-    construction)."""
-    return spec.projection
-
-
 @dataclass(frozen=True)
 class ChargeProgram:
     """One port's captured schedule, lowered to arrays.
@@ -514,29 +507,6 @@ def priced_run(port: Port, ctx: ExecutionContext, config: object) -> RunResult:
     """
     ran = port(ctx, config)
     return price_context(ctx, ran.app, ran.model, ran.checksum)
-
-
-def price_specs(specs: Sequence[RunSpec]) -> list[RunResult | None]:
-    """Price a batch of eligible cells columnar, preserving order.
-
-    The serve batcher's cold-miss path: one capture and one
-    :func:`price_cell` call per schedule group — no retry/journal
-    machinery.  Every spec must satisfy :func:`vector_eligible`.
-
-    Failures are isolated per group: a group whose broadcast call
-    raises is re-priced one row at a time, and only a row that still
-    raises, or whose group's capture failed, comes back as ``None``
-    (the caller's scalar fallback prices it).
-    """
-    for spec in specs:
-        if not vector_eligible(spec):
-            raise ValueError(f"{spec.label}: not priceable by the columnar engine")
-    lattice = SpecLattice.from_specs(list(specs))
-    results: list[RunResult | None] = [None] * len(lattice.rows)
-    for _key, rows in lattice.groups:
-        for index, result in zip(rows, _price_group(lattice, rows)):
-            results[index] = result
-    return results
 
 
 def _price_group(lattice: SpecLattice, rows: Sequence[int]) -> list[RunResult | None]:

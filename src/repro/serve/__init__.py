@@ -11,7 +11,8 @@ serving-stack shape the ROADMAP's north star asks for:
   health/readiness/metrics).
 * :mod:`repro.serve.batcher` — idle-dispatch micro-batching with
   single-flight deduplication over the process-global result memo,
-  dispatching to a backend thread that runs the exec retry ladder.
+  dispatching to a backend thread that prices each batch through the
+  study executor, :func:`repro.exec.executor.execute`.
 * :mod:`repro.serve.http` — the one HTTP/1.1 framing module: request
   parser and response encoder, request encoder and response reader,
   the router's pooled keep-alive client, and one-shot JSON helpers.
@@ -33,7 +34,7 @@ serving-stack shape the ROADMAP's north star asks for:
   (``repro serve --shards N``), self-healing via liveness supervision
   (:mod:`repro.serve.supervise`), per-shard circuit breakers with a
   global retry budget (:mod:`repro.serve.breaker`), and degraded local
-  pricing while an owner shard is down.
+  pricing through a router-side batcher while an owner shard is down.
 * :mod:`repro.serve.faults` / :mod:`repro.serve.chaos` — the seeded
   serve-layer fault injector (crash/hang/slow/reset/corrupt) and the
   chaos drill (``repro loadtest --chaos``) that holds the tier to its

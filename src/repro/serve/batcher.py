@@ -17,11 +17,12 @@ The :class:`Batcher` sits between them:
   of the current event-loop iteration, so the requests read in one
   wake-up (and a predict's two legs) share a batch; specs arriving
   while a batch runs go out together the moment it finishes.  There
-  each runs through the retry ladder of :mod:`repro.exec.retry` (the
-  per-run watchdog doubles as the request's compute deadline) and
-  lands in the result cache.  The engine's kernel/setup/trace memo
-  caches live in this process, so every request warms them for the
-  next.
+  the batch is priced by one :func:`~repro.exec.executor.execute`
+  call, the study executor's own path: grouped pricing, with the
+  retry ladder of :mod:`repro.exec.retry` for any spec it rejects (the
+  per-run watchdog doubles as the request's compute deadline).  Each
+  result lands in the result cache.  The engine's memo caches live in
+  this process, so every request warms them for the next.
 
 Results are deterministic pure functions of their spec, so cached,
 coalesced and computed answers are all bit-identical.
@@ -31,8 +32,8 @@ Tracing: each queued spec carries its request's
 the thread hop (contextvars do not follow ``run_in_executor``), so the
 batcher can attribute every microsecond a request spends here —
 ``batch_wait`` (submit → batch dispatch), ``queue_wait`` (dispatch →
-the backend thread picking the spec up), ``engine`` (the compute
-itself, parenting any deeper run spans), the persistent store's
+the backend thread starting the batch's ``execute`` call), ``engine``
+(that call, shared by the batch's requests), the persistent store's
 ``store_read``/``store_write``, and ``coalesced_wait`` for followers
 riding an identical in-flight spec.  All of it is observation-only;
 with no ambient context the batcher records nothing.
@@ -48,9 +49,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ..apps.base import RunResult
 from ..engine import memo
-from ..exec.faults import RunError
+from ..exec.executor import execute
+from ..exec.faults import FaultPlan, RunError
 from ..exec.plan import RunSpec
-from ..exec.retry import RetryPolicy, run_with_retry, validate_result
+from ..exec.retry import RetryPolicy
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from .store import STORED
@@ -103,9 +105,8 @@ class Batcher:
     backend thread, so the simulator itself stays single-threaded while
     the loop keeps serving cache hits.
 
-    A flushed batch's cold specs are priced in one columnar call
-    (:func:`~repro.engine.study_vec.price_specs`); a spec that call
-    cannot serve falls back to the scalar retry ladder on its own.
+    A flushed batch is priced by one :func:`~repro.exec.executor.execute`
+    call under ``policy``.
     """
 
     def __init__(
@@ -127,6 +128,13 @@ class Batcher:
             "repro_serve_batch_size",
             help="Coalesced specs per dispatched engine batch.",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+        )
+        self._engine_runs = self.metrics.counter(
+            "repro_serve_engine_runs_total", help="Cold specs priced by the backend."
+        )
+        self._engine_retries = self.metrics.counter(
+            "repro_serve_engine_retries_total",
+            help="Backend engine run attempts beyond the first.",
         )
         # Loaded now, not in the first cold batch.
         from ..engine import study_vec  # noqa: F401
@@ -286,114 +294,38 @@ class Batcher:
     def _run_batch(
         self, batch: list[_BatchItem], dispatched_s: float
     ) -> list[tuple[str, RunResult | None, Exception | None]]:
-        """Backend thread: run each unique spec through cache + retry.
-
-        The batch's cold specs are priced first as one whole-batch call;
-        their results enter the single-flight cache under the same keys,
-        and any spec the columnar path could not serve (failed or
-        invalid) falls through to the scalar retry ladder.
+        """Backend thread: price the batch's specs in one
+        :func:`~repro.exec.executor.execute` call, then land each result
+        in the single-flight cache under its request's trace context
+        (so a store write is attributed).  Every item's ``engine``
+        segment spans the shared call; a spec the executor quarantined
+        answers with a :class:`BackendRunError`.
         """
+        started = time.perf_counter()
+        # The inactive plan, not the study-run environment's.
+        outcomes, stats = execute(
+            [item.spec for item in batch], policy=self.policy, faults=FaultPlan()
+        )
+        ended = time.perf_counter()
+        self._engine_runs.inc(stats.unique_runs)
+        self._engine_retries.inc(stats.retries)
+        failures = {error.key: error for error in stats.failures}
         tracer = tracing.TRACER
-        precomputed, columnar_window = self._price_columnar(batch)
         rows: list[tuple[str, RunResult | None, Exception | None]] = []
-        for item in batch:
-            key, spec, ctx = item.key, item.spec, item.ctx
-            picked_up_s = time.perf_counter()
-            if ctx is not None:
-                # Wait on the loop for the backend, then executor-queue wait plus
-                # earlier batch members' compute, attributed per item.  A
-                # columnar-served item stopped waiting when the shared
-                # pricing call began — not when this loop reached it —
-                # so its queue_wait must not overlap its engine segment.
-                if key in precomputed and columnar_window is not None:
-                    waited_until = columnar_window[0]
-                else:
-                    waited_until = picked_up_s
-                tracer.record("batch_wait", item.submitted_s, dispatched_s, parent=ctx)
-                tracer.record("queue_wait", dispatched_s, waited_until, parent=ctx)
+        for item, outcome in zip(batch, outcomes):
+            if item.ctx is not None:
+                tracer.record("batch_wait", item.submitted_s, dispatched_s, parent=item.ctx)
+                tracer.record("queue_wait", dispatched_s, started, parent=item.ctx)
+                tracer.record("engine", started, ended, parent=item.ctx)
+            if outcome is None:
+                rows.append((item.key, None, BackendRunError(failures[item.key])))
+                continue
             try:
-                if key in precomputed:
-                    # Ambient context, so a store write is attributed.
-                    with tracing.use(ctx):
-                        value = self.cache.get_or_compute(
-                            key, lambda key=key: precomputed[key]
-                        )
-                    if ctx is not None and columnar_window is not None:
-                        tracer.record(
-                            "engine", columnar_window[0], columnar_window[1],
-                            parent=ctx, attrs={"source": "columnar"},
-                        )
-                else:
-                    engine_span = None
-                    if ctx is not None:
-                        engine_span = tracer.start_span(
-                            "engine", kind="segment", parent=ctx,
-                            attrs={"source": "scalar"},
-                        )
-                    with tracing.use(
-                        engine_span.context if engine_span is not None else None
-                    ):
-                        value = self.cache.get_or_compute(
-                            key, lambda spec=spec: self._compute(spec)
-                        )
-                    if engine_span is not None:
-                        tracer.finish_span(engine_span)
-                rows.append((key, value, None))
+                with tracing.use(item.ctx):
+                    value = self.cache.get_or_compute(
+                        item.key, lambda result=outcome.result: result
+                    )
+                rows.append((item.key, value, None))
             except Exception as exc:
-                rows.append((key, None, exc))
+                rows.append((item.key, None, exc))
         return rows
-
-    def _price_columnar(
-        self, batch: list[_BatchItem]
-    ) -> tuple[dict[str, RunResult], tuple[float, float] | None]:
-        """Columnar-price the batch's cold specs in one call.
-
-        Best-effort: any failure (capture, pricing, validation) simply
-        leaves the affected specs to the scalar fallback — the batcher
-        never loses a request to the fast path.  ``price_specs``
-        isolates failures per schedule group and then per row, so one
-        failing spec costs only itself the fast path.  Returns the priced
-        results plus the wall window of the columnar call, so each
-        served request's trace carries an ``engine`` segment covering
-        the shared computation that produced its answer.
-        """
-        from ..engine.study_vec import price_specs
-
-        cold = [(item.key, item.spec) for item in batch if not self.cache.contains(item.key)]
-        if not cold:
-            return {}, None
-        window_start = time.perf_counter()
-        try:
-            results = price_specs([spec for _key, spec in cold])
-        except Exception:
-            return {}, None
-        window = (window_start, time.perf_counter())
-        priced: dict[str, RunResult] = {}
-        for (key, _spec), result in zip(cold, results):
-            if result is None:
-                continue
-            try:
-                validate_result(result)
-            except Exception:
-                continue
-            priced[key] = result
-        if priced:
-            self.metrics.counter(
-                "repro_serve_columnar_specs_total",
-                help="Cold specs priced by the columnar whole-batch path.",
-            ).inc(len(priced))
-        return priced, window
-
-    def _compute(self, spec: RunSpec) -> RunResult:
-        payload = run_with_retry(spec, self.policy)
-        if isinstance(payload, RunError):
-            raise BackendRunError(payload)
-        self.metrics.counter(
-            "repro_serve_engine_runs_total", help="Engine runs computed by the backend."
-        ).inc()
-        if payload.attempts > 1:
-            self.metrics.counter(
-                "repro_serve_engine_retries_total",
-                help="Backend engine run attempts beyond the first.",
-            ).inc(payload.attempts - 1)
-        return payload.result

@@ -96,9 +96,10 @@ def chaos_bodies(app: str = "XSBench", scale: str = "bench") -> list[dict]:
 def expected_responses(bodies: list[dict]) -> list[dict]:
     """Price every body locally — the bit-identity oracle.
 
-    Runs the same retry ladder a shard's backend runs; results are
-    pure functions of the spec, so these dicts are exactly what every
-    200 ``/v1/predict`` answer must contain.
+    Prices one run at a time through the retry ladder, independently
+    of the executor's grouped path a shard's backend takes; results
+    are pure functions of the spec, so these dicts are exactly what
+    every 200 ``/v1/predict`` answer must contain.
     """
     results: dict[str, object] = {}
 

@@ -13,7 +13,8 @@ shared skeleton of :mod:`repro.serve.service`; HTTP/1.1 is framed by
   (``deadline_s``), applied to its wait for cold legs; a request that
   cannot be answered in time gets a 504 while its engine run completes
   and warms the cache for the retry.  The backend's own watchdog is
-  the retry ladder of :mod:`repro.exec.retry`.
+  the per-run budget of the executor's retry ladder
+  (:mod:`repro.exec.retry`).
 * **Graceful drain** — on SIGTERM/SIGINT the listener closes first,
   in-flight requests finish (bounded by ``drain_timeout_s``), and
   ``/readyz`` flips to 503 so an orchestrator stops routing here.
@@ -101,7 +102,7 @@ class ServeConfig:
     store_path: str | None = None
     #: Boot-time warm-up: ``"none"``, ``"load"`` (seed memory from the
     #: store), or ``"presets"`` (load, then pre-price the reachable
-    #: preset lattice through the columnar engine).
+    #: preset lattice through the executor).
     warm: str = "load"
     #: Scale presets the ``"presets"`` warm-up prices.
     warm_scales: tuple[str, ...] = ("bench",)
@@ -193,6 +194,7 @@ class Server(HttpService):
             warmup.load_store(self.batcher.cache, self.store)
         self.warm_report = warmup.warm_presets(
             self.batcher.cache, self.store, scales=self.config.warm_scales,
+            policy=self.batcher.policy,
         )
 
     async def shutdown(self) -> None:

@@ -15,7 +15,13 @@ router that speaks the same protocol on the same routes:
   ``/v1/batch``, and reassembles the response in canonical order —
   bit-identical to a single server's answer (and to ``run_study``),
   because the cells, their canonical order, and the speedup arithmetic
-  are shared code, and JSON round-trips floats exactly.
+  are shared code, and JSON round-trips floats exactly.  A shard that
+  cannot answer — a transport failure, an error status, or a 200
+  without one result row per cell — is a 502, or with degraded
+  service on, its cells are priced in the router by a
+  :class:`~repro.serve.batcher.Batcher` (the same ``execute`` call a
+  shard's backend makes) and shaped by the shard's own
+  :func:`~repro.serve.protocol.batch_response`.
 * ``GET /readyz`` aggregates: the tier is ready only when every shard
   is.  ``GET /v1/shards`` lists the members; ``POST /v1/admin/restart``
   gracefully bounces one (drain, then a fresh process that boots warm
@@ -43,18 +49,15 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..apps.base import RunResult
 from ..engine import memo
-from ..exec.faults import RunError
-from ..exec.plan import RunSpec
-from ..exec.retry import RetryPolicy, run_with_retry
 from ..obs import logging as obs_logging
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from . import protocol
-from .batcher import BackendRunError, peek
+from .batcher import COALESCED, COMPUTED, Batcher
 from .breaker import BREAKER_STATE_VALUES, BreakerState, CircuitBreaker, RetryBudget
 from .http import HttpClient, HttpRequest
 from .server import SERVE_LATENCY_BUCKETS, ServeConfig, Server
@@ -85,6 +88,16 @@ def shard_for_key(key: str, shards: int) -> int:
 #: Provenance label for cells the router priced locally because their
 #: owner shard was open/quarantined (correct by content-addressing).
 DEGRADED = "degraded"
+
+
+def _relabelled(served: list[tuple[RunResult, str]]) -> list[tuple[RunResult, str]]:
+    """The degraded pricer's answers as the router labels them: a cell
+    it computed (or joined in flight) is :data:`DEGRADED`; a warm hit
+    keeps its tier label."""
+    return [
+        (result, DEGRADED if provenance in (COMPUTED, COALESCED) else provenance)
+        for result, provenance in served
+    ]
 
 
 # -- shard worker processes --------------------------------------------
@@ -468,56 +481,6 @@ class ShardUnavailable(Exception):
     """A shard could not answer (connect failure or malformed reply)."""
 
 
-class _LocalPricer:
-    """Prices cells in the router process when their owner shard cannot.
-
-    Degraded routing leans on the tier's core invariant: results are
-    pure functions of the spec's content key, so a cell the router
-    prices locally (through the same scalar retry ladder a shard runs)
-    is bit-identical to the shard's answer.  When the tier has a
-    persistent store, the pricer shares it — warm cells are served from
-    disk instead of recomputed, and degraded computes land durably, so
-    the shard that returns from quarantine boots warm and the tier
-    converges with zero cold misses.
-    """
-
-    def __init__(
-        self, store_path: str | None, retries: int = 2, threads: int = 2
-    ) -> None:
-        self.policy = RetryPolicy(max_attempts=max(1, retries))
-        if store_path:
-            self.cache: memo.SingleFlightCache = PersistentResultCache(
-                ResultStore(store_path)
-            )
-        else:
-            self.cache = memo.SingleFlightCache()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, threads), thread_name_prefix="repro-degraded"
-        )
-
-    async def price(self, spec: RunSpec) -> tuple[object, str]:
-        """``(RunResult, provenance)`` — tier labels on a warm hit,
-        :data:`DEGRADED` for a local compute."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, self._price_sync, spec)
-
-    def _price_sync(self, spec: RunSpec) -> tuple[object, str]:
-        key = spec.content_key()
-        value, provenance = peek(self.cache, key)
-        if provenance is not None:
-            return value, provenance
-        return self.cache.get_or_compute(key, lambda: self._compute(spec)), DEGRADED
-
-    def _compute(self, spec: RunSpec) -> object:
-        payload = run_with_retry(spec, self.policy)
-        if isinstance(payload, RunError):
-            raise BackendRunError(payload)
-        return payload.result
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False)
-
-
 # -- the router --------------------------------------------------------
 
 
@@ -547,12 +510,9 @@ class RouterConfig:
     #: Serve an unavailable owner's key range by pricing locally
     #: (``False`` restores fail-fast 502s).
     degraded: bool = True
-    #: Store for the degraded pricer; ``None`` defaults to the
+    #: Store for degraded pricing; ``None`` defaults to the
     #: supervised tier's own store (static-URL routers stay in-memory).
     store_path: str | None = None
-    #: Retry ladder and thread pool of the degraded local pricer.
-    degraded_retries: int = 2
-    degraded_threads: int = 2
 
 
 class ShardRouter(HttpService):
@@ -585,7 +545,8 @@ class ShardRouter(HttpService):
             ratio=self.config.retry_budget_ratio,
             cap=self.config.retry_budget_cap,
         )
-        self._pricer: _LocalPricer | None = None
+        #: Prices degraded cells in this process; built on first use.
+        self._batcher: Batcher | None = None
         #: Shards currently (or last known) served degraded; cleared —
         #: and counted as a re-home — on their next direct success.
         self._degraded_marked: set[int] = set()
@@ -716,17 +677,23 @@ class ShardRouter(HttpService):
 
     # -- degraded routing ----------------------------------------------
 
-    def _local(self) -> _LocalPricer:
-        if self._pricer is None:
+    def _local(self) -> Batcher:
+        """The degraded pricer: a :class:`~repro.serve.batcher.Batcher`
+        over the tier's store when it has one.  Results are pure
+        functions of the spec's content key, so a cell priced here is
+        bit-identical to the shard's answer; through the shared store,
+        warm cells are read from disk and degraded computes land
+        durably, so the shard that returns from quarantine boots warm."""
+        if self._batcher is None:
             store_path = self.config.store_path
             if store_path is None and self.supervisor is not None:
                 store_path = self.supervisor.config.store_path
-            self._pricer = _LocalPricer(
-                store_path,
-                retries=self.config.degraded_retries,
-                threads=self.config.degraded_threads,
+            cache = (
+                PersistentResultCache(ResultStore(store_path))
+                if store_path else memo.SingleFlightCache()
             )
-        return self._pricer
+            self._batcher = Batcher(cache=cache)
+        return self._batcher
 
     def _count_degraded(self, route: str, owner: int) -> None:
         self.metrics.counter(
@@ -749,10 +716,9 @@ class ShardRouter(HttpService):
         self, request: protocol.PredictRequest, owner: int
     ) -> tuple[int, dict]:
         self._count_degraded("predict", owner)
-        pricer = self._local()
         baseline_spec, model_spec = request.specs()
-        (baseline, baseline_prov), (model, model_prov) = await asyncio.gather(
-            pricer.price(baseline_spec), pricer.price(model_spec)
+        (baseline, baseline_prov), (model, model_prov) = _relabelled(
+            await self._local().submit_many((baseline_spec, model_spec))
         )
         return 200, protocol.predict_response(
             request,
@@ -765,24 +731,13 @@ class ShardRouter(HttpService):
     async def _degraded_group(
         self, owner: int, members: list[tuple[int, protocol.PredictRequest]]
     ) -> list[tuple[int, dict]]:
-        """Price one fan-out group locally, shaped exactly like the
-        shard's ``/v1/batch`` results so reassembly does not care."""
+        """Price one fan-out group locally, shaped by the shard's own
+        ``/v1/batch`` response code so reassembly does not care."""
         self._count_degraded("batch", owner)
-        pricer = self._local()
-        priced = await asyncio.gather(
-            *(pricer.price(cell.spec()) for _pos, cell in members)
-        )
-        out: list[tuple[int, dict]] = []
-        for (position, cell), (result, provenance) in zip(members, priced):
-            doc = cell.to_json()
-            doc.update({
-                "seconds": result.seconds,
-                "kernel_seconds": result.kernel_seconds,
-                "key": cell.spec().content_key()[:16],
-                "provenance": provenance,
-            })
-            out.append((position, doc))
-        return out
+        request = protocol.BatchRequest(cells=tuple(cell for _pos, cell in members))
+        served = await self._local().submit_batch(request.specs())
+        results = protocol.batch_response(request, _relabelled(served))["results"]
+        return [(position, doc) for (position, _cell), doc in zip(members, results)]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -797,8 +752,8 @@ class ShardRouter(HttpService):
         await super().shutdown()
         for client in self._clients.values():
             client.close()
-        if self._pricer is not None:
-            self._pricer.close()
+        if self._batcher is not None:
+            await self._batcher.drain()
         if self.supervisor is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.supervisor.stop
@@ -971,7 +926,11 @@ class ShardRouter(HttpService):
                 if not self.config.degraded:
                     raise
                 return await self._degraded_group(owner, members)
-            if status != 200 or not isinstance(payload, dict):
+            results = payload.get("results") if isinstance(payload, dict) else None
+            if status != 200 or not (
+                isinstance(results, list) and len(results) == len(members)
+                and all(isinstance(result, dict) for result in results)
+            ):
                 message = "unexpected response"
                 if isinstance(payload, dict) and "error" in payload:
                     message = payload["error"].get("message", message)
@@ -985,7 +944,6 @@ class ShardRouter(HttpService):
                     f"shard {owner} answered {status} pricing "
                     f"{len(members)} cells: {message}"
                 )
-            results = payload["results"]
             return [
                 (position, result)
                 for (position, _cell), result in zip(members, results)

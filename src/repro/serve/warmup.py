@@ -12,10 +12,10 @@ wants a tier that restarts *warm*.  Two mechanisms, composed:
 * **Pre-price** — enumerate every spec reachable through the
   protocol's *presets* (all apps x their ports x both platforms x
   both precisions x the requested scale presets, no clock overrides)
-  and price the ones the store does not hold yet, columnar through
-  :func:`repro.engine.study_vec.price_specs` with the scalar retry
-  ladder for any spec that fails there.  This is the first boot's
-  warm-up; afterwards the lattice lives on disk.
+  and price the ones the store does not hold yet in one
+  :func:`repro.exec.executor.execute` call under the server's retry
+  policy, the same call a cold serve batch makes.  This is the first
+  boot's warm-up; afterwards the lattice lives on disk.
 
 N shard processes warming the same store split the pricing work
 naturally: each missing key is claimed through the store's
@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 from ..apps import ALL_APPS
 from ..engine.memo import SingleFlightCache
+from ..exec.executor import execute
+from ..exec.faults import FaultPlan
 from ..exec.plan import PLATFORMS, RunSpec
-from ..exec.retry import RetryPolicy, run_with_retry, validate_result
+from ..exec.retry import RetryPolicy
 from ..hardware.specs import Precision
 from .protocol import SCALES, resolve_config
 from .store import ResultStore
@@ -102,53 +104,21 @@ def load_store(cache: SingleFlightCache, store: ResultStore) -> int:
     return loaded
 
 
-def _price(specs: list[RunSpec]) -> dict[str, object]:
-    """Price a cold spec list (all projection specs): columnar, with the
-    scalar retry ladder for any spec the columnar call could not price.
-
-    Best-effort — a spec whose pricing fails is simply left cold (the
-    lazy serve path retries it with full error reporting).
-    """
-    from ..engine.study_vec import price_specs
-
-    priced: dict[str, object] = {}
-    scalar: list[RunSpec] = []
-    try:
-        results = price_specs(specs)
-    except Exception:
-        scalar = list(specs)  # the columnar path failed outright: all via ladder
-    else:
-        for spec, result in zip(specs, results):
-            if result is None:
-                scalar.append(spec)
-                continue
-            try:
-                validate_result(result)
-            except Exception:
-                scalar.append(spec)
-                continue
-            priced[spec.content_key()] = result
-    policy = RetryPolicy(max_attempts=2)
-    for spec in scalar:
-        payload = run_with_retry(spec, policy)
-        result = getattr(payload, "result", None)
-        if result is not None:
-            priced[spec.content_key()] = result
-    return priced
-
-
 def warm_presets(
     cache: SingleFlightCache,
     store: ResultStore | None = None,
     scales: tuple[str, ...] = ("bench",),
     wait_s: float = 60.0,
+    policy: RetryPolicy | None = None,
 ) -> WarmReport:
     """Make the preset lattice warm in ``cache`` (and ``store``).
 
-    Store hits are loaded; misses are priced — each missing key first
-    claimed through the store's cross-process lock so concurrent
-    shards partition the work.  Keys another process claimed are
-    polled for up to ``wait_s`` and seeded as they publish.
+    Store hits are loaded; misses are priced under ``policy`` — each
+    missing key first claimed through the store's cross-process lock so
+    concurrent shards partition the work.  A spec whose pricing fails
+    is left cold: the lazy serve path retries it with full error
+    reporting.  Keys another process claimed are polled for up to
+    ``wait_s`` and seeded as they publish.
     """
     started = time.perf_counter()
     specs = preset_specs(scales)
@@ -180,15 +150,15 @@ def warm_presets(
                 deferred.append(spec)
     priced = 0
     try:
-        results = _price(ours)
-        for spec in ours:
-            key = spec.content_key()
-            result = results.get(key)
-            if result is None:
+        # The inactive plan, not the study-run environment's.
+        outcomes, _stats = execute(ours, policy=policy, faults=FaultPlan())
+        for spec, outcome in zip(ours, outcomes):
+            if outcome is None:
                 continue
-            cache.seed(key, result)
+            key = spec.content_key()
+            cache.seed(key, outcome.result)
             if store is not None:
-                store.put(key, result, label=spec.label)
+                store.put(key, outcome.result, label=spec.label)
             priced += 1
     finally:
         if store is not None:

@@ -16,7 +16,6 @@ per-row folds, per-group failure isolation, capture memoization, the
 charge log and the projection-stub cache.
 """
 
-import random
 
 import numpy as np
 import pytest
@@ -31,8 +30,6 @@ from repro.engine.study_vec import (
     _accumulate,
     _accumulate_rows,
     capture_program,
-    price_specs,
-    vector_eligible,
 )
 from repro.engine.timing import KernelTiming, time_cpu_kernel, time_gpu_kernel
 from repro.engine.timing_vec import KernelPrices, time_cpu_kernel_batch, time_gpu_kernel_grid
@@ -166,9 +163,9 @@ def test_matrix_covers_both_engine_paths(matrix_pair):
     columnar makespan replay *and* the retry-ladder tail."""
     runs, _scalar, _vector = matrix_pair
     hc = "Heterogeneous Compute"
-    assert any(vector_eligible(spec) and spec.model != hc for spec in runs)
-    assert any(vector_eligible(spec) and spec.model == hc for spec in runs)
-    assert any(not vector_eligible(spec) for spec in runs)
+    assert any(spec.projection and spec.model != hc for spec in runs)
+    assert any(spec.projection and spec.model == hc for spec in runs)
+    assert any(not spec.projection for spec in runs)
 
 
 def test_run_study_engines_agree_end_to_end(monkeypatch):
@@ -194,7 +191,7 @@ def test_run_study_engines_agree_end_to_end(monkeypatch):
 def test_one_capture_per_schedule_signature():
     """An entire eligible matrix costs one port capture per distinct
     schedule signature — the lowering's whole point."""
-    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
+    runs = [spec for spec in full_matrix() if spec.projection]
     memo.clear_caches()
     execute(runs)
     assert memo.PLAN_CACHE.snapshot().misses == len(
@@ -295,36 +292,6 @@ def test_batched_cpu_pricer_matches_scalar(app_name):
         assert [
             KernelTiming.from_prices(batch, (j,), s.name) for j, s in enumerate(specs)
         ] == [time_cpu_kernel(s, host, Precision.DOUBLE, threads=threads) for s in specs]
-
-
-def test_price_specs_rejects_ineligible():
-    """Functional cells are refused; Heterogeneous Compute projection
-    cells are priced (their makespan replays from the capture)."""
-    config = sweep_configs()["LULESH"]
-    functional = RunSpec("LULESH", "OpenCL", DGPU, Precision.SINGLE, config, projection=False)
-    with pytest.raises(ValueError):
-        price_specs([functional])
-    hc = RunSpec("LULESH", "Heterogeneous Compute", DGPU, Precision.SINGLE, config)
-    (result,) = price_specs([hc])
-    assert result is not None and result.seconds > 0.0
-
-
-def test_price_specs_order_invariant():
-    """Cell order is presentation, not semantics: a shuffled batch
-    returns the permuted results, each bit-identical per spec."""
-    specs = [
-        spec
-        for spec in full_matrix()
-        if vector_eligible(spec) and spec.app in ("read-benchmark", "XSBench")
-    ]
-    canonical = {
-        spec.content_key(): result_fingerprint(result)
-        for spec, result in zip(specs, price_specs(specs))
-    }
-    shuffled = list(specs)
-    random.Random(2015).shuffle(shuffled)
-    for spec, result in zip(shuffled, price_specs(shuffled)):
-        assert result_fingerprint(result) == canonical[spec.content_key()], spec.label
 
 
 def test_functional_cells_delegate_to_scalar():
@@ -793,42 +760,13 @@ def test_failing_group_reprices_rows_one_at_a_time(monkeypatch):
     memo.clear_caches()
 
 
-def test_price_specs_isolates_a_failing_group(monkeypatch):
-    """``price_specs`` returns ``None`` only for the rows that fail alone."""
-    import repro.engine.study_vec as study_vec
-
-    runs = _xsbench_grid()
-    other = RunSpec("read-benchmark", "OpenCL", DGPU, Precision.SINGLE,
-                    sweep_configs()["read-benchmark"])
-    bad = runs[4]
-    bad_clocks = (bad.core_mhz, bad.memory_mhz)
-    real = study_vec.price_cell
-
-    def flaky(program, platforms, precision):
-        if program.app == bad.app and bad_clocks in map(_clocks, platforms):
-            raise RuntimeError("injected pricing failure")
-        return real(program, platforms, precision)
-
-    monkeypatch.setattr(study_vec, "price_cell", flaky)
-    memo.clear_caches()
-    results = price_specs([*runs, other])
-    assert [r is None for r in results] == [spec == bad for spec in [*runs, other]]
-    monkeypatch.setattr(study_vec, "price_cell", real)
-    memo.clear_caches()
-    expected = price_specs([*runs, other])
-    for got, want in zip(results, expected):
-        if got is not None:
-            assert result_fingerprint(got) == result_fingerprint(want)
-    memo.clear_caches()
-
-
 def test_per_row_cache_counts_sum_to_the_call_delta():
     """Each per-cell outcome counts the lookups made for its own row
     (its capture's), so the stats totals equal the cache delta over
     the whole call; a grouped row makes no lookup of its own, and the
     executor reports the cache delta its group calls caused directly.
     Neither prices a kernel one at a time."""
-    runs = [spec for spec in full_matrix() if vector_eligible(spec)]
+    runs = [spec for spec in full_matrix() if spec.projection]
     runs += _xsbench_grid()
     memo.clear_caches()
     for _ in range(2):  # cold, then warm

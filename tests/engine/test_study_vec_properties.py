@@ -12,6 +12,7 @@ overrides — and asserts the two engine invariants directly:
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import memo
-from repro.engine.study_vec import price_specs
+from repro.exec import executor
 from repro.exec.plan import APU, DGPU, RunSpec
 from repro.exec.retry import RetryPolicy, run_with_retry
 from repro.hardware.specs import Precision
@@ -97,6 +98,18 @@ def run_specs(draw):
 spec_batches = st.lists(run_specs(), min_size=1, max_size=6)
 
 
+def grouped(specs):
+    """``specs`` priced by the executor's grouped path alone, in order:
+    a row grouped pricing rejected would take the retry ladder, which
+    fails the test here instead."""
+    def ladder(spec, *args, **kwargs):
+        raise AssertionError(f"{spec.label} left grouped pricing")
+
+    with mock.patch.object(executor, "run_with_retry", ladder):
+        outcomes, _stats = executor.execute(specs)
+    return [outcome.result for outcome in outcomes]
+
+
 def scalar_oracle(spec):
     """The scalar engine's answer, computed fresh with no memo cache
     in the loop: every kernel priced from first principles."""
@@ -113,7 +126,7 @@ def scalar_oracle(spec):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_random_lattice_matches_scalar_oracle(specs):
-    results = price_specs(specs)
+    results = grouped(specs)
     assert len(results) == len(specs)
     for spec, result in zip(specs, results):
         assert result_fingerprint(result) == result_fingerprint(
@@ -130,11 +143,11 @@ def test_random_lattice_matches_scalar_oracle(specs):
 def test_random_lattice_is_order_invariant(specs, seed):
     canonical = {
         spec.content_key(): result_fingerprint(result)
-        for spec, result in zip(specs, price_specs(specs))
+        for spec, result in zip(specs, grouped(specs))
     }
     shuffled = list(specs)
     random.Random(seed).shuffle(shuffled)
-    for spec, result in zip(shuffled, price_specs(shuffled)):
+    for spec, result in zip(shuffled, grouped(shuffled)):
         assert result_fingerprint(result) == canonical[spec.content_key()], spec.label
 
 
@@ -142,7 +155,7 @@ def test_random_lattice_is_order_invariant(specs, seed):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_single_cell_lattice(spec):
     """The degenerate one-cell lattice: one capture, one priced cell."""
-    (result,) = price_specs([spec])
+    (result,) = grouped([spec])
     assert result.app == spec.app
     assert result.model == spec.model
     assert result.seconds > 0.0

@@ -15,7 +15,7 @@ from repro.engine.memo import SingleFlightCache
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import Batcher, PredictRequest
-from repro.serve.batcher import CACHED, COALESCED, COMPUTED
+from repro.serve.batcher import CACHED, COALESCED, COMPUTED, BackendRunError
 
 
 def _spec(model="OpenCL", platform="apu", precision="single"):
@@ -203,36 +203,26 @@ def test_drain_answers_specs_queued_behind_a_running_batch():
 
 
 def test_backend_failure_propagates_and_is_not_cached(monkeypatch):
+    """A spec the executor quarantines answers with a
+    :class:`BackendRunError` carrying its run error; the failure is not
+    cached, so a retry prices the spec."""
     import repro.engine.study_vec as study_vec
 
-    class Boom(RuntimeError):
-        pass
+    real = study_vec.price_cell
 
-    def unpriced(specs):
-        raise RuntimeError("injected columnar failure")
-
-    # The columnar path would price this eligible spec before _compute
-    # is ever consulted.
-    monkeypatch.setattr(study_vec, "price_specs", unpriced)
+    def failing(program, platforms, precision):
+        raise RuntimeError("engine exploded")
 
     async def main():
         batcher = _batcher()
         spec = _spec()
-        real_compute = batcher._compute
-        calls = {"n": 0}
-
-        def failing_compute(spec):
-            calls["n"] += 1
-            raise Boom("engine exploded")
-
-        batcher._compute = failing_compute
-        with pytest.raises(Boom):
+        monkeypatch.setattr(study_vec, "price_cell", failing)
+        with pytest.raises(BackendRunError, match="engine exploded") as raised:
             await batcher.submit(spec)
-        # The failure must not poison the cache: a retry recomputes.
-        batcher._compute = real_compute
+        assert raised.value.error.key == spec.content_key()
+        monkeypatch.setattr(study_vec, "price_cell", real)
         _result, label = await batcher.submit(spec)
         await batcher.drain()
-        assert calls["n"] == 1
         assert label == COMPUTED
     asyncio.run(main())
 
@@ -253,43 +243,53 @@ def test_drain_rejects_cold_work_but_serves_cache():
 
 
 def test_columnar_failure_falls_back_to_scalar(monkeypatch):
-    """A broken columnar path must never lose a request: the batcher
-    silently reverts the whole batch to the scalar retry ladder."""
+    """A batch grouped pricing rejects whole never loses a request: the
+    executor prices each spec through the retry ladder instead, to the
+    same bits."""
     import repro.engine.study_vec as study_vec
-
-    def boom(specs):
-        raise RuntimeError("injected columnar failure")
-
-    monkeypatch.setattr(study_vec, "price_specs", boom)
 
     async def main():
         batcher = _batcher()
-        result, label = await batcher.submit(_spec())
+        served = await batcher.submit_many([_spec(), _spec(model="OpenACC")])
         await batcher.drain()
-        return result, label
+        return served
 
-    result, label = asyncio.run(main())
-    assert label == COMPUTED
-    assert result.seconds > 0
+    grouped = asyncio.run(main())
+    monkeypatch.setattr(
+        study_vec, "_price_outcome", lambda lattice, rows: [None] * len(rows)
+    )
+    laddered = asyncio.run(main())
+    assert [label for _result, label in laddered] == [COMPUTED] * 2
+    assert [result for result, _label in laddered] == [
+        result for result, _label in grouped
+    ]
 
 
 def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
-    """One schedule group whose pricing raises takes the scalar ladder;
-    the batch's other cold specs stay columnar-priced and are counted."""
+    """One schedule group whose pricing raises takes the retry ladder;
+    the batch's other cold specs stay group-priced.  Every one of them
+    counts as an engine run."""
     import repro.engine.study_vec as study_vec
+    from repro.exec import executor
 
     real = study_vec.price_cell
-    failed = []
+    real_ladder = executor.run_with_retry
+    failed, ladder = [], []
 
     def flaky(program, platforms, precision):
-        # The scalar ladder prices through this same call, so the
-        # injected failure is transient: the group's first call only.
+        # The ladder prices through this same call, so the injected
+        # failure is transient: the group's first call only.
         if program.model == "OpenACC" and not failed:
             failed.append(program.model)
             raise RuntimeError("injected group failure")
         return real(program, platforms, precision)
 
+    def counted(spec, *args, **kwargs):
+        ladder.append(spec.label)
+        return real_ladder(spec, *args, **kwargs)
+
     monkeypatch.setattr(study_vec, "price_cell", flaky)
+    monkeypatch.setattr(executor, "run_with_retry", counted)
 
     async def main():
         metrics = MetricsRegistry()
@@ -305,34 +305,57 @@ def test_failing_columnar_group_costs_only_its_own_specs(monkeypatch):
     metrics, outcomes = asyncio.run(main())
     assert [label for _result, label in outcomes] == [COMPUTED] * 3
     assert all(result.seconds > 0 for result, _label in outcomes)
-    assert metrics.counter("repro_serve_columnar_specs_total").value == 2
-    assert metrics.counter("repro_serve_engine_runs_total").value == 1
+    assert ladder == [_spec(model="OpenACC").label]
+    assert metrics.counter("repro_serve_engine_runs_total").value == 3
+    assert metrics.counter("repro_serve_engine_retries_total").value == 0
 
 
-def test_vector_batcher_counts_columnar_specs(monkeypatch):
-    """Cold eligible specs are tallied by the columnar counter; specs
-    the scalar ladder priced after a columnar failure are not."""
+def test_batcher_counts_engine_runs_and_retries(monkeypatch):
+    """Cold specs count as engine runs whichever path priced them, and
+    ladder attempts beyond the first count as retries."""
     import repro.engine.study_vec as study_vec
+
+    real = study_vec.price_cell
+    failed = []
+
+    def flaky(program, platforms, precision):
+        # OpenACC's group call and its first ladder attempt fail.
+        if program.model == "OpenACC" and len(failed) < 2:
+            failed.append(program.model)
+            raise TimeoutError("injected transient failure")
+        return real(program, platforms, precision)
+
+    monkeypatch.setattr(study_vec, "price_cell", flaky)
 
     async def main():
         metrics = MetricsRegistry()
         batcher = _batcher(metrics=metrics)
-        await asyncio.gather(
+        served = await asyncio.gather(
             batcher.submit(_spec()), batcher.submit(_spec(model="OpenACC"))
         )
         await batcher.drain()
-        return metrics
+        return metrics, served
 
-    vector = asyncio.run(main())
-    assert vector.counter("repro_serve_columnar_specs_total").value == 2
+    metrics, served = asyncio.run(main())
+    assert [label for _result, label in served] == [COMPUTED] * 2
+    assert metrics.counter("repro_serve_engine_runs_total").value == 2
+    assert metrics.counter("repro_serve_engine_retries_total").value == 1
 
-    def unpriced(specs):
-        raise RuntimeError("injected columnar failure")
 
-    monkeypatch.setattr(study_vec, "price_specs", unpriced)
-    scalar = asyncio.run(main())
-    assert scalar.counter("repro_serve_columnar_specs_total").value == 0
-    assert scalar.counter("repro_serve_engine_runs_total").value == 2
+def test_serve_ignores_the_study_run_fault_plan(monkeypatch):
+    """``REPRO_INJECT_FAULTS`` arms study runs only: a cold batch still
+    prices every spec."""
+    monkeypatch.setenv("REPRO_INJECT_FAULTS", "poison:1")
+
+    async def main():
+        batcher = _batcher()
+        served = await batcher.submit_many([_spec(), _spec(model="OpenACC")])
+        await batcher.drain()
+        return served
+
+    served = asyncio.run(main())
+    assert [label for _result, label in served] == [COMPUTED] * 2
+    assert all(result.seconds > 0 for result, _label in served)
 
 
 def test_resident_submit_many_never_suspends():

@@ -16,6 +16,7 @@ from repro.serve.http import (
     encode_request,
     encode_response,
     fetch_json,
+    fetch_text,
     post_json,
     read_request,
     read_response,
@@ -223,6 +224,45 @@ def test_router_answers_502_and_counts_a_garbage_shard_reply(reply):
         assert served and breaker["consecutive_failures"] == len(served)
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("payload", [{}, {"results": []}])
+def test_router_treats_a_200_without_results_as_an_unavailable_shard(payload):
+    """A shard's 200 whose body holds no results list of the group's
+    length is a 502 (and an observed one) without degraded service,
+    and priced locally with it."""
+    reply = encode_response(200, payload, keep_alive=False)
+    cells = {"cells": [PREDICT_BODY, {**PREDICT_BODY, "platform": "dgpu"}]}
+
+    async def main():
+        served: list = []
+        shard, shard_url = await _garbage_server(reply, served)
+        answers = []
+        try:
+            for degraded in (False, True):
+                router = ShardRouter(
+                    urls=[shard_url],
+                    config=RouterConfig(degraded=degraded, deadline_s=5.0),
+                )
+                await router.start()
+                try:
+                    answers.append(await post_json(router.url, "/v1/batch", cells))
+                    answers.append(await fetch_text(router.url, "/metrics"))
+                finally:
+                    await router.shutdown()
+        finally:
+            await _stop(shard)
+        return served, answers
+
+    served, ((status, doc), text, (degraded_status, degraded_doc), _text) = (
+        asyncio.run(main())
+    )
+    assert served
+    assert status == 502
+    assert "answered 200 pricing 2 cells" in doc["error"]["message"]
+    assert 'repro_router_requests_total{route="batch",status="502"} 1' in text
+    assert degraded_status == 200
+    assert degraded_doc["served"] == {"degraded": 2}
 
 
 @pytest.mark.parametrize("reply", GARBAGE_REPLIES[:2])

@@ -80,23 +80,33 @@ def test_predict_provenance_progresses_to_cache(server):
 # -- pricing engines ----------------------------------------------------
 
 
-def test_cold_study_engages_the_columnar_path():
-    """A cold ``/v1/study`` prices its misses through the whole-batch
-    columnar call — and stays bit-identical to the direct pipeline,
-    which the tests above check against the same default server."""
+def _engine_runs(thread):
+    _status, _headers, text = request(thread, "GET", "/metrics")
+    return sum(v for _labels, v in parse_prometheus(text)["repro_serve_engine_runs_total"])
+
+
+def test_cold_study_engages_the_columnar_path(monkeypatch):
+    """A cold ``/v1/study`` prices its misses by schedule group, none
+    through the retry ladder — and stays bit-identical to the direct
+    pipeline, which the tests above check against the same default
+    server."""
+    from repro.exec import executor
+
+    def ladder(spec, *args, **kwargs):
+        raise AssertionError(f"{spec.label} left grouped pricing")
+
+    monkeypatch.setattr(executor, "run_with_retry", ladder)
     with ServerThread(ServeConfig()) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
-        _status, _headers, text = request(thread, "GET", "/metrics")
-        samples = parse_prometheus(text)
-        # All 16 unique cold cells (4 baselines + 12 model runs) went
-        # through the columnar path, across however many batches.
-        assert sum(v for _labels, v in samples["repro_serve_columnar_specs_total"]) == 16
+        # All 16 unique cold cells (4 baselines + 12 model runs) were
+        # priced, across however many batches.
+        assert _engine_runs(thread) == 16
 
 
 def test_cold_predict_prices_both_legs_in_one_batch(server):
     """A predict submits its model and baseline legs in one event-loop
-    iteration, so idle dispatch still sends them as one columnar batch."""
+    iteration, so idle dispatch still sends them as one batch."""
     body = {"app": "CoMD", "model": "OpenCL", "platform": "dgpu",
             "precision": "double"}
     _status, _headers, doc = request(server, "POST", "/v1/predict", body)
@@ -105,18 +115,17 @@ def test_cold_predict_prices_both_legs_in_one_batch(server):
     samples = parse_prometheus(text)
     assert sum(v for _l, v in samples["repro_serve_batches_total"]) == 1
     assert sum(v for _l, v in samples["repro_serve_batch_size_sum"]) == 2
-    assert sum(v for _l, v in samples["repro_serve_columnar_specs_total"]) == 2
+    assert _engine_runs(server) == 2
 
 
 def test_scalar_engine_serves_identical_entries(xsbench_study, monkeypatch):
-    """With the columnar call failing, every cell takes the scalar
-    retry ladder and the server serves the same bits."""
+    """With grouped pricing rejecting every cell, each takes the retry
+    ladder and the server serves the same bits."""
     import repro.engine.study_vec as study_vec
 
-    def unpriced(specs):
-        raise RuntimeError("injected columnar failure")
-
-    monkeypatch.setattr(study_vec, "price_specs", unpriced)
+    monkeypatch.setattr(
+        study_vec, "_price_outcome", lambda lattice, rows: [None] * len(rows)
+    )
     with ServerThread(ServeConfig()) as thread:
         status, _headers, doc = request(thread, "POST", "/v1/study", XSBENCH_STUDY_BODY)
         assert status == 200
@@ -128,8 +137,7 @@ def test_scalar_engine_serves_identical_entries(xsbench_study, monkeypatch):
             )
             assert served["seconds"] == entry.seconds
             assert served["speedup"] == entry.speedup
-        _status, _headers, text = request(thread, "GET", "/metrics")
-        assert "repro_serve_columnar_specs_total" not in parse_prometheus(text)
+        assert _engine_runs(thread) == 16
 
 
 # -- operational endpoints ---------------------------------------------

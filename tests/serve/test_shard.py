@@ -11,8 +11,15 @@ from repro.apps import APPS_BY_NAME
 from repro.core.configs import bench_configs
 from repro.core.study import GPU_MODELS, run_study
 from repro.hardware.specs import Precision
-from repro.serve import ServeConfig, ShardedTier, shard_for_key
+from repro.serve import (
+    ServeConfig,
+    ServerThread,
+    ShardedTier,
+    ShardRouter,
+    shard_for_key,
+)
 from repro.serve.protocol import PredictRequest
+from repro.serve.service import ServiceThread
 
 from .conftest import request
 
@@ -170,3 +177,46 @@ def test_malformed_request_through_the_router_is_400(tier):
 def test_unknown_route_is_404(tier):
     status, _headers, _doc = request(tier, "GET", "/v1/nope")
     assert status == 404
+
+
+# -- degraded mode -------------------------------------------------------
+
+
+def _strip_provenance(doc: dict) -> dict:
+    """``doc`` without what a degraded answer may legitimately differ in."""
+    doc = {field: value for field, value in doc.items() if field != "served"}
+    if "results" in doc:
+        doc["results"] = [
+            {field: value for field, value in row.items() if field != "provenance"}
+            for row in doc["results"]
+        ]
+    return doc
+
+
+def test_degraded_answers_equal_a_single_server_field_for_field():
+    """A router whose only shard is unreachable prices every cell itself:
+    its ``/v1/batch`` and ``/v1/study`` answers equal a single server's,
+    energy included, in everything but provenance."""
+    cells = [
+        _cell("XSBench", model, platform, "single")
+        for model in GPU_MODELS
+        for platform in ("apu", "dgpu")
+    ]
+    study = {**XSBENCH_STUDY_BODY, "precisions": ["single"]}
+    answers = {}
+    with ServiceThread(ShardRouter(urls=["http://127.0.0.1:9"])) as router, \
+            ServerThread(ServeConfig(warm="none")) as server:
+        for front, thread in (("router", router), ("server", server)):
+            for path, body in (("/v1/batch", {"cells": cells}), ("/v1/study", study)):
+                status, _headers, doc = request(thread, "POST", path, body)
+                assert status == 200, (front, path, doc)
+                answers[front, path] = doc
+    batch = answers["router", "/v1/batch"]
+    assert batch["served"] == {"degraded": len(cells)}
+    assert {row["provenance"] for row in batch["results"]} == {"degraded"}
+    assert all(row["joules"] > 0 for row in batch["results"])
+    for path in ("/v1/batch", "/v1/study"):
+        assert _strip_provenance(answers["router", path]) == _strip_provenance(
+            answers["server", path]
+        ), path
+    assert all(entry["edp"] > 0 for entry in answers["router", "/v1/study"]["entries"])

@@ -114,6 +114,14 @@ def test_warm_presets_defers_keys_another_process_holds(tmp_path):
         publisher.join()
 
 
+def test_warm_presets_ignores_the_study_run_fault_plan(monkeypatch):
+    """``REPRO_INJECT_FAULTS`` arms study runs only: the warm-up still
+    prices every preset."""
+    monkeypatch.setenv("REPRO_INJECT_FAULTS", "poison:1")
+    report = warm_presets(SingleFlightCache(), scales=("bench",))
+    assert report.priced == report.total > 0
+
+
 def test_warm_report_summary_reads_like_a_boot_line():
     report = WarmReport(total=120, loaded=100, priced=18, deferred=2, wall_s=1.5)
     summary = report.summary()
