@@ -104,11 +104,6 @@ class XSBenchData:
     lookup_energy: np.ndarray  # (n_lookups,)
     lookup_material: np.ndarray  # (n_lookups,) int32
 
-    def checksum_reference(self) -> float:
-        """Oracle checksum via the plain per-nuclide search (no union)."""
-        macro = compute_macro_xs_direct(self)
-        return float(np.abs(macro).sum())
-
 
 @memoized_setup
 def make_data(config: XSBenchConfig, precision: Precision, seed: int = 23) -> XSBenchData:

@@ -14,7 +14,7 @@ Examples::
     repro study                         # comparison study, priced by schedule group
     repro study --paper-scale           # full Table I matrix
     repro sweep --app LULESH            # Figure 7 grid, one pricing call
-    repro study --trace t.json --workers 4  # per-run recordings over a pool
+    repro study --trace t.json          # per-run recordings, one wall track
     repro characterize                  # Table I, miss rates by LRU replay
     repro profile figure8 --trace t.json --metrics m.prom   # telemetry
     repro figure9 --trace t.json        # any study-backed command
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+from contextlib import nullcontext
 from typing import Sequence
 
 from .apps import ALL_APPS, APPS_BY_NAME, PROXY_APPS
@@ -96,7 +98,7 @@ def _print_failures(failures) -> bool:
     return True
 
 
-def _study(full: bool, workers: int = 1, cache: bool = True, telemetry: bool = False,
+def _study(full: bool, cache: bool = True, telemetry: bool = False,
            models=None, platforms=None, **fault_kwargs):
     configs = None if full else bench_configs()
     matrix = {}
@@ -105,7 +107,7 @@ def _study(full: bool, workers: int = 1, cache: bool = True, telemetry: bool = F
     if platforms is not None:
         matrix["platforms"] = platforms
     return run_study(
-        ALL_APPS, paper_scale=True, configs=configs, max_workers=workers,
+        ALL_APPS, paper_scale=True, configs=configs,
         use_cache=cache, telemetry=telemetry, **matrix, **fault_kwargs,
     )
 
@@ -156,7 +158,7 @@ def cmd_figure7(args: argparse.Namespace) -> None:
 
 
 def cmd_figure8(args: argparse.Namespace) -> None:
-    study = _study(args.full, args.workers, not args.no_cache, _wants_telemetry(args))
+    study = _study(args.full, not args.no_cache, _wants_telemetry(args))
     if args.chart:
         from .core import figure_chart
 
@@ -168,7 +170,7 @@ def cmd_figure8(args: argparse.Namespace) -> None:
 
 
 def cmd_figure9(args: argparse.Namespace) -> None:
-    study = _study(args.full, args.workers, not args.no_cache, _wants_telemetry(args))
+    study = _study(args.full, not args.no_cache, _wants_telemetry(args))
     if args.chart:
         from .core import figure_chart
 
@@ -180,7 +182,7 @@ def cmd_figure9(args: argparse.Namespace) -> None:
 
 
 def cmd_figure10(args: argparse.Namespace) -> None:
-    study = _study(args.full, args.workers, not args.no_cache, _wants_telemetry(args))
+    study = _study(args.full, not args.no_cache, _wants_telemetry(args))
     for apu in (True, False):
         result = compute_productivity(study, ALL_APPS, apu=apu)
         print(render_figure10(result, FIGURE_APPS))
@@ -218,7 +220,7 @@ def cmd_ablation(args: argparse.Namespace) -> None:
 
 def cmd_export(args: argparse.Namespace) -> None:
     """Export the full study (and sweeps) to JSON or CSV."""
-    study = _study(args.full, args.workers, not args.no_cache)
+    study = _study(args.full, not args.no_cache)
     records = study_records(study)
     if args.sweeps:
         sweeps = sweep_configs()
@@ -242,7 +244,6 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
     fault_kwargs.pop("checkpoint", None)  # per-app sweeps share no journal
     result = characterize_apps(
         PROXY_APPS,
-        max_workers=args.workers,
         use_cache=not args.no_cache,
         telemetry=_wants_telemetry(args),
         **fault_kwargs,
@@ -256,7 +257,7 @@ def cmd_characterize(args: argparse.Namespace) -> int | None:
 
 
 def cmd_study(args: argparse.Namespace) -> int | None:
-    """Run the comparison study through the parallel executor.
+    """Run the comparison study through the executor.
 
     Prints the Figure 8/9 speedup tables plus the executor's
     observability counters (wall time, deduplication, kernel memo
@@ -267,7 +268,7 @@ def cmd_study(args: argparse.Namespace) -> int | None:
         tuple(normalize_model_name(m) for m in args.model) if args.model else None
     )
     platforms = tuple(args.platform) if args.platform else None
-    study = _study(args.paper_scale, args.workers, not args.no_cache,
+    study = _study(args.paper_scale, not args.no_cache,
                    _wants_telemetry(args), models=models, platforms=platforms,
                    **_fault_kwargs(args))
     if models is not None or platforms is not None:
@@ -306,13 +307,13 @@ def cmd_study(args: argparse.Namespace) -> int | None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int | None:
-    """Run Figure 7 frequency sweeps through the parallel executor."""
+    """Run Figure 7 frequency sweeps through the executor."""
     configs = sweep_configs()
     apps = [APPS_BY_NAME[args.app]] if args.app else ALL_APPS
     lost = False
     for app in apps:
         sweep = run_sweep(
-            app, configs[app.name], max_workers=args.workers,
+            app, configs[app.name],
             use_cache=not args.no_cache, telemetry=_wants_telemetry(args),
             **_fault_kwargs(args),
         )
@@ -343,20 +344,18 @@ def cmd_profile(args: argparse.Namespace) -> None:
     if args.target == "sweep":
         app = APPS_BY_NAME[args.app or "LULESH"]
         sweep = run_sweep(
-            app, sweep_configs()[app.name], max_workers=args.workers,
-            use_cache=not args.no_cache, telemetry=True,
+            app, sweep_configs()[app.name], use_cache=not args.no_cache, telemetry=True,
         )
         timeline, stats = sweep.telemetry, sweep.stats
         print(f"profiled Figure 7 sweep: {app.name}")
     elif args.target == "characterize":
         result = characterize_apps(
-            PROXY_APPS, max_workers=args.workers,
-            use_cache=not args.no_cache, telemetry=True,
+            PROXY_APPS, use_cache=not args.no_cache, telemetry=True,
         )
         timeline, stats = result.telemetry, result.stats
         print(render_table1(result.rows))
     else:
-        study = _study(args.full, args.workers, not args.no_cache, telemetry=True)
+        study = _study(args.full, not args.no_cache, telemetry=True)
         timeline, stats = study.telemetry, study.stats
         if args.target in ("figure8", "figure9"):
             apu = args.target == "figure8"
@@ -371,7 +370,7 @@ def cmd_profile(args: argparse.Namespace) -> None:
     print()
     print(stats.summary())
     print(f"trace tracks: {len(timeline.sim_tracks())} device-queue, "
-          f"{len(timeline.worker_tracks())} worker")
+          f"{len(timeline.tracks()) - len(timeline.sim_tracks())} wall-clock")
     _write_telemetry(timeline, args)
 
 
@@ -383,12 +382,13 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
     from .serve.service import stop_on_signals
 
     store_path = args.store
+    owned = None
     if args.shards > 1 and store_path is None:
         # A sharded tier without a shared store cannot keep its
-        # restart-warm promise; default to an ephemeral one and say so.
-        import tempfile
-
-        store_path = tempfile.mkdtemp(prefix="repro-store-")
+        # restart-warm promise; default to an ephemeral one, removed
+        # when the tier stops, and say so.
+        owned = tempfile.TemporaryDirectory(prefix="repro-store-")
+        store_path = owned.name
         print(f"no --store given; sharded tier using ephemeral store {store_path}")
     config = ServeConfig(
         host=args.host,
@@ -405,7 +405,8 @@ def cmd_serve(args: argparse.Namespace) -> int | None:
         max_batch_cells=args.max_batch_cells,
     )
     if args.shards > 1:
-        return _serve_sharded(args, config)
+        with owned or nullcontext():
+            return _serve_sharded(args, config)
 
     async def main() -> None:
         server = Server(config)
@@ -580,13 +581,14 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
     """
     import argparse as _argparse
     import asyncio
-    import tempfile
 
     from .serve import ServeConfig, run_load
     from .serve.http import post_json
     from .serve.shard import ShardedTier
 
-    store = args.store or tempfile.mkdtemp(prefix="repro-store-")
+    # Without --store the run owns a temporary store, removed on exit.
+    owned = None if args.store else tempfile.TemporaryDirectory(prefix="repro-store-")
+    store = args.store or owned.name
     predict_args = _argparse.Namespace(**{**vars(args), "route": "predict"})
     batch_args = _argparse.Namespace(**{**vars(args), "route": "batch"})
     predict_bodies = _loadtest_bodies(predict_args)
@@ -596,7 +598,7 @@ def _loadtest_sharded(args: argparse.Namespace) -> int | None:
         max_queue=args.max_queue, store_path=store, warm=args.warm,
     ), shards=args.shards)
     print(f"starting {args.shards}-shard tier (store {store}) ...")
-    with tier:
+    with owned or nullcontext(), tier:
         urls = tier.shard_urls
         print(f"router {tier.url} over {', '.join(urls)}")
 
@@ -702,7 +704,7 @@ def cmd_all(args: argparse.Namespace) -> None:
     cmd_table4(args)
     print()
     cmd_figure7(args)
-    study = _study(args.full, args.workers, not args.no_cache)
+    study = _study(args.full, not args.no_cache)
     print(render_speedups(study, FIGURE_APPS, apu=True,
                           title="Figure 8: speedup over 4-core OpenMP on the APU"))
     print()
@@ -716,8 +718,6 @@ def cmd_all(args: argparse.Namespace) -> None:
 
 
 def _add_executor_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="shard the run matrix over N worker processes")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the kernel memo cache (recompute everything)")
 
@@ -732,7 +732,7 @@ def _add_fault_flags(p: argparse.ArgumentParser, resume: bool = True) -> None:
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic fault injection, e.g. "
                         "'crash:0.2,timeout:0.1' (kinds: crash, timeout, "
-                        "corrupt, poison, abort, hang, interrupt)")
+                        "corrupt, poison, interrupt)")
     p.add_argument("--fault-seed", type=int, default=0, metavar="N",
                    help="seed for the fault-injection draws (same seed, "
                         "same faults)")
@@ -766,8 +766,8 @@ COMMAND_SECTIONS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
         ("all", "every table and figure in sequence"),
     )),
     ("studies & data", (
-        ("study", "the full comparison study through the parallel executor"),
-        ("sweep", "Figure 7 frequency sweeps through the parallel executor"),
+        ("study", "the full comparison study through the executor"),
+        ("sweep", "Figure 7 frequency sweeps through the executor"),
         ("characterize", "Table I, miss rates by LRU trace replay"),
         ("export", "dump study (and sweep) records to JSON or CSV"),
     )),
@@ -819,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, description=COMMAND_HELP[name])
         p.set_defaults(func=fn, full=False, app=None, chart=False,
-                       workers=1, no_cache=False, trace=None, metrics=None)
+                       no_cache=False, trace=None, metrics=None)
         if needs_full:
             p.add_argument("--full", action="store_true",
                            help="use the exact paper problem sizes (slow)")

@@ -109,15 +109,14 @@ def characterize(
     config: object,
     sweep_config: object | None = None,
     sweep: SweepResult | None = None,
-    max_workers: int = 1,
     use_cache: bool = True,
 ) -> AppCharacterization:
     """Produce one Table I row for ``app``.
 
     The miss rate is always measured at the paper's problem size (it
     depends on the working set); IPC and boundedness use the supplied
-    configs.  ``max_workers``/``use_cache`` configure the executor for
-    the boundedness sweep.
+    configs.  ``use_cache`` configures the executor for the
+    boundedness sweep.
     """
     spec = dominant_spec(app, app.paper_config())
     if sweep is None:
@@ -126,7 +125,6 @@ def characterize(
             sweep_config if sweep_config is not None else config,
             core_grid=(200.0, 1000.0),
             memory_grid=(480.0, 1250.0),
-            max_workers=max_workers,
             use_cache=use_cache,
         )
     return AppCharacterization(
@@ -159,7 +157,6 @@ def characterize_apps(
     apps: Sequence[ProxyApp],
     configs: dict[str, object] | None = None,
     sweep_configs: dict[str, object] | None = None,
-    max_workers: int = 1,
     use_cache: bool = True,
     telemetry: bool = False,
     policy: RetryPolicy | None = None,
@@ -167,11 +164,10 @@ def characterize_apps(
 ) -> CharacterizationResult:
     """Characterize several apps, with executor stats aggregated.
 
-    Each app's boundedness sweep fans through the parallel executor
-    (``max_workers``); miss-rate replays go through the trace memo
-    cache, whose hit/miss delta for the whole batch is folded into the
-    returned stats.  Results are bit-identical for every worker count
-    and cache setting.
+    Each app's boundedness sweep goes through the executor; miss-rate
+    replays go through the trace memo cache, whose hit/miss delta for
+    the whole batch is folded into the returned stats.  Results are
+    bit-identical for every cache setting.
 
     ``policy``/``faults`` configure the fault-tolerance layer of each
     boundedness sweep.  An app whose sweep lost the grid points its
@@ -198,7 +194,6 @@ def characterize_apps(
                 sweep_configs[app.name],
                 core_grid=(200.0, 1000.0),
                 memory_grid=(480.0, 1250.0),
-                max_workers=max_workers,
                 use_cache=use_cache,
                 telemetry=telemetry,
                 policy=policy,

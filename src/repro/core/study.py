@@ -174,12 +174,10 @@ def run_study(
     functionally.  ``configs`` overrides the configuration per app name.
 
     The matrix is flattened into independent run descriptors and
-    executed by :mod:`repro.exec`: ``max_workers`` shards them over a
-    process pool (1 = deterministic in-process execution), and
-    ``use_cache`` backs kernel pricing with the content-addressed memo
-    cache.  Entries are bit-identical for every worker count —
+    executed in this process by :mod:`repro.exec`; ``use_cache`` backs
+    kernel pricing with the content-addressed memo cache.
     ``telemetry`` records spans/metrics on the side (``.telemetry``)
-    without perturbing them.
+    without perturbing the entries.
 
     ``policy``/``faults``/``checkpoint`` configure the fault-tolerance
     layer (retries and watchdogs, deterministic fault injection, and
@@ -188,13 +186,17 @@ def run_study(
     surviving entries with the losses in ``.failures`` instead of
     raising.
 
-    ``engine`` selects nothing (see :func:`check_engine`).
+    ``engine`` selects nothing (see :func:`check_engine`), and
+    ``max_workers`` accepts only 1: every study runs in this process.
+    Both keywords remain for the benchmark harness, which passes them.
 
     ``platforms`` names plan selectors directly ("apu"/"dgpu"/"v100") —
     the general, cross-vendor form; when given it supersedes the legacy
     ``apu_values`` pair.
     """
     check_engine(engine)
+    if max_workers != 1:
+        raise ValueError(f"max_workers must be 1 (one process per study), got {max_workers}")
     if platforms is None:
         platforms = tuple(APU if apu else DGPU for apu in apu_values)
     resolved: dict[str, object] = {}
@@ -216,7 +218,6 @@ def run_study(
     )
     outcomes, stats = execute(
         runs,
-        max_workers=max_workers,
         use_cache=use_cache,
         telemetry=telemetry,
         policy=policy,

@@ -102,7 +102,6 @@ def run_sweep(
     core_grid: tuple[float, ...] = PAPER_CORE_SWEEP_MHZ,
     memory_grid: tuple[float, ...] = PAPER_MEMORY_SWEEP_MHZ,
     model: str = "OpenCL",
-    max_workers: int = 1,
     use_cache: bool = True,
     telemetry: bool = False,
     policy: RetryPolicy | None = None,
@@ -116,8 +115,7 @@ def run_sweep(
     descriptors and executed by :mod:`repro.exec`: a projection grid is
     one schedule group, priced from one captured schedule (clock
     overrides never change which kernels launch), and a functional
-    grid shards over ``max_workers`` processes; results are identical
-    for every worker count.  ``policy``/``faults``/``checkpoint``
+    grid runs point by point.  ``policy``/``faults``/``checkpoint``
     configure the fault-tolerance layer (see
     :func:`repro.exec.execute`): quarantined
     grid points are dropped from ``points`` and reported in
@@ -131,7 +129,6 @@ def run_sweep(
     runs = sweep_runs(app.name, config, precision, core_grid, memory_grid, model)
     outcomes, stats = execute(
         runs,
-        max_workers=max_workers,
         use_cache=use_cache,
         telemetry=telemetry,
         policy=policy,

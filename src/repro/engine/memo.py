@@ -19,8 +19,7 @@ captured schedules, projection stubs, whole-run results) is one
 :class:`MemoCache` registered by name in :data:`CACHES`; clearing, the
 cache toggle and the per-layer hit/miss counters the executor and the
 prediction service report all iterate that registry.  The caches are
-per-process: the parallel executor (:mod:`repro.exec`) gives each
-worker its own and aggregates the counters it reports.
+per-process: each serve shard process holds its own.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Parallel study execution with result memoization.
+"""Study execution with result memoization.
 
 The paper's artifacts are dense run matrices (Figures 7-10).  This
 package turns those matrices into flat lists of independent
 :class:`~repro.exec.plan.RunSpec` descriptors, deduplicates them by
-content, shards them over a process pool, and backs all kernel pricing
+content, prices projection cells one schedule group per call, runs the
+rest one at a time under a retry ladder, and backs all kernel pricing
 with the content-addressed memo cache of :mod:`repro.engine.memo` —
 so shared baselines and repeated kernels are priced exactly once and
-results stay bit-identical to the serial path.
+results stay bit-identical to pricing each run alone.
 """
 
 from ..engine.memo import (
@@ -27,7 +28,6 @@ from .executor import (
     ExecStats,
     ExecutionInterrupted,
     RunOutcome,
-    default_workers,
     execute,
     execute_run,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "cached_simulate_kernel",
     "cached_time_gpu_kernel",
     "clear_caches",
-    "default_workers",
     "execute",
     "execute_run",
     "memoized_setup",

@@ -1,20 +1,19 @@
 """Error taxonomy and deterministic fault injection for study runs.
 
-A paper-scale study is hundreds of independent simulations fanned over
-a process pool; at that scale *something* eventually goes wrong — a
-worker gets OOM-killed, a run hangs, a result comes back mangled.
-This module gives the executor a vocabulary for those events and a way
-to rehearse them:
+A paper-scale study is hundreds of independent simulations; at that
+scale *something* eventually goes wrong — a run crashes, overruns its
+watchdog, or returns a mangled result.  This module gives the
+executor a vocabulary for those events and a way to rehearse them:
 
 * :class:`ErrorKind` / :class:`RunError` — the classification the
   retry layer (:mod:`repro.exec.retry`) acts on.  ``TRANSIENT`` errors
   are retried with backoff, ``PERMANENT`` errors fail fast, and
-  ``POISONED`` runs (bad output, or specs that keep killing their
-  worker pool) are quarantined so one bad cell cannot abort the study.
+  ``POISONED`` runs (bad output) are quarantined so one bad cell
+  cannot abort the study.
 * :class:`FaultPlan` — a seeded chaos harness.  Faults are drawn per
   run from a content-addressed hash of ``(seed, kind, spec key)``, so
   an injection campaign is reproducible bit-for-bit: same seed, same
-  faults, on every machine and worker count.  Injected faults fire on
+  faults, on every machine.  Injected faults fire on
   the first :attr:`FaultPlan.attempts` attempts of a drawn spec and
   then stand down, which is what makes the core invariant testable —
   a study under transient injection must produce results bit-identical
@@ -25,14 +24,13 @@ in :class:`SeededFaultPlan`, which the serve tier's plan
 (:class:`repro.serve.faults.ServeFaultPlan`) subclasses too.  Plans
 come from the CLI (``--inject-faults crash:0.2,timeout:0.1``) or
 the ``REPRO_INJECT_FAULTS`` / ``REPRO_FAULT_SEED`` environment
-variables (which reach pool workers of any entry point).
+variables (which reach entry points that do not take a plan).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Mapping
@@ -41,15 +39,14 @@ from typing import ClassVar, Mapping
 class ErrorKind(str, Enum):
     """What a run failure means for the rest of the study."""
 
-    #: Environment-induced and worth retrying: crashed/OOM-killed
-    #: worker, watchdog timeout, broken pool.
+    #: Environment-induced and worth retrying: a crashed attempt or a
+    #: watchdog timeout.
     TRANSIENT = "transient"
     #: Deterministic — the same spec will fail the same way again, so
     #: retrying only wastes the budget.  Fails fast.
     PERMANENT = "permanent"
-    #: The run produced output that fails validation, or the spec
-    #: keeps taking its worker pool down with it.  Retried cautiously,
-    #: then quarantined.
+    #: The run produced output that fails validation.  Retried
+    #: cautiously, then quarantined.
     POISONED = "poisoned"
 
 
@@ -66,7 +63,7 @@ class InjectedFault(RuntimeError):
 
 
 class InjectedCrash(InjectedFault):
-    """Injected transient crash (a worker dying mid-run)."""
+    """Injected transient crash (a run dying mid-attempt)."""
 
 
 class InjectedPoison(InjectedFault):
@@ -110,27 +107,16 @@ class RunError:
 
 #: Injectable fault kinds and what each rehearses:
 #:
-#: ``crash``     — the attempt raises (a worker segfault/OOM-kill seen
-#:                 from inside); transient, retried.
+#: ``crash``     — the attempt raises (a segfault/OOM-kill seen from
+#:                 inside); transient, retried.
 #: ``timeout``   — the attempt trips the watchdog; transient, retried.
 #: ``corrupt``   — the attempt returns a result with a non-finite
 #:                 checksum; caught by validation, retried.
 #: ``poison``    — every attempt raises a poisoned-output error; the
 #:                 spec exhausts its retry budget and is quarantined.
-#: ``abort``     — the worker process exits hard (``os._exit``),
-#:                 breaking the pool; exercises pool respawn.  In the
-#:                 in-process path it degrades to ``crash``.
-#: ``hang``      — the worker sleeps past any watchdog; exercises the
-#:                 parent-side hung-pool recovery.  In the in-process
-#:                 path it degrades to ``timeout``.
 #: ``interrupt`` — the attempt raises ``KeyboardInterrupt``; exercises
 #:                 the Ctrl-C checkpoint-flush path deterministically.
-FAULT_KINDS = ("crash", "timeout", "corrupt", "poison", "abort", "hang", "interrupt")
-
-#: How long an injected ``hang`` sleeps (a pool worker here, a whole
-#: shard in the serve tier) — far past any watchdog, probe or call
-#: deadline, short enough that a wedged test suite still terminates.
-HANG_SECONDS = 3600.0
+FAULT_KINDS = ("crash", "timeout", "corrupt", "poison", "interrupt")
 
 ENV_FAULTS = "REPRO_INJECT_FAULTS"
 ENV_SEED = "REPRO_FAULT_SEED"
@@ -140,8 +126,8 @@ def _hash01(token: str) -> float:
     """Map a token to [0, 1) through a stable content hash.
 
     ``hashlib`` rather than ``hash()``: Python string hashing is
-    salted per process, and fault draws must agree across pool workers
-    and across runs.
+    salted per process, and fault draws must agree across processes
+    (serve shards and their respawns) and across runs.
     """
     digest = hashlib.sha256(token.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
@@ -152,7 +138,7 @@ class SeededFaultPlan:
     """The ``kind:rate`` grammar and seeded draw every fault plan shares.
 
     ``rates`` maps fault kind -> draw probability (a sorted tuple of
-    pairs, so plans are hashable, picklable into pool workers and
+    pairs, so plans are hashable, picklable into shard processes and
     round-trippable).  A subclass names its injectable :attr:`KINDS`,
     the :attr:`LABEL` its errors carry, its environment variables, and
     the pseudo-keys (:attr:`OPTIONS`: token -> field name and type)
@@ -271,8 +257,8 @@ class FaultPlan(SeededFaultPlan):
         """All fault kinds drawn for one spec, in canonical order."""
         return tuple(kind for kind in FAULT_KINDS if self.drawn(kind, key))
 
-    def apply(self, key: str, label: str, attempt: int, in_pool_worker: bool) -> None:
-        """Raise (or hard-exit) for every process fault drawn on this attempt.
+    def apply(self, key: str, label: str, attempt: int) -> None:
+        """Raise for every process fault drawn on this attempt.
 
         Result corruption is not raised here — it mangles the produced
         outcome instead; the executor asks :meth:`injects` for
@@ -285,14 +271,6 @@ class FaultPlan(SeededFaultPlan):
             raise InjectedPoison(f"injected permanent failure: {label}")
         if self.injects("interrupt", key, attempt):
             raise KeyboardInterrupt(f"injected interrupt: {label}")
-        if self.injects("abort", key, attempt):
-            if in_pool_worker:
-                os._exit(17)  # hard worker death: the pool breaks
-            raise InjectedCrash(f"injected abort (in-process, degraded to crash): {label}")
-        if self.injects("hang", key, attempt):
-            if in_pool_worker:
-                time.sleep(HANG_SECONDS)
-            raise RunTimeout(f"injected hang (in-process, degraded to timeout): {label}")
         if self.injects("crash", key, attempt):
             raise InjectedCrash(f"injected crash: {label} (attempt {attempt})")
         if self.injects("timeout", key, attempt):
@@ -303,6 +281,6 @@ class FaultPlan(SeededFaultPlan):
 parse_fault_plan = FaultPlan.parse
 
 #: The plan armed by ``REPRO_INJECT_FAULTS`` / ``REPRO_FAULT_SEED``;
-#: this is how an injection campaign reaches pool workers and entry
-#: points that do not thread a plan through explicitly.
+#: this is how an injection campaign reaches entry points that do not
+#: thread a plan through explicitly.
 fault_plan_from_env = FaultPlan.from_env

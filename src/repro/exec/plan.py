@@ -75,7 +75,7 @@ class RunSpec:
                 f"got {self.platform!r}"
             )
         # Fail at construction with a nameable message, not as a
-        # KeyError three layers deep inside a pool worker.
+        # KeyError three layers deep inside the executor.
         from ..apps import APPS_BY_NAME  # lazy: keeps the plan layer light
 
         app = APPS_BY_NAME.get(self.app)

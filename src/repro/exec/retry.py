@@ -10,8 +10,8 @@ with the full ladder:
    :attr:`RetryPolicy.max_attempts`, sleeping a *deterministically*
    jittered exponential backoff between attempts — the jitter comes
    from a content hash of ``(spec key, attempt)``, not from a shared
-   RNG, so retry schedules are reproducible and independent of worker
-   interleaving;
+   RNG, so retry schedules are reproducible and independent of plan
+   order;
 3. enforce the per-run watchdog (:attr:`RetryPolicy.run_timeout`): an
    attempt that comes back over budget is treated as a timeout and
    retried (its result is suspect by definition of the budget);
@@ -21,9 +21,8 @@ with the full ladder:
    whole attempt history — the caller quarantines the spec and keeps
    the rest of the study.
 
-Everything here is picklable and runs identically in pool workers and
-in the in-process path.  Sleeping is injectable (``sleep=``) so tests
-can run a thousand simulated backoffs in microseconds.
+Sleeping is injectable (``sleep=``) so tests can run a thousand
+simulated backoffs in microseconds.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def backoff_delay(
     """Deterministically jittered exponential backoff (seconds).
 
     The jitter multiplier lies in [0.5, 1.0) and is a pure function of
-    ``(key, attempt)`` — two workers retrying the same key sleep the
+    ``(key, attempt)`` — two callers retrying the same key sleep the
     same schedule, and a re-run reproduces its backoffs exactly.
     Shared by the exec retry ladder and the shard supervisor's respawn
     schedule, so every backoff in the system obeys one discipline.
@@ -78,10 +77,8 @@ class RetryPolicy:
 
     ``max_attempts`` counts *total* attempts (1 disables retries).
     ``run_timeout`` is the per-run watchdog in wall seconds (``None``
-    disables it); in the pool path the same budget also bounds how
-    long the parent waits on a shard before declaring its worker hung.
-    ``max_pool_respawns`` caps how many times a broken/hung pool is
-    rebuilt before the executor degrades to in-process execution.
+    disables it).  It is checked after the attempt returns: an attempt
+    that never returns is not interrupted.
     """
 
     max_attempts: int = 3
@@ -89,7 +86,6 @@ class RetryPolicy:
     backoff_base: float = 0.02
     backoff_factor: float = 2.0
     backoff_cap: float = 1.0
-    max_pool_respawns: int = 2
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -98,16 +94,13 @@ class RetryPolicy:
             raise ValueError(f"run_timeout must be positive, got {self.run_timeout}")
         if self.backoff_base < 0 or self.backoff_cap < 0 or self.backoff_factor < 1:
             raise ValueError("backoff parameters must be non-negative (factor >= 1)")
-        if self.max_pool_respawns < 0:
-            raise ValueError(f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}")
 
     def backoff(self, key: str, attempt: int) -> float:
         """Deterministically jittered exponential backoff (seconds).
 
         The jitter multiplier lies in [0.5, 1.0) and is a pure
-        function of ``(key, attempt)`` — two workers retrying the same
-        spec would sleep the same schedule, and a re-run of the same
-        study reproduces its backoffs exactly.
+        function of ``(key, attempt)``, so a re-run of the same study
+        reproduces its backoffs exactly.
         """
         return backoff_delay(
             key, attempt, base=self.backoff_base,
@@ -155,16 +148,9 @@ def run_with_retry(
     policy: RetryPolicy,
     faults: FaultPlan | None = None,
     telemetry: bool = False,
-    base_attempt: int = 0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> "RunOutcome | RunError":
     """Execute one spec under the retry ladder.
-
-    ``base_attempt`` is the number of attempts already spent on this
-    spec elsewhere (pool-level requeues after a broken pool); the
-    local budget shrinks accordingly and injected faults see the
-    global attempt index, so a requeued spec does not re-draw the
-    faults it already survived.
 
     Returns the successful :class:`~repro.exec.executor.RunOutcome`
     (with ``attempts``/``retry_history`` filled in) or a
@@ -175,7 +161,7 @@ def run_with_retry(
 
     key = spec.content_key()
     history: list[FaultAttempt] = []
-    attempt = base_attempt
+    attempt = 0
     while True:
         started = time.perf_counter()
         try:

@@ -3,8 +3,8 @@
 The simulator's credibility rests on *where time goes* — kernel vs.
 transfer vs. launch overhead is what separates the programming models
 in Figures 8/9 — so every charged cost can be captured as a span on
-the simulated clock and every notable occurrence (memo hit, shard
-dispatch) as an instant event.  Three layers:
+the simulated clock and every notable occurrence (memo hit, retry)
+as an instant event.  Three layers:
 
 * :mod:`repro.obs.spans` — the recorder.  Engine and model code report
   to the *active* recorder; when none is installed (the default) each
@@ -17,7 +17,7 @@ dispatch) as an instant event.  Three layers:
   top-N breakdown reports.
 * :mod:`repro.obs.tracing` — request-scoped *distributed* tracing:
   W3C-``traceparent`` trace/span ids propagated through the serve
-  tier's event loop, batcher, engine thread and pool workers, with a
+  tier's event loop, batcher, engine thread and executor runs, with a
   tail-biased store of finished traces behind ``/v1/debug/traces``.
 * :mod:`repro.obs.logging` — structured JSON log records on stderr
   plus a bounded in-process ring (``/v1/debug/logs``).

@@ -6,18 +6,16 @@ Two products come out of a telemetry-enabled run:
   ``chrome://tracing``.  Two synthetic processes share the file: pid 1
   is *simulated time* (one thread/track per device queue: GPU queue,
   interconnect, host loop, per platform), pid 2 is *executor wall
-  time* (one thread per executor worker, showing which worker ran
-  which study cell when).  Both use microsecond timestamps, as the
-  format requires.
+  time* (one ``wall`` track showing when each study cell ran).  Both
+  use microsecond timestamps, as the format requires.
 * a **metrics file** — the merged registry, JSON or Prometheus text.
 
 :func:`merge_run_telemetry` is the deterministic merge: per-run
-recordings are laid end to end on the simulated axis in submission
-order (run *i+1* starts where run *i* ended, so one device queue's
-track reads as the study's serial schedule), and each worker's runs
-are laid end to end on its own wall-clock track.  Submission order is
-fixed by the plan, so the merged timeline is identical for every
-worker count and across repeated runs.
+recordings are laid end to end in submission order, on the simulated
+axis (run *i+1* starts where run *i* ended, so one device queue's
+track reads as the study's serial schedule) and on the ``wall``
+track.  Submission order is fixed by the plan, so the merged
+timeline's structure is identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -31,6 +29,10 @@ from .spans import InstantEvent, RunTelemetry, Span
 #: Synthetic process ids of the two time domains in the Chrome trace.
 SIM_PID = 1
 EXEC_PID = 2
+
+#: The one executor wall-clock track; every other track is a simulated
+#: device queue.
+WALL_TRACK = "wall"
 
 
 @dataclass
@@ -49,41 +51,34 @@ class Timeline:
         return sorted(seen)
 
     def sim_tracks(self) -> list[str]:
-        return [t for t in self.tracks() if not t.startswith("worker-")]
-
-    def worker_tracks(self) -> list[str]:
-        return [t for t in self.tracks() if t.startswith("worker-")]
+        return [t for t in self.tracks() if t != WALL_TRACK]
 
 
 def merge_run_telemetry(
-    items: list[tuple[RunTelemetry, int]],
+    items: list[RunTelemetry],
     extra_metrics: MetricsRegistry | None = None,
 ) -> Timeline:
     """Merge per-run recordings into one timeline.
 
-    ``items`` is ``[(telemetry, worker_index), ...]`` in **submission
-    order** — the executor's unique-run order, which is fixed by the
-    plan and independent of completion order, making the merge
-    bit-deterministic.  Each run's simulated spans shift by the global
-    simulated cursor; each run also contributes one ``run`` span on its
-    worker's wall-clock track, placed at that worker's running wall
-    cursor.
+    ``items`` is in **submission order** — the executor's unique-run
+    order, which is fixed by the plan, making the merge deterministic.
+    Each run's simulated spans shift by the simulated cursor, and each
+    run contributes one ``run`` span on the ``wall`` track at the wall
+    cursor: the runs lie end to end on both clocks.
     """
     timeline = Timeline()
     sim_cursor = 0.0
-    wall_cursor: dict[int, float] = {}
-    for telemetry, worker in items:
-        wall_at = wall_cursor.get(worker, 0.0)
+    wall_at = 0.0
+    for telemetry in items:
         for span in telemetry.spans:
             timeline.spans.append(span.shifted(sim_cursor, wall_at))
         for event in telemetry.events:
             timeline.events.append(event.shifted(sim_cursor, wall_at))
-        track = f"worker-{worker}"
         timeline.spans.append(
             Span(
                 name=telemetry.label,
                 category="run",
-                track=track,
+                track=WALL_TRACK,
                 sim_start=sim_cursor,
                 sim_end=sim_cursor + telemetry.sim_seconds,
                 wall_start=wall_at,
@@ -95,7 +90,7 @@ def merge_run_telemetry(
         timeline.metrics.merge(telemetry.metrics)
         timeline.dropped += telemetry.dropped
         sim_cursor += telemetry.sim_seconds
-        wall_cursor[worker] = wall_at + telemetry.wall_seconds
+        wall_at += telemetry.wall_seconds
     if extra_metrics is not None:
         timeline.metrics.merge(extra_metrics)
     return timeline
@@ -116,17 +111,14 @@ def chrome_trace(timeline: Timeline) -> dict:
             "pid": EXEC_PID,
             "tid": 0,
             "name": "process_name",
-            "args": {"name": "executor wall time (workers)"},
+            "args": {"name": "executor wall time"},
         },
     ]
 
-    tids: dict[str, tuple[int, int]] = {}  # track -> (pid, tid)
-    sim_tracks = timeline.sim_tracks()
-    worker_tracks = timeline.worker_tracks()
-    for index, track in enumerate(sim_tracks):
-        tids[track] = (SIM_PID, index + 1)
-    for index, track in enumerate(worker_tracks):
-        tids[track] = (EXEC_PID, index + 1)
+    # track -> (pid, tid)
+    tids = {track: (SIM_PID, index + 1) for index, track in enumerate(timeline.sim_tracks())}
+    if WALL_TRACK in timeline.tracks():
+        tids[WALL_TRACK] = (EXEC_PID, 1)
     for track, (pid, tid) in sorted(tids.items()):
         events.append(
             {

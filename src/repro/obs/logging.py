@@ -134,10 +134,3 @@ def set_stream_level(level: str) -> None:
     """Minimum level that reaches the stream; the ring sees all."""
     global _stream_level
     _stream_level = LEVELS.get(level.lower(), 20)
-
-
-def stream_level() -> str:
-    for name, value in LEVELS.items():
-        if value == _stream_level:
-            return name
-    return str(_stream_level)

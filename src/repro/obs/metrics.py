@@ -2,7 +2,7 @@
 
 The quantitative side of the telemetry layer: kernel-time histograms
 per app x model x device, memo hit ratios, transfer byte counts,
-executor worker utilization.  Instruments are identified by a metric
+executor run, retry and failure counts.  Instruments are identified by a metric
 name plus a sorted label set (Prometheus's data model), live in a
 :class:`MetricsRegistry`, and export two ways:
 
@@ -11,11 +11,10 @@ name plus a sorted label set (Prometheus's data model), live in a
   (``# TYPE`` headers, ``_bucket{le=...}`` series, ``_sum``/``_count``),
   scrapable by any Prometheus-compatible collector.
 
-Registries are additive: per-run registries recorded in pool workers
-merge into one study-wide registry (:meth:`MetricsRegistry.merge`),
-summing counters and histogram buckets and taking the last value of
-gauges — deterministic because the executor merges in submission
-order.  Everything here is plain data (dicts, lists, floats) plus
+Registries are additive: per-run registries merge into one study-wide
+registry (:meth:`MetricsRegistry.merge`), summing counters and
+histogram buckets and taking the last value of gauges — deterministic
+because the executor merges in submission order.  Everything here is plain data (dicts, lists, floats) plus
 locks that are dropped on pickling, so a registry still crosses
 process boundaries.
 
@@ -28,7 +27,6 @@ lock for family/instrument creation, merging and export).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -445,7 +443,3 @@ def parse_exemplars(text: str, metric: str) -> list[tuple[str, dict[str, str], f
         labels = {k: v for k, v in pair_re.findall(exemplar_body)}
         out.append((bucket_labels or "", labels, float(value)))
     return out
-
-
-def dump_json(registry: MetricsRegistry) -> str:
-    return json.dumps(registry.to_json(), indent=2, sort_keys=True)

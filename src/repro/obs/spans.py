@@ -23,7 +23,7 @@ prefer unconditional calls.
 
 Recorders carry their own :class:`~repro.obs.metrics.MetricsRegistry`
 so per-run metrics merge alongside spans when the executor assembles
-per-worker recorders into one timeline (:mod:`repro.obs.export`).
+per-run recordings into one timeline (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Span:
 
     name: str
     category: str  # "kernel" | "transfer" | "launch" | "host" | "run" | ...
-    track: str  # display row, e.g. "dgpu/gpu", "apu/host", "worker-0"
+    track: str  # display row, e.g. "dgpu/gpu", "apu/host", "wall"
     sim_start: float
     sim_end: float
     wall_start: float
@@ -111,11 +111,10 @@ class InstantEvent:
 
 @dataclass
 class RunTelemetry:
-    """The finished, picklable recording of one run.
+    """The finished recording of one run.
 
-    This is what crosses process boundaries from pool workers back to
-    the executor, and what :func:`repro.obs.export.merge_run_telemetry`
-    assembles into one study-wide timeline.
+    :func:`repro.obs.export.merge_run_telemetry` assembles these into
+    one study-wide timeline.
     """
 
     label: str
@@ -129,10 +128,6 @@ class RunTelemetry:
     wall_seconds: float = 0.0
     #: Records not stored because the recorder hit its cap.
     dropped: int = 0
-    #: Distributed-trace spans recorded in the worker under a propagated
-    #: trace context (:mod:`repro.obs.tracing`), re-based so the run
-    #: starts at 0; the executor re-parents/shifts them on merge.
-    trace_spans: list = field(default_factory=list)
 
 
 class SpanRecorder:

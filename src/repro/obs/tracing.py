@@ -4,7 +4,7 @@ The PR-2 span layer answers "where does *simulated* time go inside one
 run"; this module answers "where does *wall* time go for one request"
 as it crosses the serving stack: the asyncio server, the batcher's
 queue, the single-flight leader/follower split, the backend
-engine thread, and (for batch studies) the executor's pool workers.
+engine thread, and (for batch studies) the executor's runs.
 
 The pieces mirror W3C Trace Context:
 
@@ -13,14 +13,11 @@ The pieces mirror W3C Trace Context:
   in-process as a :mod:`contextvars` variable (:func:`current`,
   :func:`use`).  Context crosses threads explicitly (the batcher
   installs each spec's context around its backend work) and crosses
-  process boundaries as a serialized header (the executor hands pool
-  workers a ``traceparent``; their spans come back re-based in the
-  :class:`~repro.obs.spans.RunTelemetry` envelope and are re-parented
-  on merge).
+  process boundaries as a serialized header (an inbound
+  ``traceparent`` continues the caller's trace).
 * :class:`TraceSpan` — one timed extent with explicit parentage.
   Times are host ``perf_counter`` seconds, comparable across threads
-  of one process; cross-process spans are re-based to their run's
-  origin and shifted on merge.
+  of one process.
 * :class:`Tracer` — starts/finishes spans into bounded per-trace
   buffers; :meth:`Tracer.complete` seals a trace into the
   :class:`TraceStore`.
@@ -32,7 +29,7 @@ Determinism: tracing is purely observational (results are asserted
 bit-identical with it on or off), and batch-study span *identities*
 are deterministic — :func:`derived_span_id` derives span ids from
 content (trace id, parent, name, spec key), so the same plan yields
-the identical span tree at any worker count.
+the identical span tree on every execution.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 #: Segment names the serve tier records; the breakdown tooling and the
@@ -78,7 +75,7 @@ def derived_span_id(*parts: str) -> str:
 
     Batch-study spans derive their ids from ``(trace id, parent span
     id, name, spec content key)`` so the same plan produces the same
-    span tree — ids included — at any worker count.
+    span tree — ids included — on every execution.
     """
     digest = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
     return digest[:16]
@@ -117,9 +114,7 @@ class TraceSpan:
     """One timed extent of one trace.
 
     ``start_s``/``end_s`` are ``perf_counter`` seconds in the recording
-    process; :meth:`rebased` / :meth:`shifted` move spans between clock
-    origins when they cross process boundaries.  Plain data throughout,
-    so spans pickle inside :class:`~repro.obs.spans.RunTelemetry`.
+    process.
     """
 
     trace_id: str
@@ -139,14 +134,6 @@ class TraceSpan:
     @property
     def context(self) -> SpanContext:
         return SpanContext(trace_id=self.trace_id, span_id=self.span_id)
-
-    def rebased(self, origin_s: float) -> "TraceSpan":
-        """The same span with times relative to ``origin_s``."""
-        return replace(self, start_s=self.start_s - origin_s, end_s=self.end_s - origin_s)
-
-    def shifted(self, offset_s: float) -> "TraceSpan":
-        """The same span displaced by ``offset_s`` (merge re-basing)."""
-        return replace(self, start_s=self.start_s + offset_s, end_s=self.end_s + offset_s)
 
     def to_json(self, origin_s: float = 0.0) -> dict:
         return {
@@ -540,7 +527,7 @@ def tree_signature(spans: Sequence[TraceSpan]) -> tuple[tuple[str, str, str], ..
     """Canonical identity of a span tree: sorted (id, parent, name).
 
     Durations and wall placement vary run to run; the signature is what
-    the determinism tests compare across worker counts.
+    the determinism tests compare across executions of one plan.
     """
     return tuple(sorted((s.span_id, s.parent_id, s.name) for s in spans))
 

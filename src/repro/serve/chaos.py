@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..exec.faults import RunError
@@ -401,12 +403,15 @@ def run_chaos_drill(
     router: RouterConfig | None = None,
     echo=None,
 ) -> ChaosReport:
-    """Run one full drill; blocking (boots and tears down a tier)."""
-    import tempfile
+    """Run one full drill; blocking (boots and tears down a tier).
 
+    Without ``store`` the drill uses a temporary store and removes it
+    when the tier is down.
+    """
     log = obs_logging.get_logger("chaos")
     say = echo if echo is not None else (lambda *_: None)
-    store = store or tempfile.mkdtemp(prefix="repro-chaos-store-")
+    owned = None if store else tempfile.TemporaryDirectory(prefix="repro-chaos-store-")
+    store = store or owned.name
     bodies = chaos_bodies()
     say(f"pricing the {len(bodies)}-cell oracle locally ...")
     expected = expected_responses(bodies)
@@ -423,7 +428,7 @@ def run_chaos_drill(
     try:
         say(f"starting {shards}-shard tier (store {store}) with "
             f"faults armed: {plan} (seed {seed})")
-        with tier:
+        with owned or nullcontext(), tier:
             report = ChaosReport(
                 plan=plan, seed=seed, shards=shards, store=store,
                 max_error_rate=max_error_rate,

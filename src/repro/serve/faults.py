@@ -1,6 +1,6 @@
 """Seeded, deterministic fault injection for the serve tier.
 
-The offline executor rehearses worker failure through
+The offline executor rehearses run failure through
 :mod:`repro.exec.faults`; this module is the online counterpart.  A
 :class:`ServeFaultPlan` arms a shard process with a seeded schedule of
 service-level faults, drawn per admitted prediction request from a
@@ -46,6 +46,10 @@ from ..exec.faults import SeededFaultPlan
 #: Injectable serve-layer fault kinds, in draw order (one request
 #: suffers at most one fault; earlier kinds win ties).
 SERVE_FAULT_KINDS = ("crash", "hang", "slow", "reset", "corrupt")
+
+#: How long an injected ``hang`` wedges a shard — far past any probe or
+#: call deadline, short enough that a wedged test suite still terminates.
+HANG_SECONDS = 3600.0
 
 ENV_SERVE_FAULTS = "REPRO_SERVE_INJECT_FAULTS"
 ENV_SERVE_SEED = "REPRO_SERVE_FAULT_SEED"

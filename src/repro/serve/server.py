@@ -43,7 +43,6 @@ from typing import Awaitable
 
 from .. import __version__
 from ..engine import memo
-from ..exec.faults import HANG_SECONDS
 from ..exec.plan import RunSpec
 from ..exec.retry import RetryPolicy
 from ..obs import logging as obs_logging
@@ -272,7 +271,7 @@ class Server(HttpService):
     # -- chaos injection -----------------------------------------------
 
     async def _hang(self) -> bool:
-        await asyncio.sleep(HANG_SECONDS)
+        await asyncio.sleep(serve_faults.HANG_SECONDS)
         return False
 
     async def _inject_fault(
@@ -296,7 +295,7 @@ class Server(HttpService):
             os._exit(23)
         if kind == "hang":
             self._hung = True
-            await asyncio.sleep(HANG_SECONDS)
+            await asyncio.sleep(serve_faults.HANG_SECONDS)
             return False
         if kind == "reset":
             writer.close()

@@ -122,3 +122,14 @@ class TestStudyFaultTolerance:
         )
         assert first.entries == clean.entries == resumed.entries
         assert resumed.stats.resumed_runs == resumed.stats.unique_runs
+
+
+def test_max_workers_accepts_only_one_process():
+    """The benchmark harness passes ``max_workers=1``; every study runs
+    in one process, so any other count is refused, not ignored."""
+    config = {"read-benchmark": ReadMemConfig(size=1 << 16)}
+    kept = run_study((READMEM,), configs=config, precisions=(Precision.SINGLE,), max_workers=1)
+    assert kept.entries
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="max_workers must be 1"):
+            run_study((READMEM,), configs=config, max_workers=workers)

@@ -1,9 +1,10 @@
-"""Determinism: parallel studies are bit-identical to serial ones.
+"""Determinism: studies are bit-identical however they are executed.
 
 The acceptance property of the executor (and the reason memoization is
-safe): every run is a pure function of its descriptor, so worker
-count, sharding and cache state must never show up in the numbers.
-Entries are compared field-for-field with exact ``==`` — no tolerance.
+safe): every run is a pure function of its descriptor, so grouped or
+per-run pricing, telemetry, plan order and cache state must never show
+up in the numbers.  Entries are compared field-for-field with exact
+``==`` — no tolerance.
 """
 
 import random
@@ -28,56 +29,72 @@ def entry_dicts(study):
 
 @pytest.fixture(scope="module")
 def serial_study():
-    return run_study(APPS, configs=dict(sweep_configs()), max_workers=1)
+    return run_study(APPS, configs=dict(sweep_configs()))
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5])
-def test_parallel_study_identical_to_serial(serial_study, workers):
-    """The serial study prices its projection cells by schedule group
-    in process; with telemetry every cell is its own run, so these
-    reach the pool."""
-    parallel = run_study(
-        APPS, configs=dict(sweep_configs()), max_workers=workers, telemetry=True
-    )
-    assert entry_dicts(parallel) == entry_dicts(serial_study)
-    assert parallel.stats.workers == min(workers, parallel.stats.unique_runs)
+def test_study_identical_with_telemetry_on_and_off(serial_study):
+    """The plain study prices its projection cells by schedule group;
+    with telemetry every cell takes the retry ladder as its own run."""
+    recorded = run_study(APPS, configs=dict(sweep_configs()), telemetry=True)
+    assert entry_dicts(recorded) == entry_dicts(serial_study)
+    assert recorded.telemetry is not None and serial_study.telemetry is None
+
+
+@pytest.mark.parametrize("slices", [2, 3, 5])
+def test_parallel_study_identical_to_serial(slices):
+    """A study plan cut into ``slices`` contiguous pieces, each executed
+    by its own call with telemetry (every run through the retry ladder,
+    on cold caches), gives bit-identical results to the whole plan
+    priced by schedule group in one call: how a plan is split into
+    independent pieces never shows in the numbers."""
+    plan = _plan()
+    memo.clear_caches()
+    whole, _ = execute(plan)
+    memo.clear_caches()
+    bounds = [len(plan) * i // slices for i in range(slices + 1)]
+    pieces = []
+    for start, stop in zip(bounds, bounds[1:]):
+        outcomes, stats = execute(plan[start:stop], telemetry=True)
+        assert stats.timeline is not None
+        pieces.extend(outcomes)
+    memo.clear_caches()
+    assert len(pieces) == len(whole) == len(plan)
+    for a, b in zip(whole, pieces):
+        assert vars(a.result) == vars(b.result)
 
 
 def test_cache_off_identical_to_cache_on(serial_study):
     uncached = run_study(
-        APPS, configs=dict(sweep_configs()), max_workers=1, use_cache=False
+        APPS, configs=dict(sweep_configs()), use_cache=False
     )
     assert entry_dicts(uncached) == entry_dicts(serial_study)
     assert uncached.stats.caches["kernel"].hits == 0
 
 
 def test_parallel_uncached_identical_too(serial_study):
-    """Worker count and cache state vary together: still identical."""
+    """Per-run pricing (telemetry on) and cache state vary together:
+    still identical."""
     both = run_study(
-        APPS, configs=dict(sweep_configs()), max_workers=2, use_cache=False,
-        telemetry=True,
+        APPS, configs=dict(sweep_configs()), use_cache=False, telemetry=True,
     )
-    assert both.stats.workers == 2
+    assert both.stats.caches["kernel"].hits == 0
     assert entry_dicts(both) == entry_dicts(serial_study)
 
 
 def test_parallel_sweep_identical_to_serial():
-    """A sweep's grid is one schedule group, priced in process; with
-    telemetry every point is its own run, so the pool is reached."""
+    """A sweep's grid is one schedule group, priced in one call; with
+    telemetry every point is its own run through the retry ladder."""
     app = APPS_BY_NAME["read-benchmark"]
     config = sweep_configs()[app.name]
-    serial = run_sweep(app, config, max_workers=1)
-    parallel = run_sweep(app, config, max_workers=4, telemetry=True)
-    assert parallel.stats.workers > 1
-    assert parallel.points == serial.points
+    grouped = run_sweep(app, config)
+    per_run = run_sweep(app, config, telemetry=True)
+    assert per_run.telemetry is not None and grouped.telemetry is None
+    assert per_run.points == grouped.points
 
 
 def _plan():
     """A multi-app plan whose specs interleave setup-affinity groups
-    when shuffled.  Four apps = four affinity blocks: more blocks than
-    any worker count below, so sharding stays on the whole-block path
-    (with fewer blocks than workers it deliberately trades setup
-    affinity for parallelism, and parity is not promised)."""
+    when shuffled: four apps, four affinity blocks."""
     return study_runs(
         app_names=["read-benchmark", "XSBench", "LULESH", "miniFE"],
         configs=dict(sweep_configs()),
@@ -89,29 +106,29 @@ def _plan():
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_shuffled_plan_identical_with_cache_parity(workers):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shuffled_plan_identical_with_cache_parity(seed):
     """Submission order is presentation, not semantics: a shuffled plan
     yields the same outcome per descriptor AND the same cache economics.
 
     The parity half is the regression guard for the plan-ordering
-    hazard: sharding used to split a shuffled plan mid
-    setup-affinity-group, so runs sharing a problem setup landed on
-    different workers and rebuilt it — same bits, quietly worse cache
-    behaviour.  Sharding now keeps whole affinity blocks together, so
-    hit/miss totals must match the sorted plan exactly."""
+    hazard: runs taken in raw submission order would interleave problem
+    setups under the bounded setup LRU and rebuild evicted ones — same
+    bits, quietly worse cache behaviour.  The executor runs whole
+    setup-affinity blocks in first-appearance order, so hit/miss totals
+    must match the sorted plan exactly."""
     plan = _plan()
     shuffled = list(plan)
-    random.Random(2015).shuffle(shuffled)
+    random.Random(2015 + seed).shuffle(shuffled)
+    assert shuffled != plan
 
-    # Telemetry makes every projection cell its own run (grouped
-    # pricing would never reach the shards).
+    # Telemetry makes every projection cell its own run through the
+    # retry ladder (grouped pricing would take the lattice path).
     memo.clear_caches()
-    ordered_outcomes, ordered_stats = execute(plan, max_workers=workers, telemetry=True)
+    ordered_outcomes, ordered_stats = execute(plan, telemetry=True)
     memo.clear_caches()
-    shuffled_outcomes, shuffled_stats = execute(shuffled, max_workers=workers, telemetry=True)
+    shuffled_outcomes, shuffled_stats = execute(shuffled, telemetry=True)
     memo.clear_caches()
-    assert ordered_stats.workers == shuffled_stats.workers == workers
 
     by_key = {
         spec.content_key(): outcome.result
@@ -126,7 +143,7 @@ def test_shuffled_plan_identical_with_cache_parity(workers):
 
 def test_repeated_serial_runs_identical(serial_study):
     """The baseline itself is reproducible (seeded builders, pure
-    pricing) — without this the parallel comparisons above would be
+    pricing) — without this the comparisons above would be
     meaningless."""
-    again = run_study(APPS, configs=dict(sweep_configs()), max_workers=1)
+    again = run_study(APPS, configs=dict(sweep_configs()))
     assert entry_dicts(again) == entry_dicts(serial_study)

@@ -1,4 +1,4 @@
-"""Executor unit tests: dedup, stats, sharding, cache toggling."""
+"""Executor unit tests: dedup, stats, cache toggling."""
 
 import pytest
 
@@ -7,12 +7,11 @@ from repro.engine import memo
 from repro.engine.memo import MemoStats
 from repro.exec.executor import (
     ExecStats,
-    _shard_by_affinity,
-    default_workers,
     execute,
     execute_run,
 )
 from repro.exec.plan import APU, DGPU, RunSpec
+from repro.exec.retry import run_with_retry
 from repro.hardware.specs import Precision
 
 
@@ -66,6 +65,28 @@ class TestDeduplication:
         outcomes, _ = execute(runs)
         assert [o.spec.model for o in outcomes] == ["OpenMP", "OpenCL", "OpenACC"]
 
+    def test_ladder_runs_whole_setup_affinity_blocks(self, monkeypatch):
+        # Sizes interleave 1024, 2048, 4096, 1024, ...: the retry ladder
+        # takes each problem size's runs together, in first-appearance
+        # order, so the bounded setup LRU never rebuilds a setup.
+        from repro.exec import executor
+
+        ran = []
+
+        def recording(spec, *args, **kwargs):
+            ran.append(spec.config.size)
+            return run_with_retry(spec, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_with_retry", recording)
+        runs = [
+            run_spec(model=m, size=s, projection=False)
+            for m in ("OpenMP", "OpenCL", "OpenACC")
+            for s in (1024, 2048, 4096)
+        ]
+        outcomes, _ = execute(runs)
+        assert ran == [1024] * 3 + [2048] * 3 + [4096] * 3
+        assert [o.spec for o in outcomes] == runs
+
 
 class TestCacheToggling:
     def test_second_execution_hits_the_cache(self):
@@ -112,84 +133,6 @@ class TestStats:
 
     def test_hit_rate_handles_zero_lookups(self):
         assert ExecStats().caches.get("kernel", MemoStats()).hit_rate == 0.0
-
-    def test_default_workers_positive(self):
-        assert 1 <= default_workers() <= 8
-
-
-class TestAffinitySharding:
-    def shard_sizes(self, runs, workers):
-        shards = _shard_by_affinity(list(enumerate(runs)), workers)
-        return [len(s) for s in shards]
-
-    def test_snaps_to_affinity_boundaries(self):
-        # Four problem sizes: four affinity blocks of six runs each
-        # (precision does not split a block — setups for both
-        # precisions of one config belong in the same worker).
-        runs = []
-        for size in (1024, 2048, 4096, 8192):
-            for precision in (Precision.SINGLE, Precision.DOUBLE):
-                for model in ("OpenMP", "OpenCL", "OpenACC"):
-                    runs.append(
-                        RunSpec(
-                            app="read-benchmark",
-                            model=model,
-                            platform=APU,
-                            precision=precision,
-                            config=ReadMemConfig(size=size),
-                        )
-                    )
-        shards = _shard_by_affinity(list(enumerate(runs)), 4)
-        assert len(shards) == 4
-        for shard in shards:
-            affinities = {(s.app, repr(s.config)) for _, s in shard}
-            assert len(affinities) == 1  # no block straddles a boundary
-
-    def test_groups_interleaved_blocks_and_covers_everything(self):
-        # Sizes interleave 0,1,2,0,1,2,...: sharding regroups them into
-        # whole affinity blocks (shuffle-invariance — outcomes are
-        # reassembled by index, so global order is free to change), but
-        # every index appears exactly once and blocks stay intact.
-        runs = [run_spec(size=1024 * (1 + i % 3)) for i in range(10)]
-        shards = _shard_by_affinity(list(enumerate(runs)), 3)
-        flat = [index for shard in shards for index, _ in shard]
-        assert sorted(flat) == list(range(len(runs)))
-        for shard in shards:
-            affinities = {(s.app, repr(s.config)) for _, s in shard}
-            assert len(affinities) == 1  # whole blocks, never fragments
-
-    def test_single_block_falls_back_to_even_split(self):
-        # A frequency sweep is one affinity block: parallelism wins.
-        runs = [run_spec(core_mhz=float(mhz)) for mhz in range(500, 572)]
-        sizes = self.shard_sizes(runs, 4)
-        assert len(sizes) == 4
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_never_exceeds_worker_count(self):
-        for n_runs in (1, 2, 5, 17):
-            for workers in (1, 2, 3, 8):
-                runs = [run_spec(size=1024 * (1 + i)) for i in range(n_runs)]
-                shards = _shard_by_affinity(list(enumerate(runs)), workers)
-                assert 1 <= len(shards) <= workers
-                assert sum(len(s) for s in shards) == n_runs
-
-
-class TestParallelPath:
-    def test_pool_results_match_serial(self):
-        # Functional cells: projection cells are priced by schedule
-        # group in process and never reach the pool.
-        runs = [
-            run_spec(model=m, platform=p, size=s, projection=False)
-            for m in ("OpenMP", "OpenCL")
-            for p in (APU, DGPU)
-            for s in (1024, 2048)
-        ]
-        serial, _ = execute(runs, max_workers=1)
-        parallel, stats = execute(runs, max_workers=2)
-        assert stats.workers == 2
-        for a, b in zip(serial, parallel):
-            assert a.result.seconds == b.result.seconds
-            assert a.result.kernel_seconds == b.result.kernel_seconds
 
 
 class TestTraceCounters:

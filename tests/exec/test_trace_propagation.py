@@ -1,6 +1,8 @@
 """Trace propagation through the executor: deterministic span trees
-across worker counts, and bit-identical results with tracing on or off.
+across plan orders, and bit-identical results with tracing on or off.
 """
+
+import random
 
 import pytest
 
@@ -38,14 +40,14 @@ def _root_ctx(seed: str) -> SpanContext:
     )
 
 
-def _traced_execution(workers: int, seed: str = "det"):
+def _traced_execution(plan=None, seed: str = "det"):
     """Run the plan under a seeded root context; return (spans, outcomes)."""
     ctx = _root_ctx(seed)
     memo.clear_caches()
     tracing.TRACER.clear()
     try:
         with tracing.use(ctx):
-            outcomes, _stats = execute(_plan(), max_workers=workers, telemetry=True)
+            outcomes, _stats = execute(plan or _plan(), telemetry=True)
         spans = tracing.TRACER.pending_spans(ctx.trace_id)
     finally:
         tracing.TRACER.clear()
@@ -54,7 +56,7 @@ def _traced_execution(workers: int, seed: str = "det"):
 
 
 def test_execute_records_a_parented_span_tree():
-    spans, outcomes = _traced_execution(workers=1)
+    spans, outcomes = _traced_execution()
     exec_spans = [s for s in spans if s.name == "execute"]
     assert len(exec_spans) == 1
     exec_span = exec_spans[0]
@@ -66,33 +68,41 @@ def test_execute_records_a_parented_span_tree():
     assert all(s.parent_id == exec_span.span_id for s in run_spans)
     assert all(s.kind == "worker" for s in run_spans)
     assert not orphan_spans(spans)
-    # Every run span lies inside the executor span's wall window
-    # (envelope spans are re-based onto per-worker cursors).
+    # Every run span lies inside the executor span's wall window.
     for span in run_spans:
         assert span.start_s >= exec_span.start_s - 1e-9
         assert span.end_s <= exec_span.end_s + 1e-9
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_span_tree_identical_across_worker_counts(workers):
-    """Same seed + same plan => the identical span tree — ids included —
-    no matter how the plan was sharded."""
-    serial_spans, serial_outcomes = _traced_execution(workers=1)
-    parallel_spans, parallel_outcomes = _traced_execution(workers=workers)
-    assert tree_signature(parallel_spans) == tree_signature(serial_spans)
+@pytest.mark.parametrize("seed", [2, 3])
+def test_span_tree_identical_across_worker_counts(seed):
+    """Same trace seed + same plan => the identical span tree — ids
+    included — however the plan's runs are handed to the executor:
+    here, in the order a ``seed``-shuffled submission gives them."""
+    plan = _plan()
+    shuffled = list(plan)
+    random.Random(seed).shuffle(shuffled)
+    assert shuffled != plan
+    forward_spans, forward_outcomes = _traced_execution(plan)
+    shuffled_spans, shuffled_outcomes = _traced_execution(shuffled)
+    assert tree_signature(shuffled_spans) == tree_signature(forward_spans)
     # And the results those spans describe are still bit-identical.
-    for a, b in zip(serial_outcomes, parallel_outcomes):
-        assert vars(a.result) == vars(b.result)
+    by_key = {
+        spec.content_key(): outcome.result
+        for spec, outcome in zip(shuffled, shuffled_outcomes)
+    }
+    for spec, outcome in zip(plan, forward_outcomes):
+        assert vars(outcome.result) == vars(by_key[spec.content_key()])
 
 
 def test_results_bit_identical_with_tracing_on_and_off():
     plan = _plan()
     memo.clear_caches()
     tracing.TRACER.clear()
-    untraced, _ = execute(plan, max_workers=2, telemetry=True)
+    untraced, _ = execute(plan, telemetry=True)
     assert tracing.TRACER.pending_spans(seeded_trace_id("det")) == []
     memo.clear_caches()
-    traced_spans, traced = _traced_execution(workers=2)
+    traced_spans, traced = _traced_execution(plan)
     assert traced_spans  # tracing actually happened
     for a, b in zip(untraced, traced):
         assert vars(a.result) == vars(b.result)
@@ -103,7 +113,7 @@ def test_no_ambient_context_means_no_spans():
     memo.clear_caches()
     tracing.TRACER.clear()
     assert tracing.current() is None
-    execute(_plan(), max_workers=1, telemetry=True)
+    execute(_plan(), telemetry=True)
     assert tracing.TRACER.dropped == 0
     assert len(tracing.TRACER._buffers) == 0
     memo.clear_caches()

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.export import (
     EXEC_PID,
     SIM_PID,
+    WALL_TRACK,
     Timeline,
     chrome_trace,
     merge_run_telemetry,
@@ -28,7 +29,7 @@ def recorded_run(label="LULESH/OpenCL/dgpu/single", kernel_s=2e-3):
 
 
 def small_timeline():
-    return merge_run_telemetry([(recorded_run(), 0), (recorded_run("b"), 1)])
+    return merge_run_telemetry([recorded_run(), recorded_run("b")])
 
 
 def check_trace_schema(doc):
@@ -68,8 +69,9 @@ class TestChromeTrace:
         threads = check_trace_schema(doc)
         names = set(threads.values())
         assert {"dgpu/gpu", "dgpu/interconnect", "memo"} <= names
-        assert {"worker-0", "worker-1"} <= names
+        assert WALL_TRACK in names
         assert set(timeline.tracks()) == names
+        assert {pid for (pid, _), name in threads.items() if name == WALL_TRACK} == {EXEC_PID}
 
     def test_sim_spans_use_sim_domain_and_worker_spans_wall(self):
         timeline = small_timeline()
@@ -84,8 +86,10 @@ class TestChromeTrace:
             and (e["pid"], e["tid"]) == (gpu_pid, gpu_tid)
         )
         assert kernel["dur"] == pytest.approx(2e-3 * 1e6)  # µs, sim domain
-        run = next(e for e in doc["traceEvents"] if e["ph"] == "X" and e["cat"] == "run")
-        assert run["pid"] == EXEC_PID
+        runs = [e for e in doc["traceEvents"] if e["ph"] == "X" and e["cat"] == "run"]
+        assert [run["name"] for run in runs] == ["LULESH/OpenCL/dgpu/single", "b"]
+        assert all(threads[run["pid"], run["tid"]] == WALL_TRACK for run in runs)
+        assert all(run["pid"] == EXEC_PID for run in runs)
 
     def test_span_args_survive_into_trace(self):
         doc = chrome_trace(small_timeline())
@@ -113,9 +117,10 @@ class TestChromeTrace:
 class TestTimeline:
     def test_track_partition(self):
         timeline = small_timeline()
-        assert timeline.worker_tracks() == ["worker-0", "worker-1"]
+        assert WALL_TRACK in timeline.tracks()
         assert "dgpu/gpu" in timeline.sim_tracks()
-        assert not any(t.startswith("worker-") for t in timeline.sim_tracks())
+        assert WALL_TRACK not in timeline.sim_tracks()
+        assert set(timeline.sim_tracks()) == set(timeline.tracks()) - {WALL_TRACK}
 
     def test_empty_timeline_exports(self):
         doc = chrome_trace(Timeline())

@@ -2,7 +2,7 @@
 
 The acceptance bar for the telemetry layer: the profile command emits a
 schema-valid Chrome trace with at least one track per device queue and
-per executor worker plus a metrics file with kernel-time histograms and
+the executor's wall-clock track, plus a metrics file with kernel-time histograms and
 memo hit ratios — and turning telemetry on leaves every study speedup
 bit-identical.
 """
@@ -15,6 +15,7 @@ from repro.apps import ALL_APPS
 from repro.cli import main
 from repro.core import bench_configs, run_study
 from repro.engine import memo
+from repro.obs.export import WALL_TRACK
 from repro.obs.metrics import parse_prometheus
 
 from .test_export import check_trace_schema
@@ -54,7 +55,7 @@ class TestProfileCommand:
         tracks = set(doc["otherData"]["tracks"])
         # One track per simulated device queue, both platforms.
         assert {"apu/gpu", "apu/interconnect", "dgpu/gpu", "dgpu/interconnect"} <= tracks
-        assert any(t.startswith("worker-") for t in tracks)
+        assert WALL_TRACK in tracks
 
     def test_metrics_have_histograms_and_hit_ratios(self, profile_artifacts):
         _, metrics = profile_artifacts

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.obs.export import merge_run_telemetry
+from repro.obs.export import WALL_TRACK, merge_run_telemetry
 from repro.obs.spans import (
     NullRecorder,
     SpanRecorder,
@@ -131,25 +131,28 @@ class TestMerge:
         return telemetry
 
     def test_runs_are_laid_end_to_end_in_submission_order(self):
-        timeline = merge_run_telemetry([(self._run("a", 2.0), 0), (self._run("b", 3.0), 0)])
+        timeline = merge_run_telemetry([self._run("a", 2.0), self._run("b", 3.0)])
         device = [s for s in timeline.spans if s.track == "dgpu/gpu"]
         assert [(s.sim_start, s.sim_end) for s in device] == [(0.0, 2.0), (2.0, 5.0)]
         # Events shift with their run.
         assert [e.sim_ts for e in timeline.events] == [2.0, 5.0]
 
     def test_each_run_becomes_a_span_on_its_worker_track(self):
-        timeline = merge_run_telemetry([(self._run("a", 2.0), 0), (self._run("b", 3.0), 1)])
-        workers = {s.track: s for s in timeline.spans if s.category == "run"}
-        assert set(workers) == {"worker-0", "worker-1"}
-        assert workers["worker-0"].name == "a"
+        timeline = merge_run_telemetry([self._run("a", 2.0), self._run("b", 3.0)])
+        runs = [s for s in timeline.spans if s.category == "run"]
+        assert [(s.track, s.name) for s in runs] == [(WALL_TRACK, "a"), (WALL_TRACK, "b")]
 
     def test_worker_wall_cursor_accumulates(self):
-        timeline = merge_run_telemetry([(self._run("a", 2.0), 0), (self._run("b", 3.0), 0)])
+        timeline = merge_run_telemetry([self._run("a", 2.0), self._run("b", 3.0)])
         runs = [s for s in timeline.spans if s.category == "run"]
+        assert runs[0].wall_start == 0.0
         assert runs[1].wall_start == pytest.approx(runs[0].wall_end)
+        # The simulated and wall clocks stay apart: 2.0 s simulated
+        # against the run's 0.2 s of wall time.
+        assert (runs[1].sim_start, runs[1].wall_start) == pytest.approx((2.0, 0.2))
 
     def test_merge_is_deterministic(self):
-        items = [(self._run("a", 2.0), 0), (self._run("b", 3.0), 1)]
+        items = [self._run("a", 2.0), self._run("b", 3.0)]
         first = merge_run_telemetry(items)
         second = merge_run_telemetry(items)
         assert [(s.track, s.name, s.sim_start, s.sim_end) for s in first.spans] == [
@@ -157,7 +160,7 @@ class TestMerge:
         ]
 
     def test_metrics_merge_alongside_spans(self):
-        timeline = merge_run_telemetry([(self._run("a", 1.0), 0), (self._run("b", 1.0), 0)])
+        timeline = merge_run_telemetry([self._run("a", 1.0), self._run("b", 1.0)])
         counter = timeline.metrics.get(
             "repro_memo_lookups_total", cache="kernel", result="hit"
         )
